@@ -306,6 +306,12 @@ def cmd_g2(cfg: RunConfig, out_dir, linear_only: bool, check: bool) -> int:
     params = _params(cfg)
     psi_in, support, breaks = _build_input(cfg, params)
     grid = _build_grid(cfg, support, breaks)
+    reach = [cfg.anchor_x + params.c * t for t in (0.0, cfg.tau_min, cfg.tau_max)]
+    if min(reach) < grid.points[0] or max(reach) > grid.points[-1]:
+        raise ConfigError(
+            f"anchor.x + c*tau over [{cfg.tau_min}, {cfg.tau_max}] spans "
+            f"[{min(reach):.6g}, {max(reach):.6g}], outside the output grid "
+            f"[{grid.points[0]:.6g}, {grid.points[-1]:.6g}]")
     started = time.perf_counter()
     result = apply_two_photon(psi_in, grid, params)
     psi = result.linear if linear_only else result.total

@@ -76,13 +76,12 @@ def _load_rows(path, expected_header: str) -> np.ndarray:
 
 
 def sniff_columns(path) -> int:
-    """Number of data columns (3 for 1D wavefunctions, 4 for 2D)."""
+    """Number of data columns (3 for 1D wavefunctions, 4 for 2D), counted on
+    the first non-blank line that is not a `#` comment."""
     with open(path) as fh:
         for ln in fh:
             s = ln.strip()
-            if s and not s.startswith("#") and not s[0].isalpha():
-                return len(s.split(","))
-            if s and s[0].isalpha():
+            if s and not s.startswith("#"):
                 return len(s.split(","))
     raise ValueError(f"{path}: empty file")
 

@@ -11,13 +11,11 @@ applies them as copy terms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .model import PhysicalParams
 
-__all__ = ["eval_abs_kernel", "eval_nonlin_kernel", "KernelParts1", "KernelParts2"]
+__all__ = ["eval_abs_kernel", "eval_nonlin_kernel"]
 
 
 def _as_finite(*arrays):
@@ -62,29 +60,3 @@ def eval_nonlin_kernel(x1, x2, x1p, x2p, params: PhysicalParams):
         return float(out)
     return out
 
-
-@dataclass(frozen=True)
-class KernelParts1:
-    """One-photon kernel split: delta part (applied symbolically) + smooth
-    absorption-reemission part."""
-
-    params: PhysicalParams
-    has_delta: bool = True
-
-    def smooth(self, x, xp):
-        return eval_abs_kernel(x, xp, self.params)
-
-
-@dataclass(frozen=True)
-class KernelParts2:
-    """Two-photon kernel split: the four products of one-photon parts plus the
-    nonlinear correction."""
-
-    params: PhysicalParams
-
-    @property
-    def one_photon(self) -> KernelParts1:
-        return KernelParts1(self.params)
-
-    def nonlinear(self, x1, x2, x1p, x2p):
-        return eval_nonlin_kernel(x1, x2, x1p, x2p, self.params)

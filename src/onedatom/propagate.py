@@ -1,10 +1,11 @@
 """Application of the scattering map to arbitrary input wavefunctions.
 
-Piecewise-constant inputs go through closed-form per-cell integration of the
-exponential kernels (no discretization error beyond rounding).  Sampled
-inputs are integrated against their piecewise-linear interpolant with
-composite trapezoid panels, refined until successive refinements agree to
-1e-8 in sup norm (at most 4 refinements).
+Every input kind reduces to one exact primitive: the tail integral of the
+exponential kernel against data that is linear on each cell.  Piecewise-
+constant inputs are the special case of equal end values; sampled inputs
+(1D factors and both axes of general 2D inputs) use the piecewise-linear
+interpolant of their samples.  Each cell contributes closed-form weights,
+the phi functions of exponential integrators, so the only error is rounding.
 
 The delta parts of the kernels are applied as copy/interpolation terms, never
 discretized.
@@ -20,7 +21,6 @@ import numpy as np
 from .model import (
     Grid1D,
     PhysicalParams,
-    PiecewiseConstant,
     Wavefunction1,
     Wavefunction2,
 )
@@ -35,9 +35,8 @@ __all__ = [
     "ResolutionWarning",
 ]
 
-REFINE_TOL = 1e-8
-MAX_REFINE = 4
 ASSEMBLE_BLOCK = 512
+SERIES_BELOW = 0.5     # kappa*h below which the cell weights use their series
 
 
 class ResolutionWarning(UserWarning):
@@ -50,107 +49,66 @@ def _check_amp(amp: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
-# exact tail integrals for piecewise-constant inputs
+# exact tail integrals of piecewise-linear data
 # ---------------------------------------------------------------------------
 
-def _pc_tail(pieces: PiecewiseConstant, evals: np.ndarray, kappa: float) -> np.ndarray:
-    """W(e) = integral_e^inf exp(-kappa (u - e)) psi(u) du, exactly, for a
-    piecewise-constant psi.  Every exponent is <= 0."""
-    lo = pieces.boundaries[:-1]
-    hi = pieces.boundaries[1:]
-    v = pieces.values
-    e = evals[:, None]
-    start = np.maximum(e, lo[None, :])
-    contrib = (np.exp(-kappa * (start - e)) - np.exp(-kappa * (hi[None, :] - e)))
-    contrib = np.where(hi[None, :] > e, contrib, 0.0)
-    return (contrib @ v) / kappa
+def _cell_weights(h: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(exp(-kappa h), a, b) with
+    integral_0^h exp(-kappa s) ((1 - s/h) p + (s/h) q) ds = a p + b q.
 
-
-# ---------------------------------------------------------------------------
-# adaptive tail integrals for sampled inputs
-# ---------------------------------------------------------------------------
-
-def _cell_coeffs(h: np.ndarray, kappa: float, panels: int) -> tuple[np.ndarray, np.ndarray]:
-    """Coefficients (alpha, beta) such that the composite-trapezoid integral of
-    exp(-kappa (u - x_i)) * linear(psi_i, psi_{i+1}) over one cell equals
-    alpha * psi_i + beta * psi_{i+1}."""
-    s = np.linspace(0.0, 1.0, panels + 1)
-    w = np.full(panels + 1, 1.0)
-    w[0] = w[-1] = 0.5
-    decay = np.exp(-kappa * s[:, None] * h[None, :])      # (panels+1, cells)
-    scale = h / panels
-    alpha = scale * np.einsum("q,q,qi->i", w, 1.0 - s, decay)
-    beta = scale * np.einsum("q,q,qi->i", w, s, decay)
-    return alpha, beta
-
-
-def _node_tails(points: np.ndarray, values: np.ndarray, kappa: float,
-                panels: int) -> np.ndarray:
-    """K at every input node by the backward recurrence
-    K_i = exp(-kappa h_i) K_{i+1} + C_i."""
-    n = len(points)
-    h = np.diff(points)
-    alpha, beta = _cell_coeffs(h, kappa, panels)
-    decay = np.exp(-kappa * h)
-    K = np.zeros(values.shape, dtype=complex)
-    for i in range(n - 2, -1, -1):
-        K[i] = decay[i] * K[i + 1] + alpha[i] * values[i] + beta[i] * values[i + 1]
-    return K
-
-
-def _eval_tails(points: np.ndarray, values: np.ndarray, node_K: np.ndarray,
-                evals: np.ndarray, kappa: float, panels: int) -> np.ndarray:
-    """K at arbitrary evaluation points from the node tails plus a partial
-    first cell."""
-    n = len(points)
-    batch = values.shape[1:] if values.ndim > 1 else ()
-    out = np.zeros((len(evals),) + batch, dtype=complex)
-
-    left = evals < points[0]
-    out[left] = np.exp(-kappa * (points[0] - evals[left]))[(...,) + (None,) * len(batch)] \
-        * node_K[0]
-
-    inside = (evals >= points[0]) & (evals < points[-1])
-    if np.any(inside):
-        e = evals[inside]
-        idx = np.clip(np.searchsorted(points, e, side="right") - 1, 0, n - 2)
-        x_hi = points[idx + 1]
-        he = x_hi - e
-        h_cell = points[idx + 1] - points[idx]
-        bshape = (...,) + (None,) * len(batch)
-        partial = np.zeros((len(e),) + batch, dtype=complex)
-        s = np.linspace(0.0, 1.0, panels + 1)
-        w = np.full(panels + 1, 1.0)
-        w[0] = w[-1] = 0.5
-        for q in range(panels + 1):
-            u = e + s[q] * he
-            t = (u - points[idx]) / h_cell
-            val = (1.0 - t)[bshape] * values[idx] + t[bshape] * values[idx + 1]
-            partial += (w[q] * he / panels * np.exp(-kappa * s[q] * he))[bshape] * val
-        out[inside] = partial + np.exp(-kappa * he)[bshape] * node_K[idx + 1]
-    # evals >= points[-1]: zero (nothing to the right)
-    return out
-
-
-def _tail_transform(points: np.ndarray, values: np.ndarray, evals: np.ndarray,
-                    kappa: float, tol: float = REFINE_TOL,
-                    max_refine: int = MAX_REFINE) -> np.ndarray:
-    """K(e) = integral_e^inf exp(-kappa (u - e)) psi(u) du for the
-    piecewise-linear interpolant of (points, values), zero outside.
-
-    `values` may be (n,) or (n, m); the transform acts along axis 0.
-    Refines the per-cell quadrature until successive results differ by less
-    than tol in sup norm (scaled to the smooth output term 2*kappa*K).
+    With z = kappa h, a/h = phi2(-z) and b/h = phi1(-z) - phi2(-z), the
+    exponential-integrator functions.  Their closed forms cancel for small z,
+    where phi2 comes from its Taylor series sum_k (-z)^k / (k+2)! instead.
     """
-    prev = None
-    for level in range(max_refine + 1):
-        panels = 2 ** level
-        node_K = _node_tails(points, values, kappa, panels)
-        cur = _eval_tails(points, values, node_K, evals, kappa, panels)
-        if prev is not None and 2.0 * kappa * np.max(np.abs(cur - prev)) < tol:
-            return cur
-        prev = cur
-    return prev
+    z = kappa * h
+    small = z < SERIES_BELOW
+    decay = np.exp(-z)
+    zl = np.where(small, 1.0, z)
+    phi1 = -np.expm1(-zl) / zl
+    a = (1.0 - phi1) / zl
+    b = (phi1 - decay) / zl
+    zs = np.where(small, z, 0.0)
+    phi2 = np.ones_like(z)
+    for k in range(16, 2, -1):          # phi2(-z) = (1 - z/3 (1 - z/4 (...))) / 2
+        phi2 = 1.0 - zs * phi2 / k
+    phi2 *= 0.5
+    a = np.where(small, phi2, a)
+    b = np.where(small, 1.0 - (1.0 + zs) * phi2, b)
+    return decay, h * a, h * b
+
+
+def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
+          evals: np.ndarray, kappa: float) -> np.ndarray:
+    """K(e) = integral_e^inf exp(-kappa (u - e)) psi(u) du, exactly, for psi
+    linear on each cell [edges[k], edges[k+1]] from left[k] to right[k] and
+    zero outside.  left/right may carry trailing batch axes; the result has
+    shape (len(evals),) + batch.  Every exponent is <= 0."""
+    n_cells = len(edges) - 1
+    bshape = (...,) + (None,) * (left.ndim - 1)
+    decay, a, b = _cell_weights(np.diff(edges), kappa)
+    source = a[bshape] * left + b[bshape] * right
+    K = np.zeros((n_cells + 1,) + left.shape[1:], dtype=complex)
+    for k in range(n_cells - 1, -1, -1):
+        K[k] = decay[k] * K[k + 1] + source[k]
+    # the first node at or right of e, then the partial cell [e, that node]
+    j = np.searchsorted(edges, evals, side="right")
+    nxt = np.minimum(j, n_cells)
+    decay_e, a_e, b_e = _cell_weights(np.maximum(edges[nxt] - evals, 0.0), kappa)
+    k = np.clip(j - 1, 0, n_cells - 1)
+    t = (evals - edges[k]) / (edges[k + 1] - edges[k])
+    at_e = left[k] + t[bshape] * (right[k] - left[k])
+    in_cell = ((j >= 1) & (j <= n_cells))[bshape]
+    partial = np.where(in_cell, a_e[bshape] * at_e + b_e[bshape] * right[k], 0.0)
+    return decay_e[bshape] * K[nxt] + partial
+
+
+def _tail1(psi: Wavefunction1, evals: np.ndarray, kappa: float) -> np.ndarray:
+    """Tail of a one-photon input: its exact pieces, or the piecewise-linear
+    interpolant of its samples."""
+    if psi.pieces is not None:
+        edges, values = psi.pieces.boundaries, psi.pieces.values
+        return _tail(edges, values, values, evals, kappa)
+    return _tail(psi.grid.points, psi.amp[:-1], psi.amp[1:], evals, kappa)
 
 
 def _interp_along_axis0(points: np.ndarray, values: np.ndarray,
@@ -175,10 +133,9 @@ def _smooth_plus_delta_1d(psi: Wavefunction1, xs: np.ndarray,
                           params: PhysicalParams) -> np.ndarray:
     """psi(x) - (2 gamma/c) * integral_x^inf exp(-(gamma/c)(x'-x)) psi(x') dx'."""
     k = params.gamma_over_c
-    if psi.pieces is not None:
-        return psi.pieces.sample(xs) - 2.0 * k * _pc_tail(psi.pieces, xs, k)
-    tails = _tail_transform(psi.grid.points, psi.amp, xs, k)
-    return _interp_along_axis0(psi.grid.points, psi.amp, xs) - 2.0 * k * tails
+    here = (psi.pieces.sample(xs) if psi.pieces is not None
+            else _interp_along_axis0(psi.grid.points, psi.amp, xs))
+    return here - 2.0 * k * _tail1(psi, xs, k)
 
 
 def _warn_if_coarse(psi: Wavefunction1, out_grid: Grid1D) -> None:
@@ -196,8 +153,7 @@ def apply_one_photon(psi: Wavefunction1, out_grid: Grid1D,
     """Scatter a one-photon wavefunction off the atom.
 
     The output is the transmitted amplitude plus the absorption-reemission
-    integral; for piecewise-constant inputs the integral is evaluated in
-    closed form per cell.
+    integral, evaluated in closed form per cell.
     """
     _check_amp(psi.amp)
     _warn_if_coarse(psi, out_grid)
@@ -227,11 +183,11 @@ def apply_two_photon_linear(psi: Wavefunction2, out_grid: Grid1D,
     pts = psi.grid.points
     xs = out_grid.points
     # axis 0, then axis 1; each is delta part (interpolation) + smooth tail
-    b = _interp_along_axis0(pts, psi.amp, xs) \
-        - 2.0 * k * _tail_transform(pts, psi.amp, xs, k)
+    a = psi.amp
+    b = _interp_along_axis0(pts, a, xs) - 2.0 * k * _tail(pts, a[:-1], a[1:], xs, k)
     bt = np.ascontiguousarray(b.T)
     out = _interp_along_axis0(pts, bt, xs) \
-        - 2.0 * k * _tail_transform(pts, bt, xs, k)
+        - 2.0 * k * _tail(pts, bt[:-1], bt[1:], xs, k)
     return Wavefunction2.symmetric(out_grid, out.T)
 
 
@@ -247,8 +203,10 @@ def _assemble_nonlinear(xs: np.ndarray, tail_sq: np.ndarray, kappa: float,
         x2 = xs[None, :]
         m = np.maximum(x1, x2)
         mi = np.maximum(idx[i0:i1, None], idx[None, :])
+        # the two exponentials swap under i <-> j, so grouping their product
+        # first makes out exactly symmetric
         out[i0:i1] = (-4.0 * kappa * kappa) \
-            * np.exp(-kappa * (m - x1)) * np.exp(-kappa * (m - x2)) * tail_sq[mi]
+            * (np.exp(-kappa * (m - x1)) * np.exp(-kappa * (m - x2))) * tail_sq[mi]
 
 
 def apply_two_photon_nonlinear(psi: Wavefunction2, out_grid: Grid1D,
@@ -267,21 +225,18 @@ def apply_two_photon_nonlinear(psi: Wavefunction2, out_grid: Grid1D,
     n = len(xs)
     out = np.empty((n, n), dtype=complex)
     if psi.factor is not None:
-        f = psi.factor
-        if f.pieces is not None:
-            tail = _pc_tail(f.pieces, xs, k)
-        else:
-            tail = _tail_transform(f.grid.points, f.amp, xs, k)
+        tail = _tail1(psi.factor, xs, k)
         _assemble_nonlinear(xs, tail * tail, k, out)
     else:
         pts = psi.grid.points
         # inner tail along axis 0 at the output points, then the outer tail
         # along axis 1; the physical value needs both tails anchored at the
         # same M, i.e. the diagonal of the nested transform
-        inner = _tail_transform(pts, psi.amp, xs, k)          # (n, n_in)
-        nested = _tail_transform(pts, np.ascontiguousarray(inner.T), xs, k)
+        a = psi.amp
+        inner = np.ascontiguousarray(_tail(pts, a[:-1], a[1:], xs, k).T)  # (n_in, n)
+        nested = _tail(pts, inner[:-1], inner[1:], xs, k)
         _assemble_nonlinear(xs, np.diagonal(nested).copy(), k, out)
-    return Wavefunction2.symmetric(out_grid, out)
+    return Wavefunction2(out_grid, out)
 
 
 @dataclass(frozen=True)

@@ -113,6 +113,15 @@ class TestG2:
         entries = manifest_entries(out / "manifest.txt")
         assert entries["run.zero_count"] == "0"
 
+    def test_tau_window_outside_grid(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "run.cfg")
+        out = tmp_path / "g2far"
+        rc = main(["g2", "--config", cfg, "--out", str(out),
+                   "--tau.min", "-40", "--tau.max", "40"])
+        assert rc == 2
+        assert "outside the output grid" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestOracle:
     def test_report_and_check(self, tmp_path):

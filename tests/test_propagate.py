@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from onedatom import (
     Grid1D,
@@ -22,7 +25,7 @@ from onedatom import (
     rect_two_photon_out,
     rectangular_pulse,
 )
-from onedatom.propagate import ResolutionWarning
+from onedatom.propagate import ResolutionWarning, _tail
 
 P = PhysicalParams()
 L = 20.0
@@ -112,6 +115,91 @@ class TestOnePhotonSampledPath:
         got = np.interp(probe, gout.points, out.amp.real)
         want = np.array([brute(x) for x in probe])
         assert np.max(np.abs(got - want)) <= 1e-7
+
+
+class TestExactTail:
+    """The one tail primitive against quadrature and under re-representation
+    of the same input."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_sampled_path_matches_quad(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 9))
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.05, 3.0, n - 1))])
+        v = rng.normal(size=n) + 1j * rng.normal(size=n)
+        params = PhysicalParams(gamma=float(rng.uniform(0.2, 10.0)))
+        k = params.gamma_over_c              # k*h reaches about 30
+        psi = Wavefunction1.sampled(Grid1D(0.0, float(x[-1]), n, _points=x), v)
+        evals = np.unique(np.concatenate([
+            x, rng.uniform(-2.0, x[-1] + 1.0, 12), [-2.5, x[-1] + 1.5]]))
+        out = apply_one_photon(psi, Grid1D(float(evals[0]), float(evals[-1]),
+                                           len(evals), _points=evals), params)
+
+        def interp(u):
+            return np.interp(u, x, v.real) + 1j * np.interp(u, x, v.imag)
+
+        for e, got in zip(evals, out.amp):
+            lo = max(e, 0.0)
+            tail = 0j
+            if lo < x[-1]:
+                inner = [p for p in x if lo < p < x[-1]]
+                for part in (np.real, np.imag):
+                    val, _ = quad(lambda u: part(np.exp(-k * (u - e)) * interp(u)),
+                                  lo, x[-1], points=inner or None, limit=200,
+                                  epsabs=1e-14, epsrel=1e-12)
+                    tail += val if part is np.real else 1j * val
+            ref = (interp(e) if 0.0 <= e <= x[-1] else 0.0) - 2.0 * k * tail
+            assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_batch_axes_act_columnwise(self):
+        rng = np.random.default_rng(11)
+        x = np.cumsum(rng.uniform(0.1, 2.0, 7))
+        v = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
+        evals = np.linspace(x[0] - 1.0, x[-1] + 1.0, 9)
+        batched = _tail(x, v[:-1], v[1:], evals, 0.7)
+        for c in range(3):
+            col = _tail(x, v[:-1, c], v[1:, c], evals, 0.7)
+            assert np.max(np.abs(batched[:, c] - col)) <= 1e-15
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8),
+           re=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+           im=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+           kappa=st.floats(0.05, 20.0), cell=st.integers(0, 7),
+           frac=st.floats(0.01, 0.99))
+    def test_node_on_interpolant_leaves_tail_unchanged(self, widths, re, im,
+                                                       kappa, cell, frac):
+        x = np.concatenate([[0.0], np.cumsum(widths)])
+        v = (np.array(re) + 1j * np.array(im))[:len(x)]
+        c = cell % len(widths)
+        x_new = x[c] + frac * (x[c + 1] - x[c])
+        v_new = v[c] + frac * (v[c + 1] - v[c])
+        x2 = np.insert(x, c + 1, x_new)
+        v2 = np.insert(v, c + 1, v_new)
+        evals = np.concatenate([x2, [x[0] - 0.5, x[-1] + 0.5],
+                                np.linspace(x[0], x[-1], 17)])
+        base = _tail(x, v[:-1], v[1:], evals, kappa)
+        refined = _tail(x2, v2[:-1], v2[1:], evals, kappa)
+        assert np.max(np.abs(refined - base)) <= 1e-13 * max(1.0, np.max(np.abs(base)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(widths=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8),
+           re=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+           kappa=st.floats(0.05, 20.0), cell=st.integers(0, 7),
+           frac=st.floats(0.01, 0.99))
+    def test_split_constant_cell_leaves_tail_unchanged(self, widths, re, kappa,
+                                                       cell, frac):
+        edges = np.concatenate([[0.0], np.cumsum(widths)])
+        v = (np.array(re) * (1.0 - 0.5j))[:len(widths)]
+        c = cell % len(widths)
+        split = edges[c] + frac * (edges[c + 1] - edges[c])
+        edges2 = np.insert(edges, c + 1, split)
+        v2 = np.insert(v, c, v[c])
+        evals = np.concatenate([edges2, [edges[0] - 0.5, edges[-1] + 0.5],
+                                np.linspace(edges[0], edges[-1], 17)])
+        base = _tail(edges, v, v, evals, kappa)
+        split_tail = _tail(edges2, v2, v2, evals, kappa)
+        assert np.max(np.abs(split_tail - base)) <= 1e-13 * max(1.0, np.max(np.abs(base)))
 
 
 class TestTwoPhotonLinear:
