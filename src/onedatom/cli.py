@@ -1,11 +1,15 @@
 """Configuration-driven command-line front end.
 
 Commands: simulate (scattering map -> output grids), g2 (correlation curve),
-oracle (lab-frame integrator cross-check), compare (diff two result files),
-decompose (interaction-process grids).  Configuration is a flat file of
-dotted keys (`pulse.kind = rectangular`), each overridable by a flag of the
-same name.  Exit codes: 0 success, 2 configuration error, 3 tolerance failure
-in --check mode, 4 I/O error.
+oracle (lab-frame integrator cross-check), decompose (interaction-process
+grids) and compare (diff two result files).  The first four are the rows of
+`COMMANDS`; they share their flags and one run path, `_run_command`: load the
+config (a flat file of dotted keys such as `pulse.kind = rectangular`, each
+overridable by a flag of the same name), call the command, write
+`manifest.txt`, print the command's summary and raise `ToleranceError` on a
+failed check.  A command validates its inputs before it writes anything.
+Exit codes: 0 success, 2 configuration error or malformed input (files and
+non-finite values included), 3 tolerance failure in --check mode, 4 I/O error.
 """
 
 from __future__ import annotations
@@ -14,7 +18,9 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, fields, replace
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
+from pathlib import Path
 
 import numpy as np
 
@@ -66,13 +72,15 @@ class ToleranceError(RuntimeError):
     """A --check comparison exceeded its tolerance (exit code 3)."""
 
 
-def _parse_bool(text: str) -> bool:
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+@contextmanager
+def _invalid_input():
+    """Re-raise a library's ValueError about the given inputs as a ConfigError."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -104,27 +112,28 @@ class RunConfig:
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 KEYS = {f.name.replace("_", ".", 1): f.name for f in fields(RunConfig)}
-# gamma and c have no dots
-KEYS["gamma"] = "gamma"
-KEYS["c"] = "c"
+_BOOLS = {"1": True, "true": True, "yes": True, "on": True,
+          "0": False, "false": False, "no": False, "off": False}
 
 
 def _coerce(field_name: str, raw: str):
     kind = _FIELD_TYPES[field_name]
     try:
-        if kind in ("bool", bool):
-            return _parse_bool(raw)
-        if kind in ("int", int):
+        if kind == "bool":
+            return _BOOLS[raw.strip().lower()]
+        if kind == "int":
             return int(raw)
-        if kind in ("float", float):
-            return float(raw)
+        if kind == "float":
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ValueError("not a finite number")
+            return value
         return str(raw)
-    except ValueError as exc:
+    except (KeyError, ValueError) as exc:
         raise ConfigError(f"bad value for {field_name}: {raw!r}") from exc
 
 
 def load_config(path: str | None, overrides: dict[str, str]) -> RunConfig:
-    cfg = RunConfig()
     updates: dict[str, object] = {}
     if path:
         try:
@@ -145,167 +154,138 @@ def load_config(path: str | None, overrides: dict[str, str]) -> RunConfig:
             updates[KEYS[key]] = _coerce(KEYS[key], raw.strip())
     for key, raw in overrides.items():
         updates[KEYS[key]] = _coerce(KEYS[key], raw)
-    return replace(cfg, **updates)
+    return RunConfig(**updates)
 
 
 def _params(cfg: RunConfig) -> PhysicalParams:
-    try:
+    with _invalid_input():
         return PhysicalParams(gamma=cfg.gamma, c=cfg.c)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
-def _build_input(cfg: RunConfig, params: PhysicalParams):
-    """Two-photon input state, its support, and breakpoints for the output
-    grid.  File pulses are renormalized to unit norm on load."""
+def _rect_length(cfg: RunConfig, what: str) -> float:
+    """pulse.length, for a command or check that needs a rectangular pulse."""
+    if cfg.pulse_kind != "rectangular":
+        raise ConfigError(f"{what} requires a rectangular pulse")
+    if cfg.pulse_length <= 0:
+        raise ConfigError("pulse.length must be positive")
+    return cfg.pulse_length
+
+
+def _read_file(path):
+    """The one- or two-photon wavefunction in a result CSV, by its columns."""
+    try:
+        ncols = sniff_columns(path)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read input file: {exc}") from exc
+    if ncols not in (3, 4):
+        raise ConfigError(f"{path}: unsupported layout ({ncols} columns)")
+    with _invalid_input():
+        return read_wavefunction1(path) if ncols == 3 else read_wavefunction2(path)
+
+
+def _build_input(cfg: RunConfig) -> tuple[Wavefunction2, Grid1D]:
+    """Two-photon input state and the output grid, which covers its support
+    and has the pulse edges as nodes.  File pulses are renormalized to unit
+    norm on load."""
     kind = cfg.pulse_kind
+    breakpoints = ()
     if kind == "rectangular":
         if cfg.pulse_length <= 0:
             raise ConfigError("pulse.length must be positive")
-        one = rectangular_pulse(cfg.pulse_length)
-        return (Wavefunction2.from_product(one), (0.0, cfg.pulse_length),
-                (0.0, cfg.pulse_length))
-    if kind == "gaussian":
+        psi = Wavefunction2.from_product(rectangular_pulse(cfg.pulse_length))
+        support = breakpoints = (0.0, cfg.pulse_length)
+    elif kind == "gaussian":
         if cfg.pulse_width <= 0:
             raise ConfigError("pulse.width must be positive")
-        lo = cfg.pulse_center - 8.0 * cfg.pulse_width
-        hi = cfg.pulse_center + 8.0 * cfg.pulse_width
-        grid = Grid1D(lo, hi, 2049)
-        one = gaussian_pulse(cfg.pulse_center, cfg.pulse_width, grid)
+        with _invalid_input():
+            grid = Grid1D(cfg.pulse_center - 8.0 * cfg.pulse_width,
+                          cfg.pulse_center + 8.0 * cfg.pulse_width, 2049)
+            one = gaussian_pulse(cfg.pulse_center, cfg.pulse_width, grid)
+        psi = Wavefunction2.from_product(one)
         support = (cfg.pulse_center - 5.0 * cfg.pulse_width,
                    cfg.pulse_center + 5.0 * cfg.pulse_width)
-        return Wavefunction2.from_product(one), support, ()
-    if kind == "file":
+    elif kind == "file":
         if not cfg.pulse_path:
             raise ConfigError("pulse.kind=file requires pulse.path")
-        try:
-            ncols = sniff_columns(cfg.pulse_path)
-        except OSError as exc:
-            raise ConfigError(f"cannot read pulse file: {exc}") from exc
-        if ncols == 3:
-            one = read_wavefunction1(cfg.pulse_path)
-            nrm = norm1(one)
-            if nrm <= 0:
-                raise ConfigError("pulse file has zero norm")
-            if abs(nrm - 1.0) > 1e-6:
-                print(f"warning: renormalizing pulse (norm was {nrm:.9g})",
-                      file=sys.stderr)
-            one = Wavefunction1.sampled(one.grid, one.amp / math.sqrt(nrm))
-            return (Wavefunction2.from_product(one),
-                    (one.grid.x_min, one.grid.x_max), ())
-        if ncols == 4:
-            two = read_wavefunction2(cfg.pulse_path)
-            two = Wavefunction2.symmetric(two.grid, two.amp)
-            nrm = norm2(two)
-            if nrm <= 0:
-                raise ConfigError("pulse file has zero norm")
-            if abs(nrm - 1.0) > 1e-6:
-                print(f"warning: renormalizing pulse (norm was {nrm:.9g})",
-                      file=sys.stderr)
-            two = Wavefunction2(two.grid, two.amp / math.sqrt(nrm))
-            return two, (two.grid.x_min, two.grid.x_max), ()
-        raise ConfigError(f"unrecognized pulse file layout ({ncols} columns)")
-    raise ConfigError(f"unknown pulse.kind {kind!r}")
-
-
-def _build_grid(cfg: RunConfig, support: tuple[float, float],
-                breakpoints) -> Grid1D:
+        psi = _read_file(cfg.pulse_path)
+        one_photon = isinstance(psi, Wavefunction1)
+        if not one_photon:
+            psi = Wavefunction2.symmetric(psi.grid, psi.amp)
+        nrm = norm1(psi) if one_photon else norm2(psi)
+        if nrm <= 0:
+            raise ConfigError("pulse file has zero norm")
+        if abs(nrm - 1.0) > 1e-6:
+            print(f"warning: renormalizing pulse (norm was {nrm:.9g})", file=sys.stderr)
+        amp = psi.amp / math.sqrt(nrm)
+        psi = (Wavefunction2.from_product(Wavefunction1.sampled(psi.grid, amp))
+               if one_photon else Wavefunction2(psi.grid, amp))
+        support = (psi.grid.x_min, psi.grid.x_max)
+    else:
+        raise ConfigError(f"unknown pulse.kind {kind!r}")
     if cfg.grid_n < 2:
         raise ConfigError("grid.n must be at least 2")
     if cfg.grid_x_min > support[0] or cfg.grid_x_max < support[1]:
         raise ConfigError(
             f"grid [{cfg.grid_x_min}, {cfg.grid_x_max}] does not cover the "
             f"pulse support [{support[0]:.6g}, {support[1]:.6g}]")
-    try:
-        return Grid1D.with_breakpoints(cfg.grid_x_min, cfg.grid_x_max,
-                                       cfg.grid_n, tuple(breakpoints))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    with _invalid_input():
+        grid = Grid1D.with_breakpoints(cfg.grid_x_min, cfg.grid_x_max,
+                                       cfg.grid_n, breakpoints)
+    return psi, grid
 
 
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.17g}"
-    return str(value)
+# Each configured command takes (cfg, out_dir, CSV header meta, --linear-only,
+# --check) and returns (manifest entries, summary line, failure message or None).
 
-
-def _write_manifest(path, entries: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(f"# onedatom {__version__} run manifest\n")
-        for key, value in entries.items():
-            fh.write(f"{key} = {_fmt(value)}\n")
-
-
-def _config_entries(cfg: RunConfig) -> dict:
-    return {dotted: getattr(cfg, attr) for dotted, attr in sorted(KEYS.items())}
-
-
-def _meta(cfg: RunConfig) -> dict:
-    m = {"version": __version__}
-    m.update(_config_entries(cfg))
-    return m
-
-
-# ---------------------------------------------------------------------------
-# commands
-# ---------------------------------------------------------------------------
-
-def cmd_simulate(cfg: RunConfig, out_dir, linear_only: bool, check: bool) -> int:
+def cmd_simulate(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
+    if check:
+        _rect_length(cfg, "--check for simulate")
     params = _params(cfg)
-    psi_in, support, breaks = _build_input(cfg, params)
-    grid = _build_grid(cfg, support, breaks)
+    psi_in, grid = _build_input(cfg)
     started = time.perf_counter()
     result = apply_two_photon(psi_in, grid, params)
     elapsed = time.perf_counter() - started
     total = result.linear if linear_only else result.total
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = _meta(cfg)
     write_wavefunction2(out_dir / "psi_out.csv", total, meta)
     write_wavefunction2(out_dir / "psi_lin.csv", result.linear, meta)
     write_wavefunction2(out_dir / "psi_nonlin.csv", result.nonlinear, meta)
 
-    entries = _config_entries(cfg)
-    entries.update({
-        "run.command": "simulate",
+    entries = {
         "run.linear_only": linear_only,
         "run.grid_points": grid.n,
         "run.norm_out": norm2(total),
         "run.norm_linear": norm2(result.linear),
         "run.norm_nonlinear": norm2(result.nonlinear),
         "run.seconds": elapsed,
-    })
+    }
+    failure = None
     if check:
-        if cfg.pulse_kind != "rectangular":
-            raise ConfigError("--check for simulate requires a rectangular pulse")
         x = grid.points
-        ref = rect_two_photon_out(x[:, None], x[None, :], cfg.pulse_length, params)
-        ref_lin = np.multiply.outer(
-            rect_one_photon_out(x, cfg.pulse_length, params),
-            rect_one_photon_out(x, cfg.pulse_length, params))
-        ref_nl = rect_nonlin_out(x[:, None], x[None, :], cfg.pulse_length, params)
-        diff = float(np.max(np.abs(result.total.amp - ref)))
-        diff_lin = float(np.max(np.abs(result.linear.amp - ref_lin)))
-        diff_nl = float(np.max(np.abs(result.nonlinear.amp - ref_nl)))
-        entries["check.max_abs_total"] = diff
-        entries["check.max_abs_linear"] = diff_lin
-        entries["check.max_abs_nonlinear"] = diff_nl
-        _write_manifest(out_dir / "manifest.txt", entries)
-        worst = max(diff, diff_lin, diff_nl)
+        length = cfg.pulse_length
+        one = rect_one_photon_out(x, length, params)
+        refs = {"total": rect_two_photon_out(x[:, None], x[None, :], length, params),
+                "linear": np.multiply.outer(one, one),
+                "nonlinear": rect_nonlin_out(x[:, None], x[None, :], length, params)}
+        for part, ref in refs.items():
+            dev = np.abs(getattr(result, part).amp - ref)
+            entries[f"check.max_abs_{part}"] = float(np.max(dev))
+        worst = max(entries[f"check.max_abs_{part}"] for part in refs)
         if worst > cfg.check_max_abs:
-            raise ToleranceError(
-                f"max-abs deviation {worst:.3e} exceeds {cfg.check_max_abs:.3e}")
-    else:
-        _write_manifest(out_dir / "manifest.txt", entries)
-    print(f"simulate: wrote {out_dir}/psi_out.csv "
-          f"(norm {entries['run.norm_out']:.6f}, {elapsed:.2f}s)")
-    return 0
+            failure = f"max-abs deviation {worst:.3e} exceeds {cfg.check_max_abs:.3e}"
+    summary = (f"simulate: wrote {out_dir}/psi_out.csv "
+               f"(norm {entries['run.norm_out']:.6f}, {elapsed:.2f}s)")
+    return entries, summary, failure
 
 
-def cmd_g2(cfg: RunConfig, out_dir, linear_only: bool, check: bool) -> int:
+def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
+    if check:
+        _rect_length(cfg, "--check for g2")
+    if cfg.tau_n < 2:
+        raise ConfigError("tau.n must be at least 2")
     params = _params(cfg)
-    psi_in, support, breaks = _build_input(cfg, params)
-    grid = _build_grid(cfg, support, breaks)
+    psi_in, grid = _build_input(cfg)
     reach = [cfg.anchor_x + params.c * t for t in (0.0, cfg.tau_min, cfg.tau_max)]
     if min(reach) < grid.points[0] or max(reach) > grid.points[-1]:
         raise ConfigError(
@@ -324,112 +304,99 @@ def cmd_g2(cfg: RunConfig, out_dir, linear_only: bool, check: bool) -> int:
     elapsed = time.perf_counter() - started
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    write_curve(out_dir / "g2_curve.csv", curve, _meta(cfg))
-    entries = _config_entries(cfg)
-    entries.update({
-        "run.command": "g2",
+    write_curve(out_dir / "g2_curve.csv", curve, meta)
+    entries = {
         "run.linear_only": linear_only,
         "run.zero_count": len(zeros),
         "run.seconds": elapsed,
-    })
-    for i, z in enumerate(zeros):
-        entries[f"run.zero_{i}"] = z
+        **{f"run.zero_{i}": z for i, z in enumerate(zeros)},
+    }
+    failure = None
     if check:
-        if not rectangular:
-            raise ConfigError("--check for g2 requires a rectangular pulse")
         ref = longpulse_g2(curve.tau, params)
         dev = float(np.max(np.abs(curve.values - ref)))
         entries["check.max_abs_vs_longpulse"] = dev
-        _write_manifest(out_dir / "manifest.txt", entries)
         if dev > cfg.check_g2:
-            raise ToleranceError(
-                f"g2 deviates from the long-pulse curve by {dev:.3e} "
-                f"(> {cfg.check_g2:.3e})")
-    else:
-        _write_manifest(out_dir / "manifest.txt", entries)
+            failure = (f"g2 deviates from the long-pulse curve by {dev:.3e} "
+                       f"(> {cfg.check_g2:.3e})")
     zs = ", ".join(f"{z:.4f}" for z in zeros) or "none"
-    print(f"g2: wrote {out_dir}/g2_curve.csv (zeros at {zs}, {elapsed:.2f}s)")
-    return 0
+    summary = f"g2: wrote {out_dir}/g2_curve.csv (zeros at {zs}, {elapsed:.2f}s)"
+    return entries, summary, failure
 
 
-def cmd_oracle(cfg: RunConfig, out_dir, check: bool) -> int:
+def cmd_oracle(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
     params = _params(cfg)
-    if cfg.pulse_kind != "rectangular":
-        raise ConfigError("the oracle command requires a rectangular pulse")
-    if cfg.oracle_mode not in ("one", "two"):
+    length = _rect_length(cfg, "the oracle command")
+    # Built per call, so each name is looked up in this module when it runs.
+    modes = {
+        "one": (run_one_photon_rect, rect_error_one_photon, far_field_one_photon,
+                write_wavefunction1, cfg.check_oracle_one),
+        "two": (run_two_photon_rect, rect_error_two_photon, far_field_two_photon,
+                write_wavefunction2, cfg.check_oracle_two),
+    }
+    if cfg.oracle_mode not in modes:
         raise ConfigError("oracle.mode must be 'one' or 'two'")
-    length, dx = cfg.pulse_length, cfg.oracle_dx
+    run_rect, rect_error, far_field, write, tol = modes[cfg.oracle_mode]
+    dx = cfg.oracle_dx
+    window = {"pad": cfg.oracle_pad, "clear": cfg.oracle_clear}
     started = time.perf_counter()
-    if cfg.oracle_mode == "one":
-        run = run_one_photon_rect(length, dx, params, pad=cfg.oracle_pad,
-                                  clear=cfg.oracle_clear, record_trace=True)
-        err = rect_error_one_photon(run, length, params)
+    with _invalid_input():
+        run = run_rect(length, dx, params, record_trace=True, **window)
+        err = rect_error(run, length, params)
         err_half = None
         if cfg.oracle_ratio:
-            run_half = run_one_photon_rect(length, dx / 2, params,
-                                           pad=cfg.oracle_pad,
-                                           clear=cfg.oracle_clear)
-            err_half = rect_error_one_photon(run_half, length, params)
-        far = far_field_one_photon(run.state, params)
-        tol = cfg.check_oracle_one
-    else:
-        run = run_two_photon_rect(length, dx, params, pad=cfg.oracle_pad,
-                                  clear=cfg.oracle_clear, record_trace=True)
-        err = rect_error_two_photon(run, length, params)
-        err_half = None
-        if cfg.oracle_ratio:
-            run_half = run_two_photon_rect(length, dx / 2, params,
-                                           pad=cfg.oracle_pad,
-                                           clear=cfg.oracle_clear)
-            err_half = rect_error_two_photon(run_half, length, params)
-        far = far_field_two_photon(run.state, params)
-        tol = cfg.check_oracle_two
+            run_half = run_rect(length, dx / 2, params, **window)
+            err_half = rect_error(run_half, length, params)
+    far = far_field(run.state, params)
     elapsed = time.perf_counter() - started
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    meta = _meta(cfg)
-    if cfg.oracle_mode == "one":
-        write_wavefunction1(out_dir / "oracle_farfield.csv", far, meta)
-    else:
-        write_wavefunction2(out_dir / "oracle_farfield.csv", far, meta)
-    trace = run.trace
+    write(out_dir / "oracle_farfield.csv", far, meta)
     with open(out_dir / "oracle_trace.csv", "w") as fh:
         fh.write("t,value\n")
-        np.savetxt(fh, np.column_stack([trace.times, trace.values]),
+        np.savetxt(fh, np.column_stack([run.trace.times, run.trace.values]),
                    fmt="%.17g", delimiter=",")
-    entries = _config_entries(cfg)
-    entries.update({
-        "run.command": "oracle",
+    entries = {
         "run.rel_l2": err,
         "run.final_norm": run.state.total_norm(),
         "run.seconds": elapsed,
-    })
+    }
+    ratio_txt = ""
     if err_half is not None:
         entries["run.rel_l2_half_dx"] = err_half
         entries["run.convergence_ratio"] = err / err_half if err_half else math.inf
-    _write_manifest(out_dir / "manifest.txt", entries)
-    ratio_txt = (f", ratio {entries['run.convergence_ratio']:.2f}"
-                 if err_half is not None else "")
-    print(f"oracle[{cfg.oracle_mode}]: rel-L2 {err:.3e}{ratio_txt} "
-          f"({elapsed:.1f}s)")
+        ratio_txt = f", ratio {entries['run.convergence_ratio']:.2f}"
+    summary = f"oracle[{cfg.oracle_mode}]: rel-L2 {err:.3e}{ratio_txt} ({elapsed:.1f}s)"
+    failure = None
     if check and err > tol:
-        raise ToleranceError(f"oracle rel-L2 {err:.3e} exceeds {tol:.3e}")
-    return 0
+        failure = f"oracle rel-L2 {err:.3e} exceeds {tol:.3e}"
+    return entries, summary, failure
 
 
-def cmd_compare(path_a, path_b, tol: float | None) -> int:
-    try:
-        cols_a, cols_b = sniff_columns(path_a), sniff_columns(path_b)
-    except OSError as exc:
-        raise ConfigError(str(exc)) from exc
-    if cols_a != cols_b:
-        raise ConfigError(f"layout mismatch: {cols_a} vs {cols_b} columns")
-    if cols_a == 3:
-        a, b = read_wavefunction1(path_a), read_wavefunction1(path_b)
-    elif cols_a == 4:
-        a, b = read_wavefunction2(path_a), read_wavefunction2(path_b)
-    else:
-        raise ConfigError(f"unsupported layout with {cols_a} columns")
+def cmd_decompose(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
+    params = _params(cfg)
+    length = _rect_length(cfg, "decompose")
+    n = max(2, cfg.grid_n)
+    grid = Grid1D(0.0, length, n)
+    x = grid.points
+    started = time.perf_counter()
+    parts = rect_process_amplitudes(x[:, None], x[None, :], length, params)
+    total = rect_two_photon_out(x[:, None], x[None, :], length, params)
+    sum_dev = float(np.max(np.abs(parts.total - total)))
+    elapsed = time.perf_counter() - started
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name in ("p_i", "p_ii", "p_iii"):
+        amp = np.broadcast_to(getattr(parts, name), (n, n)).astype(complex)
+        write_wavefunction2(out_dir / f"{name}.csv", Wavefunction2(grid, amp), meta)
+    entries = {"run.sum_identity_max_abs": sum_dev, "run.seconds": elapsed}
+    summary = (f"decompose: wrote process grids (sum identity {sum_dev:.2e}, "
+               f"{elapsed:.2f}s)")
+    return entries, summary, None
+
+
+def cmd_compare(path_a, path_b, tol: float | None) -> None:
+    a, b = _read_file(path_a), _read_file(path_b)
     if a.amp.shape != b.amp.shape:
         raise ConfigError(f"grid shapes differ: {a.amp.shape} vs {b.amp.shape}")
     grid_dev = float(np.max(np.abs(a.grid.points - b.grid.points)))
@@ -441,62 +408,38 @@ def cmd_compare(path_a, path_b, tol: float | None) -> int:
           f"grid deviation {grid_dev:.3e}")
     if tol is not None and max_abs > tol:
         raise ToleranceError(f"max-abs {max_abs:.3e} exceeds {tol:.3e}")
-    return 0
 
 
-def cmd_decompose(cfg: RunConfig, out_dir) -> int:
-    params = _params(cfg)
-    if cfg.pulse_kind != "rectangular":
-        raise ConfigError("decompose requires a rectangular pulse")
-    length = cfg.pulse_length
-    n = max(2, cfg.grid_n)
-    grid = Grid1D(0.0, length, n)
-    x = grid.points
-    started = time.perf_counter()
-    parts = rect_process_amplitudes(x[:, None], x[None, :], length, params)
-    total = rect_two_photon_out(x[:, None], x[None, :], length, params)
-    sum_dev = float(np.max(np.abs(parts.total - total)))
-    elapsed = time.perf_counter() - started
-
-    out_dir.mkdir(parents=True, exist_ok=True)
-    meta = _meta(cfg)
-    for name, arr in (("p_i", parts.p_i), ("p_ii", parts.p_ii),
-                      ("p_iii", parts.p_iii)):
-        psi = Wavefunction2(grid, np.broadcast_to(arr, (n, n)).astype(complex))
-        write_wavefunction2(out_dir / f"{name}.csv", psi, meta)
-    entries = _config_entries(cfg)
-    entries.update({
-        "run.command": "decompose",
-        "run.sum_identity_max_abs": sum_dev,
-        "run.seconds": elapsed,
-    })
-    _write_manifest(out_dir / "manifest.txt", entries)
-    print(f"decompose: wrote process grids (sum identity {sum_dev:.2e}, "
-          f"{elapsed:.2f}s)")
-    return 0
+# name -> (command, help, --linear-only help or None for no such flag).  The
+# table holds the cmd_* functions only: the layer functions they call are
+# looked up in this module at call time, where the benchmark's tracer wraps them.
+COMMANDS = {
+    "simulate": (cmd_simulate, "run the scattering map, emit grids",
+                 "disable the nonlinear kernel"),
+    "g2": (cmd_g2, "compute a normalized g2 curve",
+           "correlations of the linear component only"),
+    "oracle": (cmd_oracle, "lab-frame integrator cross-check", None),
+    "decompose": (cmd_decompose, "emit interaction-process grids", None),
+}
 
 
-# ---------------------------------------------------------------------------
-# argument parsing
-# ---------------------------------------------------------------------------
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="path to a key = value config file")
-    parser.add_argument("--out", default="out", help="output directory")
-    parser.add_argument("--check", action="store_true",
-                        help="verify results against closed forms (exit 3 on failure)")
-    for dotted in sorted(KEYS):
-        parser.add_argument(f"--{dotted}", dest=f"key_{KEYS[dotted]}",
-                            metavar="V", help=argparse.SUPPRESS)
-
-
-def _collect_overrides(args: argparse.Namespace) -> dict[str, str]:
-    out = {}
-    for dotted, attr in KEYS.items():
-        value = getattr(args, f"key_{attr}", None)
-        if value is not None:
-            out[dotted] = value
-    return out
+def _run_command(args: argparse.Namespace) -> None:
+    overrides = {key: value for key, value in vars(args).items()
+                 if key in KEYS and value is not None}
+    cfg = load_config(args.config, overrides)
+    config = {dotted: getattr(cfg, attr) for dotted, attr in sorted(KEYS.items())}
+    out_dir = Path(args.out)
+    entries, summary, failure = COMMANDS[args.command][0](
+        cfg, out_dir, {"version": __version__, **config},
+        getattr(args, "linear_only", False), args.check)
+    with open(out_dir / "manifest.txt", "w") as fh:
+        fh.write(f"# onedatom {__version__} run manifest\n")
+        for key, value in {**config, "run.command": args.command, **entries}.items():
+            text = f"{value:.17g}" if isinstance(value, float) else value
+            fh.write(f"{key} = {text}\n")
+    print(summary)
+    if failure:
+        raise ToleranceError(failure)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -504,50 +447,32 @@ def build_parser() -> argparse.ArgumentParser:
         prog="onedatom",
         description="Two-photon scattering at a single atom in a chiral 1D field")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_sim = sub.add_parser("simulate", help="run the scattering map, emit grids")
-    _add_common(p_sim)
-    p_sim.add_argument("--linear-only", action="store_true",
-                       help="disable the nonlinear kernel")
-
-    p_g2 = sub.add_parser("g2", help="compute a normalized g2 curve")
-    _add_common(p_g2)
-    p_g2.add_argument("--linear-only", action="store_true",
-                      help="correlations of the linear component only")
-
-    p_or = sub.add_parser("oracle", help="lab-frame integrator cross-check")
-    _add_common(p_or)
+    for name, (_, help_text, linear_help) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="path to a key = value config file")
+        p.add_argument("--out", default="out", help="output directory")
+        p.add_argument("--check", action="store_true",
+                       help="verify results against closed forms (exit 3 on failure)")
+        for dotted in sorted(KEYS):
+            p.add_argument(f"--{dotted}", metavar="V", help=argparse.SUPPRESS)
+        if linear_help:
+            p.add_argument("--linear-only", action="store_true", help=linear_help)
 
     p_cmp = sub.add_parser("compare", help="diff two result CSV files")
     p_cmp.add_argument("file_a")
     p_cmp.add_argument("file_b")
     p_cmp.add_argument("--tol", type=float, default=None,
                        help="fail (exit 3) if max-abs exceeds this")
-
-    p_dec = sub.add_parser("decompose", help="emit interaction-process grids")
-    _add_common(p_dec)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    from pathlib import Path
-
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "compare":
-            return cmd_compare(args.file_a, args.file_b, args.tol)
-        cfg = load_config(args.config, _collect_overrides(args))
-        out_dir = Path(args.out)
-        if args.command == "simulate":
-            return cmd_simulate(cfg, out_dir, args.linear_only, args.check)
-        if args.command == "g2":
-            return cmd_g2(cfg, out_dir, args.linear_only, args.check)
-        if args.command == "oracle":
-            return cmd_oracle(cfg, out_dir, args.check)
-        if args.command == "decompose":
-            return cmd_decompose(cfg, out_dir)
-        parser.error(f"unknown command {args.command}")
+            cmd_compare(args.file_a, args.file_b, args.tol)
+        else:
+            _run_command(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -226,3 +226,48 @@ def test_dotted_overrides(tmp_path):
                  "--grid.n", "121", "--out", str(out)]) == 0
     entries = manifest_entries(out / "manifest.txt")
     assert float(entries["pulse.length"]) == 4.0
+
+
+GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", "0.5"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["g2", "--tau.n", "1"],
+    ["g2", "--anchor.x", "nan"],
+    ["simulate", "--pulse.length", "inf"],
+    ["decompose", "--pulse.length", "nan"],
+    ["decompose", "--pulse.length", "-1"],
+    ["oracle", "--pulse.length", "nan"],
+    ["oracle", "--oracle.pad", "nan"],
+    ["simulate", "--pulse.kind", "gaussian", "--pulse.width", "nan"],
+    ["oracle", "--oracle.dx", "0.3"],
+    ["oracle", "--oracle.dx", "-1"],
+    ["oracle", "--pulse.length", "2", "--oracle.dx", "0.05", "--oracle.clear", "-100"],
+    ["simulate", "--pulse.kind", "file", "--pulse.path", "{dir}/unsorted.csv"],
+    ["simulate", "--pulse.kind", "file", "--pulse.path", "{dir}/empty.csv"],
+    ["compare", "{dir}/unsorted.csv", "{dir}/unsorted.csv"],
+    ["compare", "{dir}/empty.csv", "{dir}/empty.csv"],
+    ["simulate", "--check", *GAUSSIAN],
+    ["g2", "--check", *GAUSSIAN],
+], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
+def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
+    (tmp_path / "unsorted.csv").write_text("x,re,im\n0,1,0\n0,1,0\n")
+    (tmp_path / "empty.csv").write_text("# no data\n")
+    out = tmp_path / "out"
+    argv = [arg.format(dir=tmp_path) for arg in argv]
+    if argv[0] != "compare":
+        argv += ["--config", write_config(tmp_path / "run.cfg"), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "error:" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_check_failure_prints_summary(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.cfg")
+    out = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--check",
+                 "--check.max_abs", "1e-30"]) == 3
+    assert capsys.readouterr().out.startswith(f"simulate: wrote {out}/psi_out.csv")
+    entries = manifest_entries(out / "manifest.txt")
+    assert float(entries["check.max_abs_total"]) > 1e-30
