@@ -183,16 +183,16 @@ def _read_file(path):
         return read_wavefunction1(path) if ncols == 3 else read_wavefunction2(path)
 
 
-def _build_input(cfg: RunConfig) -> tuple[Wavefunction2, Grid1D]:
+def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]:
     """Two-photon input state and the output grid, which covers its support
-    and has the pulse edges as nodes.  File pulses are renormalized to unit
-    norm on load."""
+    and has the pulse edges as nodes.  A product input is returned as the
+    pulse of its photon.  File pulses are renormalized to unit norm on load."""
     kind = cfg.pulse_kind
     breakpoints = ()
     if kind == "rectangular":
         if cfg.pulse_length <= 0:
             raise ConfigError("pulse.length must be positive")
-        psi = Wavefunction2.from_product(rectangular_pulse(cfg.pulse_length))
+        psi = rectangular_pulse(cfg.pulse_length)
         support = breakpoints = (0.0, cfg.pulse_length)
     elif kind == "gaussian":
         if cfg.pulse_width <= 0:
@@ -200,8 +200,7 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction2, Grid1D]:
         with _invalid_input():
             grid = Grid1D(cfg.pulse_center - 8.0 * cfg.pulse_width,
                           cfg.pulse_center + 8.0 * cfg.pulse_width, 2049)
-            one = gaussian_pulse(cfg.pulse_center, cfg.pulse_width, grid)
-        psi = Wavefunction2.from_product(one)
+            psi = gaussian_pulse(cfg.pulse_center, cfg.pulse_width, grid)
         support = (cfg.pulse_center - 5.0 * cfg.pulse_width,
                    cfg.pulse_center + 5.0 * cfg.pulse_width)
     elif kind == "file":
@@ -216,9 +215,7 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction2, Grid1D]:
             raise ConfigError("pulse file has zero norm")
         if abs(nrm - 1.0) > 1e-6:
             print(f"warning: renormalizing pulse (norm was {nrm:.9g})", file=sys.stderr)
-        amp = psi.amp / math.sqrt(nrm)
-        psi = (Wavefunction2.from_product(Wavefunction1.sampled(psi.grid, amp))
-               if one_photon else Wavefunction2(psi.grid, amp))
+        psi = type(psi)(psi.grid, psi.amp / math.sqrt(nrm))
         support = (psi.grid.x_min, psi.grid.x_max)
     else:
         raise ConfigError(f"unknown pulse.kind {kind!r}")
@@ -376,7 +373,9 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
 def cmd_decompose(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
     params = _params(cfg)
     length = _rect_length(cfg, "decompose")
-    n = max(2, cfg.grid_n)
+    n = cfg.grid_n
+    if n < 2:
+        raise ConfigError("grid.n must be at least 2")
     grid = Grid1D(0.0, length, n)
     x = grid.points
     started = time.perf_counter()
@@ -396,6 +395,8 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check)
 
 
 def cmd_compare(path_a, path_b, tol: float | None) -> None:
+    if tol is not None and not (math.isfinite(tol) and tol >= 0):
+        raise ConfigError(f"--tol must be a finite number >= 0, got {tol!r}")
     a, b = _read_file(path_a), _read_file(path_b)
     if a.amp.shape != b.amp.shape:
         raise ConfigError(f"grid shapes differ: {a.amp.shape} vs {b.amp.shape}")

@@ -103,9 +103,9 @@ def normalized_g2(psi2: Wavefunction2, x: float, tau, length: float,
     if not local_density:
         return g2 / (2.0 * params.c / length) ** 2
     tau = np.asarray(tau, dtype=float)
-    rho_a = marginal_density(psi2, x + params.c * tau, params)
-    rho_b = marginal_density(psi2, x, params)
-    out = g2 / (rho_a * rho_b)
+    # one pass over the grid for both coordinates; the anchor's density last
+    rho = marginal_density(psi2, np.append(x + params.c * tau, x), params)
+    out = g2 / (rho[:-1].reshape(tau.shape) * rho[-1])
     return float(out) if np.ndim(out) == 0 else out
 
 

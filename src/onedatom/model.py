@@ -160,58 +160,39 @@ class Grid1D:
 # keeps the norm second order (and better) even though the integrand jumps.
 # ---------------------------------------------------------------------------
 
+# Coefficients over the four nodes nearest a block edge, edge node first.
+# The edge value is the stored sample, or its quadratic extrapolation from
+# the next three nodes when the edge is a breakpoint; the slope stencil is
+# f'(edge) ~ (-3 f_edge + 4 f_1 - f_2) / (2h) without its edge term.
+_EDGE_OWN = np.array([1.0, 0.0, 0.0, 0.0])
+_EDGE_EXTRAPOLATED = np.array([0.0, 3.0, -3.0, 1.0])
+_SLOPE_INNER = np.array([0.0, 4.0, -1.0, 0.0])
+
+
 def _quadrature_weights(points: np.ndarray, breakpoint_idx: list[int]) -> np.ndarray:
     """Weights w such that sum(w * f) integrates f over the grid, with
     one-sided treatment of the blocks separated by tracked breakpoints."""
     n = len(points)
     w = np.zeros(n)
-    edges = [0] + sorted(i for i in breakpoint_idx if 0 < i < n - 1) + [n - 1]
-
-    def add(idx: int, coeff: float) -> None:
-        w[idx] += coeff
-
+    edges = [0] + sorted({i for i in breakpoint_idx if 0 < i < n - 1}) + [n - 1]
     for a, b in zip(edges[:-1], edges[1:]):
         xs = points[a:b + 1]
         m = len(xs)
-        base = np.empty(m)
-        if m == 1:
-            continue
-        base[1:-1] = (xs[2:] - xs[:-2]) / 2
-        base[0] = (xs[1] - xs[0]) / 2
-        base[-1] = (xs[-1] - xs[-2]) / 2
-        for k in range(1, m - 1):
-            add(a + k, base[k])
-
-        sided_left = a != 0 and m >= 4
-        sided_right = b != n - 1 and m >= 4
-        # edge values: stored sample, or quadratic extrapolation from inside
-        left_stencil = {a + 1: 3.0, a + 2: -3.0, a + 3: 1.0} if sided_left else {a: 1.0}
-        right_stencil = {b - 1: 3.0, b - 2: -3.0, b - 3: 1.0} if sided_right else {b: 1.0}
-        for idx, c in left_stencil.items():
-            add(idx, base[0] * c)
-        for idx, c in right_stencil.items():
-            add(idx, base[-1] * c)
-
-        if m < 3:
-            continue
-        # Euler-Maclaurin endpoint correction -(h^2/12)(f'(b) - f'(a)) with
-        # one-sided second-order derivative stencils
+        k = min(m, 4)
+        at_a, at_b = a + np.arange(k), b - np.arange(k)
+        left = _EDGE_EXTRAPOLATED if a != 0 and m >= 4 else _EDGE_OWN
+        right = _EDGE_EXTRAPOLATED if b != n - 1 and m >= 4 else _EDGE_OWN
         h0 = xs[1] - xs[0]
         h1 = xs[-1] - xs[-2]
-        dl = {  # f'(a): (-3 f_a + 4 f_{a+1} - f_{a+2}) / (2 h0)
-            **{i: -3.0 * c / (2 * h0) for i, c in left_stencil.items()},
-        }
-        dl[a + 1] = dl.get(a + 1, 0.0) + 4.0 / (2 * h0)
-        dl[a + 2] = dl.get(a + 2, 0.0) - 1.0 / (2 * h0)
-        dr = {  # f'(b): (3 f_b - 4 f_{b-1} + f_{b-2}) / (2 h1)
-            **{i: 3.0 * c / (2 * h1) for i, c in right_stencil.items()},
-        }
-        dr[b - 1] = dr.get(b - 1, 0.0) - 4.0 / (2 * h1)
-        dr[b - 2] = dr.get(b - 2, 0.0) + 1.0 / (2 * h1)
-        for idx, c in dr.items():
-            add(idx, -(h0 * h0 / 12.0) * c)
-        for idx, c in dl.items():
-            add(idx, (h0 * h0 / 12.0) * c)
+        w[a + 1:b] += (xs[2:] - xs[:-2]) / 2
+        w[at_a] += (h0 / 2) * left[:k]
+        w[at_b] += (h1 / 2) * right[:k]
+        if m < 3:
+            continue
+        # Euler-Maclaurin endpoint correction -(h^2/12)(f'(b) - f'(a))
+        corr = h0 * h0 / 12.0
+        w[at_b] += -corr * (3.0 * right[:k] / (2 * h1) - _SLOPE_INNER[:k] / (2 * h1))
+        w[at_a] += corr * (-3.0 * left[:k] / (2 * h0) + _SLOPE_INNER[:k] / (2 * h0))
     return w
 
 
@@ -378,7 +359,6 @@ class Wavefunction2:
 
     grid: Grid1D
     amp: np.ndarray
-    factor: Wavefunction1 | None = None
 
     def __post_init__(self) -> None:
         a = np.asarray(self.amp, dtype=complex)
@@ -389,12 +369,13 @@ class Wavefunction2:
 
     @classmethod
     def from_product(cls, psi: Wavefunction1) -> "Wavefunction2":
-        """Product state psi(x1) psi(x2); symmetric to the last bit."""
-        return cls(psi.grid, np.outer(psi.amp, psi.amp), factor=psi)
+        """Dense product state psi(x1) psi(x2); symmetric to the last bit.
+        The scattering map takes psi itself for this state."""
+        return cls(psi.grid, np.outer(psi.amp, psi.amp))
 
     @classmethod
-    def symmetric(cls, grid: Grid1D, amp, factor: Wavefunction1 | None = None) -> "Wavefunction2":
-        return cls(grid, _mirrored(np.asarray(amp, dtype=complex)), factor=factor)
+    def symmetric(cls, grid: Grid1D, amp) -> "Wavefunction2":
+        return cls(grid, _mirrored(np.asarray(amp, dtype=complex)))
 
 
 def norm2(psi: Wavefunction2, block: int = 512) -> float:

@@ -1,9 +1,14 @@
 """Application of the scattering map to arbitrary input wavefunctions.
 
+The two-photon maps take either kind of input: a `Wavefunction1` psi stands
+for the product state psi(x1) psi(x2) of two photons in the same pulse and
+is never expanded to a grid, and a `Wavefunction2` is a general, exactly
+exchange-symmetric two-photon amplitude.
+
 Every input kind reduces to one exact primitive: the tail integral of the
 exponential kernel against data that is linear on each cell.  Piecewise-
 constant inputs are the special case of equal end values; sampled inputs
-(1D factors and both axes of general 2D inputs) use the piecewise-linear
+(one-photon pulses and both axes of general 2D inputs) use the piecewise-linear
 interpolant of their samples.  Each cell contributes closed-form weights,
 the phi functions of exponential integrators, so the only error is rounding.
 
@@ -78,11 +83,14 @@ def _cell_weights(h: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
-          evals: np.ndarray, kappa: float) -> np.ndarray:
+          evals: np.ndarray, kappa: float, *, diagonal: bool = False) -> np.ndarray:
     """K(e) = integral_e^inf exp(-kappa (u - e)) psi(u) du, exactly, for psi
     linear on each cell [edges[k], edges[k+1]] from left[k] to right[k] and
     zero outside.  left/right may carry trailing batch axes; the result has
-    shape (len(evals),) + batch.  Every exponent is <= 0."""
+    shape (len(evals),) + batch.  With diagonal=True, left/right have one
+    batch column per evaluation point and only column m is evaluated at
+    evals[m], which gives the diagonal of the full result, bit for bit, in
+    shape (len(evals),).  Every exponent is <= 0."""
     n_cells = len(edges) - 1
     bshape = (...,) + (None,) * (left.ndim - 1)
     decay, a, b = _cell_weights(np.diff(edges), kappa)
@@ -95,11 +103,15 @@ def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
     nxt = np.minimum(j, n_cells)
     decay_e, a_e, b_e = _cell_weights(np.maximum(edges[nxt] - evals, 0.0), kappa)
     k = np.clip(j - 1, 0, n_cells - 1)
+    cell, node = k, nxt
+    if diagonal:                        # evaluation m reads batch column m only
+        cols = np.arange(len(evals))
+        cell, node, bshape = (k, cols), (nxt, cols), (...,)
     t = (evals - edges[k]) / (edges[k + 1] - edges[k])
-    at_e = left[k] + t[bshape] * (right[k] - left[k])
+    at_e = left[cell] + t[bshape] * (right[cell] - left[cell])
     in_cell = ((j >= 1) & (j <= n_cells))[bshape]
-    partial = np.where(in_cell, a_e[bshape] * at_e + b_e[bshape] * right[k], 0.0)
-    return decay_e[bshape] * K[nxt] + partial
+    partial = np.where(in_cell, a_e[bshape] * at_e + b_e[bshape] * right[cell], 0.0)
+    return decay_e[bshape] * K[node] + partial
 
 
 def _tail1(psi: Wavefunction1, evals: np.ndarray, kappa: float) -> np.ndarray:
@@ -166,19 +178,20 @@ def apply_one_photon(psi: Wavefunction1, out_grid: Grid1D,
 # ---------------------------------------------------------------------------
 
 def _require_symmetric(psi: Wavefunction2) -> None:
-    if psi.factor is None and np.max(np.abs(psi.amp - psi.amp.T)) > 0:
+    if np.max(np.abs(psi.amp - psi.amp.T)) > 0:
         raise ValueError("two-photon input must be exchange symmetric")
 
 
-def apply_two_photon_linear(psi: Wavefunction2, out_grid: Grid1D,
+def apply_two_photon_linear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
                             params: PhysicalParams) -> Wavefunction2:
     """Linear (independent-photon) part of the two-photon map: the product of
-    one-photon maps applied along each axis."""
+    one-photon maps applied along each axis.  A `Wavefunction1` psi is the
+    product input psi(x1) psi(x2), whose output is the product of its
+    one-photon output."""
+    if isinstance(psi, Wavefunction1):
+        return Wavefunction2.from_product(apply_one_photon(psi, out_grid, params))
     _check_amp(psi.amp)
     _require_symmetric(psi)
-    if psi.factor is not None:
-        one = apply_one_photon(psi.factor, out_grid, params)
-        return Wavefunction2.from_product(one)
     k = params.gamma_over_c
     pts = psi.grid.points
     xs = out_grid.points
@@ -209,33 +222,34 @@ def _assemble_nonlinear(xs: np.ndarray, tail_sq: np.ndarray, kappa: float,
             * (np.exp(-kappa * (m - x1)) * np.exp(-kappa * (m - x2))) * tail_sq[mi]
 
 
-def apply_two_photon_nonlinear(psi: Wavefunction2, out_grid: Grid1D,
+def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
                                params: PhysicalParams) -> Wavefunction2:
     """Nonlinear correction of the two-photon map.
 
     The kernel factorizes once the min-constraint is rewritten as both source
     coordinates above M = max(x1, x2), so the double integral reduces to a
-    squared tail integral from M (factored inputs) or a nested tail transform
-    evaluated on the diagonal (general inputs).
+    squared tail integral from M (a `Wavefunction1` psi, the product input
+    psi(x1) psi(x2)) or a nested tail transform evaluated on the diagonal (a
+    general `Wavefunction2`).
     """
     _check_amp(psi.amp)
-    _require_symmetric(psi)
     k = params.gamma_over_c
     xs = out_grid.points
     n = len(xs)
-    out = np.empty((n, n), dtype=complex)
-    if psi.factor is not None:
-        tail = _tail1(psi.factor, xs, k)
-        _assemble_nonlinear(xs, tail * tail, k, out)
+    if isinstance(psi, Wavefunction1):
+        tail = _tail1(psi, xs, k)
+        tail_sq = tail * tail
     else:
+        _require_symmetric(psi)
         pts = psi.grid.points
         # inner tail along axis 0 at the output points, then the outer tail
         # along axis 1; the physical value needs both tails anchored at the
-        # same M, i.e. the diagonal of the nested transform
+        # same M, so column i of the inner tail is taken only at x_i
         a = psi.amp
         inner = np.ascontiguousarray(_tail(pts, a[:-1], a[1:], xs, k).T)  # (n_in, n)
-        nested = _tail(pts, inner[:-1], inner[1:], xs, k)
-        _assemble_nonlinear(xs, np.diagonal(nested).copy(), k, out)
+        tail_sq = _tail(pts, inner[:-1], inner[1:], xs, k, diagonal=True)
+    out = np.empty((n, n), dtype=complex)
+    _assemble_nonlinear(xs, tail_sq, k, out)
     return Wavefunction2(out_grid, out)
 
 
@@ -249,9 +263,12 @@ class TwoPhotonResult:
     nonlinear: Wavefunction2
 
 
-def apply_two_photon(psi: Wavefunction2, out_grid: Grid1D,
+def apply_two_photon(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
                      params: PhysicalParams) -> TwoPhotonResult:
-    """Full two-photon scattering map: linear part plus nonlinear correction."""
+    """Full two-photon scattering map: linear part plus nonlinear correction.
+
+    psi is either a `Wavefunction1`, standing for the product input
+    psi(x1) psi(x2), or a general exchange-symmetric `Wavefunction2`."""
     linear = apply_two_photon_linear(psi, out_grid, params)
     nonlinear = apply_two_photon_nonlinear(psi, out_grid, params)
     total = Wavefunction2(out_grid, linear.amp + nonlinear.amp)
@@ -266,10 +283,7 @@ def default_output_grid(psi: Wavefunction1 | Wavefunction2, params: PhysicalPara
     if dx is None:
         dx = 0.01 * ell
     if isinstance(psi, Wavefunction2):
-        source = psi.factor if psi.factor is not None else None
-        lo, hi = (source.support if source is not None
-                  else (psi.grid.x_min, psi.grid.x_max))
-        breaks = source.pieces.boundaries if source is not None and source.pieces is not None else (lo, hi)
+        lo, hi = breaks = psi.grid.x_min, psi.grid.x_max
     else:
         lo, hi = psi.support
         breaks = psi.pieces.boundaries if psi.pieces is not None else (lo, hi)

@@ -11,7 +11,6 @@ import pytest
 from onedatom import (
     Grid1D,
     PhysicalParams,
-    Wavefunction2,
     apply_two_photon,
     eval_abs_kernel,
     eval_nonlin_kernel,
@@ -45,8 +44,7 @@ def sim20():
     length = 20.0
     grid = Grid1D.with_breakpoints(-10.0, length, 512, (0.0, length))
     start = time.perf_counter()
-    result = apply_two_photon(
-        Wavefunction2.from_product(rectangular_pulse(length)), grid, P)
+    result = apply_two_photon(rectangular_pulse(length), grid, P)
     elapsed = time.perf_counter() - start
     return length, grid, result, elapsed
 
@@ -56,8 +54,7 @@ def sim40():
     """Criteria 2-3 pipeline: L=40 on an aligned grid with dx = 0.02."""
     length = 40.0
     grid = Grid1D.with_breakpoints(-10.0, length, 2501, (0.0, length))
-    result = apply_two_photon(
-        Wavefunction2.from_product(rectangular_pulse(length)), grid, P)
+    result = apply_two_photon(rectangular_pulse(length), grid, P)
     return length, grid, result
 
 
@@ -150,8 +147,7 @@ def test_criterion_4_process_decomposition():
 def test_criterion_5_unitarity():
     length = 20.0
     grid = Grid1D.with_breakpoints(-20.0, length, 4001, (0.0, length))
-    result = apply_two_photon(
-        Wavefunction2.from_product(rectangular_pulse(length)), grid, P)
+    result = apply_two_photon(rectangular_pulse(length), grid, P)
     n = norm2(result.total)
     assert abs(n - 1.0) <= 1e-4
     report(5, f"two-photon output norm {n:.6f} (1 +- 1e-4 with 20 c/gamma "
@@ -191,8 +187,7 @@ def test_criterion_7_property_suites(sim20, sim40):
     # causality: nothing beyond the input support, exactly
     length = 20.0
     wide = Grid1D.with_breakpoints(-5.0, 30.0, 701, (0.0, length))
-    res = apply_two_photon(
-        Wavefunction2.from_product(rectangular_pulse(length)), wide, P)
+    res = apply_two_photon(rectangular_pulse(length), wide, P)
     beyond = wide.points > length
     assert np.max(np.abs(res.total.amp[beyond, :])) == 0.0
     assert np.max(np.abs(res.total.amp[:, beyond])) == 0.0

@@ -249,10 +249,14 @@ GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", 
     ["compare", "{dir}/empty.csv", "{dir}/empty.csv"],
     ["simulate", "--check", *GAUSSIAN],
     ["g2", "--check", *GAUSSIAN],
+    ["compare", "{dir}/pulse.csv", "{dir}/pulse.csv", "--tol", "nan"],
+    ["compare", "{dir}/pulse.csv", "{dir}/pulse.csv", "--tol", "-1"],
+    ["decompose", "--grid.n", "1"],
 ], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
 def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
     (tmp_path / "unsorted.csv").write_text("x,re,im\n0,1,0\n0,1,0\n")
     (tmp_path / "empty.csv").write_text("# no data\n")
+    (tmp_path / "pulse.csv").write_text("x,re,im\n0,1,0\n1,1,0\n")
     out = tmp_path / "out"
     argv = [arg.format(dir=tmp_path) for arg in argv]
     if argv[0] != "compare":

@@ -26,7 +26,7 @@ TWO_LN2 = 2 * math.log(2.0)
 def scattered():
     rect = rectangular_pulse(L)
     grid = Grid1D.with_breakpoints(-10.0, L, 2501, (0.0, L))
-    return apply_two_photon(Wavefunction2.from_product(rect), grid, P)
+    return apply_two_photon(rect, grid, P)
 
 
 @pytest.fixture(scope="module")

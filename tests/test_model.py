@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from onedatom import (
     Grid1D,
@@ -18,6 +20,7 @@ from onedatom import (
     rectangular_pulse,
     rect_one_photon_out,
 )
+from onedatom.model import grid_weights
 
 P = PhysicalParams()
 
@@ -58,6 +61,28 @@ class TestGrid:
     def test_out_of_range_breakpoints_ignored(self):
         g = Grid1D.with_breakpoints(0.0, 1.0, 11, (5.0, -2.0))
         assert g.n >= 2
+
+    @settings(max_examples=200, deadline=None)
+    @given(x_min=st.floats(-20.0, 5.0), span=st.floats(0.5, 40.0),
+           n=st.integers(12, 400), fracs=st.lists(st.floats(0.0, 1.0), max_size=4),
+           coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_weights_integrate_quadratics(self, x_min, span, n, fracs, coeffs):
+        x_max = x_min + span
+        g = Grid1D.with_breakpoints(x_min, x_max, n, [x_min + f * span for f in fracs])
+        # blocks of 2-3 nodes between breakpoints are lower order by design
+        assume(np.all(np.diff([0, *g.breakpoint_indices(), g.n - 1]) >= 3))
+        c0, c1, c2 = coeffs
+        x = g.points
+        got = float(np.dot(grid_weights(g), c0 + c1 * x + c2 * x * x))
+
+        def primitive(t):
+            return c0 * t + c1 * t * t / 2 + c2 * t ** 3 / 3
+
+        exact = primitive(x_max) - primitive(x_min)
+        # integral of |c0| + |c1 x| + |c2| x^2, the size of the terms summed
+        scale = (abs(c0) * span + abs(c1) * (x_max * abs(x_max) - x_min * abs(x_min)) / 2
+                 + abs(c2) * (x_max ** 3 - x_min ** 3) / 3)
+        assert abs(got - exact) <= 1e-12 * scale
 
 
 class TestPiecewiseConstant:

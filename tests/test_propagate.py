@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,7 +44,7 @@ def out_grid():
 
 @pytest.fixture(scope="module")
 def scattered(rect, out_grid):
-    return apply_two_photon(Wavefunction2.from_product(rect), out_grid, P)
+    return apply_two_photon(rect, out_grid, P)
 
 
 class TestOnePhotonExactPath:
@@ -160,6 +161,11 @@ class TestExactTail:
         for c in range(3):
             col = _tail(x, v[:-1, c], v[1:, c], evals, 0.7)
             assert np.max(np.abs(batched[:, c] - col)) <= 1e-15
+        # one batch column per evaluation point: exactly the diagonal
+        square = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
+        full = _tail(x, square[:-1], square[1:], evals, 0.7)
+        diagonal = _tail(x, square[:-1], square[1:], evals, 0.7, diagonal=True)
+        assert np.array_equal(diagonal, np.diagonal(full))
 
     @settings(max_examples=60, deadline=None)
     @given(widths=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8),
@@ -204,8 +210,7 @@ class TestExactTail:
 
 class TestTwoPhotonLinear:
     def test_factored_structure_preserved(self, rect, out_grid):
-        out = apply_two_photon_linear(Wavefunction2.from_product(rect), out_grid, P)
-        assert out.factor is not None
+        out = apply_two_photon_linear(rect, out_grid, P)
         one = apply_one_photon(rect, out_grid, P)
         assert np.array_equal(out.amp, np.outer(one.amp, one.amp))
 
@@ -241,7 +246,7 @@ class TestTwoPhotonNonlinear:
 
     def test_zero_beyond_pulse_end(self, rect):
         wide = Grid1D.with_breakpoints(-5.0, 30.0, 351, (0.0, L))
-        out = apply_two_photon_nonlinear(Wavefunction2.from_product(rect), wide, P)
+        out = apply_two_photon_nonlinear(rect, wide, P)
         beyond = wide.points > L
         assert np.max(np.abs(out.amp[beyond, :])) == 0.0
         assert np.max(np.abs(out.amp[:, beyond])) == 0.0
@@ -281,18 +286,32 @@ class TestTwoPhotonTotal:
     def test_unitarity_small_pulse(self):
         small = rectangular_pulse(5.0)
         grid = Grid1D.with_breakpoints(-20.0, 5.0, 2501, (0.0, 5.0))
-        res = apply_two_photon(Wavefunction2.from_product(small), grid, P)
+        res = apply_two_photon(small, grid, P)
         assert abs(norm2(res.total) - 1.0) <= 1e-4
 
     def test_linearity_2d(self, rect, out_grid, scattered):
         scaled_pieces = PiecewiseConstant(rect.pieces.boundaries,
                                           (0.5 + 0.25j) * rect.pieces.values)
         scaled_rect = Wavefunction1.from_pieces(scaled_pieces, rect.grid)
-        res = apply_two_photon(Wavefunction2.from_product(scaled_rect), out_grid, P)
+        res = apply_two_photon(scaled_rect, out_grid, P)
         factor = (0.5 + 0.25j) ** 2
         rel = (np.max(np.abs(res.total.amp - factor * scattered.total.amp))
                / np.max(np.abs(scattered.total.amp)))
         assert rel <= 1e-14
+
+    def test_product_input_never_expanded(self):
+        # a one-photon input stands for psi(x1) psi(x2) and is mapped without
+        # its n_in x n_in outer product (16 n_in^2 bytes)
+        n_in = 4097
+        f = gaussian_pulse(6.0, 1.2, Grid1D(0.0, 12.0, n_in))
+        gout = Grid1D(-8.0, 12.0, 64)
+        tracemalloc.start()
+        try:
+            apply_two_photon(f, gout, P)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n_in ** 2 / 4
 
 
 class TestGeneral2DPath:
@@ -300,7 +319,7 @@ class TestGeneral2DPath:
         gin = Grid1D(0.0, 12.0, 401)
         f = gaussian_pulse(6.0, 1.2, gin)
         gout = Grid1D(-8.0, 12.0, 601)
-        res_f = apply_two_photon(Wavefunction2.from_product(f), gout, P)
+        res_f = apply_two_photon(f, gout, P)
         stripped = Wavefunction2(gin, np.outer(f.amp, f.amp))
         res_g = apply_two_photon(stripped, gout, P)
         assert np.max(np.abs(res_f.total.amp - res_g.total.amp)) <= 1e-12
