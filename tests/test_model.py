@@ -65,7 +65,9 @@ class TestGrid:
     @settings(max_examples=200, deadline=None)
     @given(x_min=st.floats(-20.0, 5.0), span=st.floats(0.5, 40.0),
            n=st.integers(12, 400), fracs=st.lists(st.floats(0.0, 1.0), max_size=4),
-           coeffs=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+           # subnormal coefficients would make 1e-12 * scale underflow to 0
+           coeffs=st.lists(st.floats(-1.0, 1.0, allow_subnormal=False),
+                           min_size=3, max_size=3))
     def test_weights_integrate_quadratics(self, x_min, span, n, fracs, coeffs):
         x_max = x_min + span
         g = Grid1D.with_breakpoints(x_min, x_max, n, [x_min + f * span for f in fracs])
