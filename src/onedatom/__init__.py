@@ -48,6 +48,7 @@ from .oracle import (
     two_photon_initial,
 )
 from .propagate import (
+    ScatteredState,
     TwoPhotonResult,
     apply_one_photon,
     apply_two_photon,
@@ -77,6 +78,7 @@ __all__ = [
     "apply_two_photon_nonlinear",
     "apply_two_photon",
     "default_output_grid",
+    "ScatteredState",
     "TwoPhotonResult",
     "rect_one_photon_out",
     "rect_nonlin_out",

@@ -3,6 +3,10 @@
 Detection times map to positions through t = -x/c, so the joint detection
 statistics at delay tau probe the amplitude at (x + c tau, x).  Off-node
 points are evaluated by bilinear interpolation (error O(dx^2)).
+
+A two-photon state is read only through its `grid`, `at` (node pairs) and
+`rows` (row blocks), which a `Wavefunction2` and a structured
+`propagate.ScatteredState` both offer; a curve never needs the dense grid.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalParams, Wavefunction2, grid_weights
+from .model import ASSEMBLE_BLOCK, PhysicalParams, Wavefunction2, grid_weights
 
 __all__ = [
     "CorrelationCurve",
@@ -58,9 +62,9 @@ def _interp2(psi2: Wavefunction2, x1, x2) -> np.ndarray:
     j = np.clip(np.searchsorted(pts, x2, side="right") - 1, 0, n - 2)
     u = (x1 - pts[i]) / (pts[i + 1] - pts[i])
     v = (x2 - pts[j]) / (pts[j + 1] - pts[j])
-    a = psi2.amp
-    return ((1 - u) * (1 - v) * a[i, j] + u * (1 - v) * a[i + 1, j]
-            + (1 - u) * v * a[i, j + 1] + u * v * a[i + 1, j + 1])
+    at = psi2.at
+    return ((1 - u) * (1 - v) * at(i, j) + u * (1 - v) * at(i + 1, j)
+            + (1 - u) * v * at(i, j + 1) + u * v * at(i + 1, j + 1))
 
 
 def second_order_correlation(psi2: Wavefunction2, x: float, tau,
@@ -76,13 +80,14 @@ def second_order_correlation(psi2: Wavefunction2, x: float, tau,
 
 def marginal_density(psi2: Wavefunction2, x, params: PhysicalParams):
     """Single-photon detection probability density per unit time at
-    coordinate x: 2c * integral |psi(x, y)|^2 dy."""
+    coordinate x: 2c * integral |psi(x, y)|^2 dy, read in row blocks."""
     x = np.asarray(x, dtype=float)
-    w = grid_weights(psi2.grid)
-    per_row = (np.abs(psi2.amp) ** 2) @ w
     pts = psi2.grid.points
     if np.any(x < pts[0]) or np.any(x > pts[-1]):
         raise ValueError("evaluation point outside the wavefunction grid")
+    w = grid_weights(psi2.grid)
+    per_row = np.concatenate([(np.abs(psi2.rows(i0, i0 + ASSEMBLE_BLOCK)) ** 2) @ w
+                              for i0 in range(0, len(pts), ASSEMBLE_BLOCK)])
     rho = np.interp(x, pts, per_row)
     out = 2.0 * params.c * rho
     return float(out) if out.ndim == 0 else out

@@ -104,9 +104,13 @@ def read_wavefunction2(path) -> Wavefunction2:
     x = rows[:n, 1]
     if not np.all(np.diff(x) > 0):
         raise ValueError(f"{path}: x2 column must be strictly increasing")
-    x1 = rows[::n, 0]
-    if not np.allclose(x1, x, rtol=0, atol=1e-12 * max(1.0, float(np.max(np.abs(x))))):
-        raise ValueError(f"{path}: axes differ; a shared grid is required")
+    # row-major on one shared axis: block i holds x1 = x[i] against every x2 = x
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(x))))
+    x1, x2 = rows[:, 0].reshape(n, n), rows[:, 1].reshape(n, n)
+    if not np.allclose(x1, x[:, None], rtol=0, atol=tol):
+        raise ValueError(f"{path}: x1 must be constant in each block and follow the x2 axis")
+    if not np.allclose(x2, x[None, :], rtol=0, atol=tol):
+        raise ValueError(f"{path}: every block must repeat the x2 axis")
     amp = (rows[:, 2] + 1j * rows[:, 3]).reshape(n, n)
     grid = Grid1D(float(x[0]), float(x[-1]), n, _points=x)
     return Wavefunction2(grid, amp)

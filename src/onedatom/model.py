@@ -29,6 +29,10 @@ __all__ = [
     "max_asymmetry",
 ]
 
+# Rows per block wherever a two-photon grid is assembled or read row by row;
+# a block of complex rows takes 16 * ASSEMBLE_BLOCK * n bytes.
+ASSEMBLE_BLOCK = 512
+
 
 @dataclass(frozen=True)
 class PhysicalParams:
@@ -354,7 +358,9 @@ class Wavefunction2:
     """Bosonic two-photon amplitude over a shared 1D grid (units 1/length).
 
     Construct through `from_product` or `symmetric` so that exchange symmetry
-    holds exactly; the plain constructor stores `amp` as given.
+    holds exactly; the plain constructor stores `amp` as given.  `at` and
+    `rows` are the reads every two-photon state offers (see
+    `propagate.ScatteredState`), here plain indexing.
     """
 
     grid: Grid1D
@@ -377,16 +383,24 @@ class Wavefunction2:
     def symmetric(cls, grid: Grid1D, amp) -> "Wavefunction2":
         return cls(grid, _mirrored(np.asarray(amp, dtype=complex)))
 
+    def at(self, i, j) -> np.ndarray:
+        """Amplitudes at the node pairs (i, j); index arrays broadcast."""
+        return self.amp[i, j]
 
-def norm2(psi: Wavefunction2, block: int = 512) -> float:
-    """Squared-amplitude double integral, separable breakpoint-aware
-    quadrature along both axes.  Row blocks keep peak memory bounded."""
+    def rows(self, i0: int, i1: int) -> np.ndarray:
+        """Rows i0:i1 of the amplitude grid (clipped like a slice)."""
+        return self.amp[i0:i1]
+
+
+def norm2(psi: Wavefunction2) -> float:
+    """Squared-amplitude double integral of a two-photon state, read through
+    its `rows`; separable breakpoint-aware quadrature along both axes.  Row
+    blocks keep peak memory bounded."""
     w = grid_weights(psi.grid)
-    n = psi.grid.n
     total = 0.0
-    for i0 in range(0, n, block):
-        rows = np.abs(psi.amp[i0:i0 + block]) ** 2
-        total += float(np.dot(w[i0:i0 + block], rows @ w))
+    for i0 in range(0, psi.grid.n, ASSEMBLE_BLOCK):
+        rows = np.abs(psi.rows(i0, i0 + ASSEMBLE_BLOCK)) ** 2
+        total += float(np.dot(w[i0:i0 + ASSEMBLE_BLOCK], rows @ w))
     return max(total, 0.0)
 
 

@@ -14,16 +14,25 @@ the phi functions of exponential integrators, so the only error is rounding.
 
 The delta parts of the kernels are applied as copy/interpolation terms, never
 discretized.
+
+The output is a `ScatteredState`, held by its generators: the one-photon
+output phi_out (rank-1 linear part) of a product input, or the dense linear
+grid of a general input, and the n-vector of squared tails that sets the
+semiseparable nonlinear part.  For a product input that is O(n) data; node
+pairs and row blocks are evaluated from it on demand, and the dense n x n
+grid is built only when `amp` is read.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import (
+    ASSEMBLE_BLOCK,
     Grid1D,
     PhysicalParams,
     Wavefunction1,
@@ -36,11 +45,11 @@ __all__ = [
     "apply_two_photon_nonlinear",
     "apply_two_photon",
     "default_output_grid",
+    "ScatteredState",
     "TwoPhotonResult",
     "ResolutionWarning",
 ]
 
-ASSEMBLE_BLOCK = 512
 SERIES_BELOW = 0.5     # kappa*h below which the cell weights use their series
 
 
@@ -182,14 +191,86 @@ def _require_symmetric(psi: Wavefunction2) -> None:
         raise ValueError("two-photon input must be exchange symmetric")
 
 
+def _nonlinear_at(xs: np.ndarray, tail_sq: np.ndarray, kappa: float,
+                  i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """-4 kappa^2 e^{-k(M-x_i)} e^{-k(M-x_j)} tail_sq[max(i,j)] with
+    M = max(x_i, x_j), at the node pairs (i, j); index arrays broadcast."""
+    x1, x2 = xs[i], xs[j]
+    m = np.maximum(x1, x2)
+    # the two exponentials swap under i <-> j, so grouping their product
+    # first makes the result exactly symmetric
+    return (-4.0 * kappa * kappa) \
+        * (np.exp(-kappa * (m - x1)) * np.exp(-kappa * (m - x2))) * tail_sq[np.maximum(i, j)]
+
+
+@dataclass(frozen=True, eq=False)
+class ScatteredState:
+    """Scattered two-photon amplitude on `grid`, held by its generators.
+
+    A state has one generator, or is the sum of its two `parts`:
+    - `linear`, a linear part: the one-photon output phi_out of a product
+      input (the part is phi_out(x1) phi_out(x2)), or the dense linear output
+      of a general input;
+    - `tail_sq`, a nonlinear part: the squared tail T^2 at each node, which
+      with `kappa` gives -4 kappa^2 e^{-kappa(M-x1)} e^{-kappa(M-x2)} T(M)^2,
+      M = max(x1, x2).
+
+    `at` and `rows` evaluate the generators; `amp`, the dense grid, is built
+    on first read and cached, and `rows` slices it from then on.
+    """
+
+    grid: Grid1D
+    linear: Wavefunction1 | Wavefunction2 | None = None
+    tail_sq: np.ndarray | None = None
+    kappa: float = 0.0
+    parts: tuple[ScatteredState, ...] = ()
+
+    def at(self, i, j) -> np.ndarray:
+        """Amplitudes at the node pairs (i, j); index arrays broadcast."""
+        if self.parts:
+            first, second = self.parts
+            return first.at(i, j) + second.at(i, j)
+        if self.tail_sq is not None:
+            return _nonlinear_at(self.grid.points, self.tail_sq, self.kappa, i, j)
+        a = self.linear.amp
+        return a[i] * a[j] if a.ndim == 1 else a[i, j]
+
+    def rows(self, i0: int, i1: int) -> np.ndarray:
+        """Rows i0:i1 of the amplitude grid (clipped like a slice)."""
+        if "amp" in self.__dict__:
+            return self.amp[i0:i1]
+        if self.parts:
+            first, second = self.parts
+            return first.rows(i0, i1) + second.rows(i0, i1)
+        idx = np.arange(self.grid.n)
+        return self.at(idx[i0:i1, None], idx[None, :])
+
+    @cached_property
+    def amp(self) -> np.ndarray:
+        """The dense n x n grid (read-only); a sum builds and keeps its parts'."""
+        if self.linear is not None:
+            return (self.linear if self.linear.amp.ndim == 2
+                    else Wavefunction2.from_product(self.linear)).amp
+        if self.parts:
+            first, second = self.parts
+            out = first.amp + second.amp
+        else:
+            n = self.grid.n
+            out = np.empty((n, n), dtype=complex)
+            for i0 in range(0, n, ASSEMBLE_BLOCK):
+                out[i0:i0 + ASSEMBLE_BLOCK] = self.rows(i0, i0 + ASSEMBLE_BLOCK)
+        out.setflags(write=False)
+        return out
+
+
 def apply_two_photon_linear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
-                            params: PhysicalParams) -> Wavefunction2:
+                            params: PhysicalParams) -> ScatteredState:
     """Linear (independent-photon) part of the two-photon map: the product of
     one-photon maps applied along each axis.  A `Wavefunction1` psi is the
     product input psi(x1) psi(x2), whose output is the product of its
-    one-photon output."""
+    one-photon output and is held as that output."""
     if isinstance(psi, Wavefunction1):
-        return Wavefunction2.from_product(apply_one_photon(psi, out_grid, params))
+        return ScatteredState(out_grid, linear=apply_one_photon(psi, out_grid, params))
     _check_amp(psi.amp)
     _require_symmetric(psi)
     k = params.gamma_over_c
@@ -201,41 +282,22 @@ def apply_two_photon_linear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D
     bt = np.ascontiguousarray(b.T)
     out = _interp_along_axis0(pts, bt, xs) \
         - 2.0 * k * _tail(pts, bt[:-1], bt[1:], xs, k)
-    return Wavefunction2.symmetric(out_grid, out.T)
-
-
-def _assemble_nonlinear(xs: np.ndarray, tail_sq: np.ndarray, kappa: float,
-                        out: np.ndarray) -> None:
-    """Fill out[i, j] = -4 kappa^2 e^{-k(M-x_i)} e^{-k(M-x_j)} tail_sq[max(i,j)]
-    with M = max(x_i, x_j), in row blocks."""
-    n = len(xs)
-    idx = np.arange(n)
-    for i0 in range(0, n, ASSEMBLE_BLOCK):
-        i1 = min(i0 + ASSEMBLE_BLOCK, n)
-        x1 = xs[i0:i1, None]
-        x2 = xs[None, :]
-        m = np.maximum(x1, x2)
-        mi = np.maximum(idx[i0:i1, None], idx[None, :])
-        # the two exponentials swap under i <-> j, so grouping their product
-        # first makes out exactly symmetric
-        out[i0:i1] = (-4.0 * kappa * kappa) \
-            * (np.exp(-kappa * (m - x1)) * np.exp(-kappa * (m - x2))) * tail_sq[mi]
+    return ScatteredState(out_grid, linear=Wavefunction2.symmetric(out_grid, out.T))
 
 
 def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
-                               params: PhysicalParams) -> Wavefunction2:
+                               params: PhysicalParams) -> ScatteredState:
     """Nonlinear correction of the two-photon map.
 
     The kernel factorizes once the min-constraint is rewritten as both source
     coordinates above M = max(x1, x2), so the double integral reduces to a
     squared tail integral from M (a `Wavefunction1` psi, the product input
     psi(x1) psi(x2)) or a nested tail transform evaluated on the diagonal (a
-    general `Wavefunction2`).
+    general `Wavefunction2`).  Either way the output is held by that n-vector.
     """
     _check_amp(psi.amp)
     k = params.gamma_over_c
     xs = out_grid.points
-    n = len(xs)
     if isinstance(psi, Wavefunction1):
         tail = _tail1(psi, xs, k)
         tail_sq = tail * tail
@@ -248,19 +310,21 @@ def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Gri
         a = psi.amp
         inner = np.ascontiguousarray(_tail(pts, a[:-1], a[1:], xs, k).T)  # (n_in, n)
         tail_sq = _tail(pts, inner[:-1], inner[1:], xs, k, diagonal=True)
-    out = np.empty((n, n), dtype=complex)
-    _assemble_nonlinear(xs, tail_sq, k, out)
-    return Wavefunction2(out_grid, out)
+    return ScatteredState(out_grid, tail_sq=tail_sq, kappa=k)
 
 
 @dataclass(frozen=True)
 class TwoPhotonResult:
     """Scattered two-photon state with its linear/nonlinear split retained
-    for decomposition and interference queries."""
+    for decomposition and interference queries.
 
-    total: Wavefunction2
-    linear: Wavefunction2
-    nonlinear: Wavefunction2
+    Each field is a `ScatteredState` on the output grid; `total` is the sum
+    of the other two.  Reading a state through `at` or `rows` builds no
+    n x n grid, and a state's dense `amp` exists only once it has been read."""
+
+    total: ScatteredState
+    linear: ScatteredState
+    nonlinear: ScatteredState
 
 
 def apply_two_photon(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
@@ -271,7 +335,7 @@ def apply_two_photon(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
     psi(x1) psi(x2), or a general exchange-symmetric `Wavefunction2`."""
     linear = apply_two_photon_linear(psi, out_grid, params)
     nonlinear = apply_two_photon_nonlinear(psi, out_grid, params)
-    total = Wavefunction2(out_grid, linear.amp + nonlinear.amp)
+    total = ScatteredState(out_grid, parts=(linear, nonlinear))
     return TwoPhotonResult(total=total, linear=linear, nonlinear=nonlinear)
 
 

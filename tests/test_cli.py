@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -252,11 +253,20 @@ GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", 
     ["compare", "{dir}/pulse.csv", "{dir}/pulse.csv", "--tol", "nan"],
     ["compare", "{dir}/pulse.csv", "{dir}/pulse.csv", "--tol", "-1"],
     ["decompose", "--grid.n", "1"],
+    ["simulate", "--pulse.kind", "file", "--pulse.path", "{dir}/swapped.csv"],
+    ["simulate", "--pulse.kind", "file", "--pulse.path", "{dir}/shifted.csv"],
+    ["compare", "{dir}/swapped.csv", "{dir}/swapped.csv"],
+    ["compare", "{dir}/shifted.csv", "{dir}/shifted.csv"],
 ], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
 def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
     (tmp_path / "unsorted.csv").write_text("x,re,im\n0,1,0\n0,1,0\n")
     (tmp_path / "empty.csv").write_text("# no data\n")
     (tmp_path / "pulse.csv").write_text("x,re,im\n0,1,0\n1,1,0\n")
+    # two-photon files whose first block is well formed; in the second, two
+    # rows are swapped, or one x1 is off the axis
+    first, last = "x1,x2,re,im\n0,0,1,0\n0,1,1,0\n0,2,1,0\n", "2,0,1,0\n2,1,1,0\n2,2,1,0\n"
+    (tmp_path / "swapped.csv").write_text(first + "1,0,1,0\n1,2,1,0\n1,1,1,0\n" + last)
+    (tmp_path / "shifted.csv").write_text(first + "1,0,1,0\n1,1,1,0\n1.5,2,1,0\n" + last)
     out = tmp_path / "out"
     argv = [arg.format(dir=tmp_path) for arg in argv]
     if argv[0] != "compare":
@@ -275,3 +285,18 @@ def test_check_failure_prints_summary(tmp_path, capsys):
     assert capsys.readouterr().out.startswith(f"simulate: wrote {out}/psi_out.csv")
     entries = manifest_entries(out / "manifest.txt")
     assert float(entries["check.max_abs_total"]) > 1e-30
+
+
+@pytest.mark.parametrize("extra", [[], ["--linear-only"]], ids=["total", "linear-only"])
+def test_g2_builds_no_grid(extra, tmp_path):
+    # g2 on a product input reads the scattered pair from its O(n) generators;
+    # a quarter of one dense n x n complex grid bounds its peak
+    n = 2048
+    cfg = write_config(tmp_path / "run.cfg", **{"grid.n": n})
+    tracemalloc.start()
+    try:
+        assert main(["g2", "--config", cfg, "--out", str(tmp_path / "g2"), *extra]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * n ** 2 / 4

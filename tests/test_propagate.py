@@ -18,6 +18,7 @@ from onedatom import (
     apply_two_photon_linear,
     apply_two_photon_nonlinear,
     default_output_grid,
+    g2_slice,
     gaussian_pulse,
     max_asymmetry,
     norm2,
@@ -312,6 +313,46 @@ class TestTwoPhotonTotal:
         finally:
             tracemalloc.stop()
         assert peak < 16 * n_in ** 2 / 4
+
+
+class TestScatteredState:
+    """Each part read through `at`/`rows` equals its dense grid bit for bit,
+    and a g2 curve is the same whichever of the two a state offers."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["rectangular", "sampled", "general"]),
+           size=st.floats(0.5, 10.0), x_min=st.floats(-8.0, 1.0),
+           span=st.floats(1.0, 20.0), n=st.integers(4, 80),
+           cuts=st.lists(st.floats(0.0, 1.0), max_size=3),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_reads_match_dense_grid(self, kind, size, x_min, span, n, cuts, seed):
+        if kind == "rectangular":
+            psi = rectangular_pulse(size)
+        else:
+            f = gaussian_pulse(size / 2, size / 8, Grid1D(0.0, size, 25))
+            psi = f if kind == "sampled" else Wavefunction2.from_product(f)
+        grid = Grid1D.with_breakpoints(x_min, x_min + span, n,
+                                       [x_min + c * span for c in cuts])
+        lazy = apply_two_photon(psi, grid, P)      # never has its amp read
+        dense = apply_two_photon(psi, grid, P)
+        rng = np.random.default_rng(seed)
+        m = grid.n
+        i, j = rng.integers(0, m, (3, 1)), rng.integers(0, m, (1, 5))
+        i0 = int(rng.integers(0, m))
+        i1 = int(rng.integers(i0 + 1, m + 1))
+        for name in ("total", "linear", "nonlinear"):
+            part, amp = getattr(lazy, name), getattr(dense, name).amp
+            assert np.array_equal(part.at(i, j), amp[i, j])
+            assert np.array_equal(part.rows(i0, i1), amp[i0:i1])
+        anchor = rng.uniform(grid.x_min, grid.x_max)
+        window = (0.999 * (grid.x_min - anchor), 0.999 * (grid.x_max - anchor))
+        on_grid = Wavefunction2(grid, dense.total.amp)
+        for local in (False, True):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                a = g2_slice(lazy.total, anchor, window, 33, size, P, local_density=local)
+                b = g2_slice(on_grid, anchor, window, 33, size, P, local_density=local)
+            assert np.array_equal(a.values, b.values, equal_nan=True)
+        assert "amp" not in vars(lazy.total)
 
 
 class TestGeneral2DPath:
