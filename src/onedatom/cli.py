@@ -301,6 +301,7 @@ def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
     curve = g2_slice(psi, cfg.anchor_x, (cfg.tau_min, cfg.tau_max), cfg.tau_n,
                      length, params, local_density=not rectangular)
     zeros = find_dip_zeros(curve)
+    undefined = int(np.count_nonzero(np.isnan(curve.values)))
     elapsed = time.perf_counter() - started
 
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -308,6 +309,7 @@ def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
     entries = {
         "run.linear_only": linear_only,
         "run.zero_count": len(zeros),
+        "run.undefined_tau": undefined,
         "run.seconds": elapsed,
         **{f"run.zero_{i}": z for i, z in enumerate(zeros)},
     }
@@ -320,7 +322,8 @@ def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
             failure = (f"g2 deviates from the long-pulse curve by {dev:.3e} "
                        f"(> {cfg.check_g2:.3e})")
     zs = ", ".join(f"{z:.4f}" for z in zeros) or "none"
-    summary = f"g2: wrote {out_dir}/g2_curve.csv (zeros at {zs}, {elapsed:.2f}s)"
+    summary = (f"g2: wrote {out_dir}/g2_curve.csv (zeros at {zs}, "
+               f"g2 undefined at {undefined} tau, {elapsed:.2f}s)")
     return entries, summary, failure
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ASSEMBLE_BLOCK, PhysicalParams, Wavefunction2, grid_weights
+from .model import PhysicalParams, Wavefunction2, _row_density, grid_weights
 
 __all__ = [
     "CorrelationCurve",
@@ -85,10 +85,7 @@ def marginal_density(psi2: Wavefunction2, x, params: PhysicalParams):
     pts = psi2.grid.points
     if np.any(x < pts[0]) or np.any(x > pts[-1]):
         raise ValueError("evaluation point outside the wavefunction grid")
-    w = grid_weights(psi2.grid)
-    per_row = np.concatenate([(np.abs(psi2.rows(i0, i0 + ASSEMBLE_BLOCK)) ** 2) @ w
-                              for i0 in range(0, len(pts), ASSEMBLE_BLOCK)])
-    rho = np.interp(x, pts, per_row)
+    rho = np.interp(x, pts, _row_density(psi2, grid_weights(psi2.grid)))
     out = 2.0 * params.c * rho
     return float(out) if out.ndim == 0 else out
 
@@ -100,7 +97,8 @@ def normalized_g2(psi2: Wavefunction2, x: float, tau, length: float,
     By default G2 is divided by the squared long-pulse average density 2c/L,
     giving (L^2/2)|psi(x+c tau, x)|^2.  With local_density=True it is divided
     by the actual single-photon densities at the two detection coordinates
-    instead (for anchors outside the plateau).
+    instead (for anchors outside the plateau); g2 is nan where their product
+    is 0, beyond the pulse's reach or where it underflows.
     """
     if not (length > 0 and math.isfinite(length)):
         raise ValueError(f"pulse length must be positive, got {length}")
@@ -110,7 +108,9 @@ def normalized_g2(psi2: Wavefunction2, x: float, tau, length: float,
     tau = np.asarray(tau, dtype=float)
     # one pass over the grid for both coordinates; the anchor's density last
     rho = marginal_density(psi2, np.append(x + params.c * tau, x), params)
-    out = g2 / (rho[:-1].reshape(tau.shape) * rho[-1])
+    density = rho[:-1].reshape(tau.shape) * rho[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = np.where(density > 0, g2 / density, np.nan)
     return float(out) if np.ndim(out) == 0 else out
 
 

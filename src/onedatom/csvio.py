@@ -8,7 +8,6 @@ records the run parameters.
 
 from __future__ import annotations
 
-import io
 import math
 
 import numpy as np
@@ -63,27 +62,30 @@ def write_curve(path, curve: CorrelationCurve, meta: dict | None = None) -> None
         np.savetxt(fh, data, fmt=FMT, delimiter=",")
 
 
+def _data_lines(fh):
+    """The lines of an open file that are neither blank nor `#` comments."""
+    return (ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#"))
+
+
 def _load_rows(path, expected_header: str) -> np.ndarray:
     with open(path) as fh:
-        lines = fh.readlines()
-    body = [ln for ln in lines if ln.strip() and not ln.lstrip().startswith("#")]
-    if not body:
-        raise ValueError(f"{path}: no data rows")
-    header = body[0].strip().replace(" ", "")
-    if header != expected_header:
-        raise ValueError(f"{path}: expected header {expected_header!r}, got {header!r}")
-    return np.loadtxt(io.StringIO("".join(body[1:])), delimiter=",", ndmin=2)
+        lines = _data_lines(fh)
+        header = next(lines, "").strip().replace(" ", "")
+        if not header:
+            raise ValueError(f"{path}: no data rows")
+        if header != expected_header:
+            raise ValueError(f"{path}: expected header {expected_header!r}, got {header!r}")
+        return np.loadtxt(lines, delimiter=",", ndmin=2)   # parsed as it is read
 
 
 def sniff_columns(path) -> int:
     """Number of data columns (3 for 1D wavefunctions, 4 for 2D), counted on
     the first non-blank line that is not a `#` comment."""
     with open(path) as fh:
-        for ln in fh:
-            s = ln.strip()
-            if s and not s.startswith("#"):
-                return len(s.split(","))
-    raise ValueError(f"{path}: empty file")
+        header = next(_data_lines(fh), "").strip()
+    if not header:
+        raise ValueError(f"{path}: empty file")
+    return len(header.split(","))
 
 
 def read_wavefunction1(path) -> Wavefunction1:

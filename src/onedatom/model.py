@@ -392,16 +392,26 @@ class Wavefunction2:
         return self.amp[i0:i1]
 
 
+def _row_density(psi: Wavefunction2, w: np.ndarray) -> np.ndarray:
+    """sum_j w[j] |amp[i, j]|^2 for each row i, read through `rows` in
+    blocks.  numpy's own reduction, not a BLAS product: the result does not
+    depend on how many threads BLAS would split the rows between."""
+    out = np.empty(psi.grid.n)
+    for i0 in range(0, psi.grid.n, ASSEMBLE_BLOCK):
+        sq = np.abs(psi.rows(i0, i0 + ASSEMBLE_BLOCK))
+        sq *= sq
+        sq *= w
+        out[i0:i0 + ASSEMBLE_BLOCK] = np.sum(sq, axis=1)
+        del sq                          # freed before the next block is built
+    return out
+
+
 def norm2(psi: Wavefunction2) -> float:
     """Squared-amplitude double integral of a two-photon state, read through
     its `rows`; separable breakpoint-aware quadrature along both axes.  Row
     blocks keep peak memory bounded."""
     w = grid_weights(psi.grid)
-    total = 0.0
-    for i0 in range(0, psi.grid.n, ASSEMBLE_BLOCK):
-        rows = np.abs(psi.rows(i0, i0 + ASSEMBLE_BLOCK)) ** 2
-        total += float(np.dot(w[i0:i0 + ASSEMBLE_BLOCK], rows @ w))
-    return max(total, 0.0)
+    return max(float(np.sum(w * _row_density(psi, w))), 0.0)
 
 
 def max_asymmetry(psi: Wavefunction2) -> float:

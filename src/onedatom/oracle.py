@@ -174,7 +174,7 @@ def evolve_one_photon(initial: LabState1, dx: float, t_final: float,
     sit on a cell boundary.
     """
     _validate_dx(dx)
-    if not np.all(np.isfinite(initial.field.view(float))):
+    if not np.all(np.isfinite(initial.field)):
         raise ValueError("initial field must be finite")
     if np.any(np.abs(initial.field[initial.grid.points >= 0]) > 0):
         raise ValueError("initial field must be supported at r < 0")
@@ -233,7 +233,7 @@ def evolve_two_photon(initial: LabState2, dx: float, t_final: float,
     doubly-excited amplitude exists anywhere in the update.
     """
     _validate_dx(dx)
-    if not np.all(np.isfinite(initial.field2.view(float))):
+    if not np.all(np.isfinite(initial.field2)):
         raise ValueError("initial field must be finite")
     outgoing = initial.grid.points >= 0
     if np.any(np.abs(initial.field2[outgoing, :]) > 0) \

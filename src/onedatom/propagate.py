@@ -5,15 +5,15 @@ for the product state psi(x1) psi(x2) of two photons in the same pulse and
 is never expanded to a grid, and a `Wavefunction2` is a general, exactly
 exchange-symmetric two-photon amplitude.
 
-Every input kind reduces to one exact primitive: the tail integral of the
-exponential kernel against data that is linear on each cell.  Piecewise-
-constant inputs are the special case of equal end values; sampled inputs
-(one-photon pulses and both axes of general 2D inputs) use the piecewise-linear
-interpolant of their samples.  Each cell contributes closed-form weights,
-the phi functions of exponential integrators, so the only error is rounding.
-
-The delta parts of the kernels are applied as copy/interpolation terms, never
-discretized.
+Every input reduces to one form, data linear on cells (edges, left, right),
+and one exact primitive on it, `_tail`: the tail integral of the exponential
+kernel together with the value of the data at each evaluation point.  Exact
+pieces are (boundaries, values, values); samples, of a one-photon pulse or
+along either axis of a general 2D input, are (points, amp[:-1], amp[1:]),
+their piecewise-linear interpolant.  Each cell contributes closed-form
+weights, the phi functions of exponential integrators, so the only error is
+rounding.  The one-photon kernel, the value minus 2 kappa times the tail, is
+applied along each coordinate; its delta part is never discretized.
 
 The output is a `ScatteredState`, held by its generators: the one-photon
 output phi_out (rank-1 linear part) of a product input, or the dense linear
@@ -58,7 +58,7 @@ class ResolutionWarning(UserWarning):
 
 
 def _check_amp(amp: np.ndarray) -> None:
-    if not np.all(np.isfinite(amp.view(float))):
+    if not np.all(np.isfinite(amp)):
         raise ValueError("input amplitudes must be finite")
 
 
@@ -92,14 +92,15 @@ def _cell_weights(h: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray, 
 
 
 def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
-          evals: np.ndarray, kappa: float, *, diagonal: bool = False) -> np.ndarray:
-    """K(e) = integral_e^inf exp(-kappa (u - e)) psi(u) du, exactly, for psi
-    linear on each cell [edges[k], edges[k+1]] from left[k] to right[k] and
-    zero outside.  left/right may carry trailing batch axes; the result has
-    shape (len(evals),) + batch.  With diagonal=True, left/right have one
-    batch column per evaluation point and only column m is evaluated at
-    evals[m], which gives the diagonal of the full result, bit for bit, in
-    shape (len(evals),).  Every exponent is <= 0."""
+          evals: np.ndarray, kappa: float, *,
+          diagonal: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """(K(e), psi(e)), K(e) = integral_e^inf exp(-kappa (u - e)) psi(u) du, for
+    psi linear on each cell [edges[k], edges[k+1]] from left[k] to right[k],
+    right-continuous inside the closed [edges[0], edges[-1]], zero outside it;
+    both exact.  left/right may carry trailing batch axes; the results have
+    shape (len(evals),) + batch.  With diagonal=True, left/right have one batch
+    column per evaluation point and only column m is evaluated at evals[m],
+    which gives the diagonals, bit for bit.  Every exponent is <= 0."""
     n_cells = len(edges) - 1
     bshape = (...,) + (None,) * (left.ndim - 1)
     decay, a, b = _cell_weights(np.diff(edges), kappa)
@@ -120,44 +121,29 @@ def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
     at_e = left[cell] + t[bshape] * (right[cell] - left[cell])
     in_cell = ((j >= 1) & (j <= n_cells))[bshape]
     partial = np.where(in_cell, a_e[bshape] * at_e + b_e[bshape] * right[cell], 0.0)
-    return decay_e[bshape] * K[node] + partial
+    at_e[(evals < edges[0]) | (evals > edges[-1])] = 0.0
+    return decay_e[bshape] * K[node] + partial, at_e
 
 
-def _tail1(psi: Wavefunction1, evals: np.ndarray, kappa: float) -> np.ndarray:
-    """Tail of a one-photon input: its exact pieces, or the piecewise-linear
-    interpolant of its samples."""
+def _cells(psi: Wavefunction1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A one-photon input as data linear on cells: its exact pieces, or the
+    piecewise-linear interpolant of its samples."""
     if psi.pieces is not None:
-        edges, values = psi.pieces.boundaries, psi.pieces.values
-        return _tail(edges, values, values, evals, kappa)
-    return _tail(psi.grid.points, psi.amp[:-1], psi.amp[1:], evals, kappa)
+        return psi.pieces.boundaries, psi.pieces.values, psi.pieces.values
+    return psi.grid.points, psi.amp[:-1], psi.amp[1:]
 
 
-def _interp_along_axis0(points: np.ndarray, values: np.ndarray,
-                        xs: np.ndarray) -> np.ndarray:
-    """Linear interpolation of values (n,) or (n, m) along axis 0, zero
-    outside [points[0], points[-1]]."""
-    n = len(points)
-    idx = np.clip(np.searchsorted(points, xs, side="right") - 1, 0, n - 2)
-    w = (xs - points[idx]) / (points[idx + 1] - points[idx])
-    inside = (xs >= points[0]) & (xs <= points[-1])
-    bshape = (...,) + (None,) * (values.ndim - 1)
-    out = (1.0 - w)[bshape] * values[idx] + w[bshape] * values[idx + 1]
-    out[~inside] = 0.0
+def _one_photon_map(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
+                    evals: np.ndarray, kappa: float) -> np.ndarray:
+    """psi(e) - 2 kappa K(e) for the cell data of `_tail`, along axis 0."""
+    tail, out = _tail(edges, left, right, evals, kappa)
+    out -= 2.0 * kappa * tail
     return out
 
 
 # ---------------------------------------------------------------------------
 # one-photon map
 # ---------------------------------------------------------------------------
-
-def _smooth_plus_delta_1d(psi: Wavefunction1, xs: np.ndarray,
-                          params: PhysicalParams) -> np.ndarray:
-    """psi(x) - (2 gamma/c) * integral_x^inf exp(-(gamma/c)(x'-x)) psi(x') dx'."""
-    k = params.gamma_over_c
-    here = (psi.pieces.sample(xs) if psi.pieces is not None
-            else _interp_along_axis0(psi.grid.points, psi.amp, xs))
-    return here - 2.0 * k * _tail1(psi, xs, k)
-
 
 def _warn_if_coarse(psi: Wavefunction1, out_grid: Grid1D) -> None:
     if psi.pieces is not None and len(psi.pieces.values) > 1:
@@ -178,7 +164,7 @@ def apply_one_photon(psi: Wavefunction1, out_grid: Grid1D,
     """
     _check_amp(psi.amp)
     _warn_if_coarse(psi, out_grid)
-    out = _smooth_plus_delta_1d(psi, out_grid.points, params)
+    out = _one_photon_map(*_cells(psi), out_grid.points, params.gamma_over_c)
     return Wavefunction1.sampled(out_grid, out)
 
 
@@ -276,12 +262,10 @@ def apply_two_photon_linear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D
     k = params.gamma_over_c
     pts = psi.grid.points
     xs = out_grid.points
-    # axis 0, then axis 1; each is delta part (interpolation) + smooth tail
+    # axis 0, then axis 1
     a = psi.amp
-    b = _interp_along_axis0(pts, a, xs) - 2.0 * k * _tail(pts, a[:-1], a[1:], xs, k)
-    bt = np.ascontiguousarray(b.T)
-    out = _interp_along_axis0(pts, bt, xs) \
-        - 2.0 * k * _tail(pts, bt[:-1], bt[1:], xs, k)
+    bt = np.ascontiguousarray(_one_photon_map(pts, a[:-1], a[1:], xs, k).T)
+    out = _one_photon_map(pts, bt[:-1], bt[1:], xs, k)
     return ScatteredState(out_grid, linear=Wavefunction2.symmetric(out_grid, out.T))
 
 
@@ -299,7 +283,7 @@ def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Gri
     k = params.gamma_over_c
     xs = out_grid.points
     if isinstance(psi, Wavefunction1):
-        tail = _tail1(psi, xs, k)
+        tail, _ = _tail(*_cells(psi), xs, k)
         tail_sq = tail * tail
     else:
         _require_symmetric(psi)
@@ -308,8 +292,8 @@ def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Gri
         # along axis 1; the physical value needs both tails anchored at the
         # same M, so column i of the inner tail is taken only at x_i
         a = psi.amp
-        inner = np.ascontiguousarray(_tail(pts, a[:-1], a[1:], xs, k).T)  # (n_in, n)
-        tail_sq = _tail(pts, inner[:-1], inner[1:], xs, k, diagonal=True)
+        inner = np.ascontiguousarray(_tail(pts, a[:-1], a[1:], xs, k)[0].T)  # (n_in, n)
+        tail_sq, _ = _tail(pts, inner[:-1], inner[1:], xs, k, diagonal=True)
     return ScatteredState(out_grid, tail_sq=tail_sq, kappa=k)
 
 

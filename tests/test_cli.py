@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,20 @@ class TestG2:
                      "--linear-only"]) == 0
         entries = manifest_entries(out / "manifest.txt")
         assert entries["run.zero_count"] == "0"
+
+    @pytest.mark.parametrize("flags, count", [(["--pulse.kind", "gaussian"], 200),
+                                              ([], 0)])
+    def test_undefined_values_are_counted(self, flags, count, tmp_path, capsys):
+        # the default gaussian's output is exactly 0 beyond x = 18, so the
+        # local densities vanish for tau > 8
+        out = tmp_path / "g2"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["g2", "--out", str(out), *flags]) == 0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert manifest_entries(out / "manifest.txt")["run.undefined_tau"] == str(count)
+        assert np.count_nonzero(np.isnan(read_curve(out / "g2_curve.csv").values)) == count
+        assert f"g2 undefined at {count} tau" in capsys.readouterr().out
 
     def test_tau_window_outside_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg")

@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import onedatom
 from onedatom import (
     CorrelationCurve,
     Grid1D,
@@ -140,3 +145,30 @@ class TestFindDipZeros:
         c = CorrelationCurve(np.array([]), np.array([]), "raw", 0.0)
         with pytest.raises(ValueError):
             find_dip_zeros(c)
+
+
+# A row count that is not a multiple of the 512-row block, where a BLAS
+# matrix-vector product would split the rows between threads differently.
+_DENSITY_SCRIPT = """
+import sys
+import numpy as np
+from onedatom import Grid1D, PhysicalParams, Wavefunction2, norm2
+from onedatom.correlations import marginal_density
+n = 1500
+rng = np.random.default_rng(5)
+psi = Wavefunction2(Grid1D(0.0, 1.0, n),
+                    rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+rho = marginal_density(psi, psi.grid.points, PhysicalParams())
+sys.stdout.write(rho.tobytes().hex() + " " + norm2(psi).hex())
+"""
+
+
+def test_densities_do_not_depend_on_blas_threads():
+    src = str(Path(onedatom.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        outs.append(subprocess.run([sys.executable, "-c", _DENSITY_SCRIPT], env=env,
+                                   capture_output=True, text=True, check=True,
+                                   timeout=300).stdout)
+    assert outs[0] == outs[1]

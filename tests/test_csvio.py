@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,31 @@ def test_wavefunction2_round_trip_is_exact(tmp_path):
     write_wavefunction2(path, psi)
     back = read_wavefunction2(path)
     assert np.array_equal(back.amp, psi.amp)
+
+
+def test_wavefunction2_read_streams(tmp_path):
+    n = 129
+    rng = np.random.default_rng(7)
+    amp = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    path = tmp_path / "wf2.csv"
+    write_wavefunction2(path, Wavefunction2(Grid1D(0.0, 1.0, n), amp))
+    tracemalloc.start()
+    try:
+        back = read_wavefunction2(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.amp, amp)
+    # the result alone is 16 n^2 bytes; the file text is never held whole
+    assert peak < 10 * 16 * n * n
+
+
+def test_blank_lines_and_comments_skipped(tmp_path):
+    path = tmp_path / "wf1.csv"
+    path.write_text("\n# meta\n  \n x, re, im \n0,1,2\n   \n  # note\n\t\n1,3,4\n\n")
+    back = read_wavefunction1(path)
+    assert np.array_equal(back.grid.points, [0.0, 1.0])
+    assert np.array_equal(back.amp, [1 + 2j, 3 + 4j])
 
 
 def test_curve_round_trip(tmp_path):

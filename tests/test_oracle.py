@@ -60,6 +60,25 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             evolve_two_photon(st, 0.1, 1.0, P)
 
+    def test_memory_layout_is_irrelevant(self):
+        initial = two_photon_initial(2.0, 0.1, P)
+        fortran = LabState2(t=initial.t, grid=initial.grid,
+                            field2=np.asfortranarray(initial.field2),
+                            excited1=initial.excited1)
+        a = evolve_two_photon(fortran, 0.1, 1.0, P)
+        b = evolve_two_photon(initial, 0.1, 1.0, P)
+        assert np.array_equal(a.state.field2, b.state.field2)
+        one = one_photon_initial(2.0, 0.1, P)
+        columns = np.stack([one.field, one.field], axis=1)
+        strided = LabState1(t=one.t, grid=one.grid, field=columns[:, 0])
+        assert np.array_equal(evolve_one_photon(strided, 0.1, 1.0, P).state.field,
+                              evolve_one_photon(one, 0.1, 1.0, P).state.field)
+        bad = np.asfortranarray(initial.field2.copy())
+        bad[0, 0] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            evolve_two_photon(LabState2(t=initial.t, grid=initial.grid, field2=bad,
+                                        excited1=initial.excited1), 0.1, 1.0, P)
+
 
 class TestZeroInput:
     def test_one_photon_stays_zero(self):

@@ -158,14 +158,14 @@ class TestExactTail:
         x = np.cumsum(rng.uniform(0.1, 2.0, 7))
         v = rng.normal(size=(7, 3)) + 1j * rng.normal(size=(7, 3))
         evals = np.linspace(x[0] - 1.0, x[-1] + 1.0, 9)
-        batched = _tail(x, v[:-1], v[1:], evals, 0.7)
+        batched, _ = _tail(x, v[:-1], v[1:], evals, 0.7)
         for c in range(3):
-            col = _tail(x, v[:-1, c], v[1:, c], evals, 0.7)
+            col, _ = _tail(x, v[:-1, c], v[1:, c], evals, 0.7)
             assert np.max(np.abs(batched[:, c] - col)) <= 1e-15
         # one batch column per evaluation point: exactly the diagonal
         square = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
-        full = _tail(x, square[:-1], square[1:], evals, 0.7)
-        diagonal = _tail(x, square[:-1], square[1:], evals, 0.7, diagonal=True)
+        full, _ = _tail(x, square[:-1], square[1:], evals, 0.7)
+        diagonal, _ = _tail(x, square[:-1], square[1:], evals, 0.7, diagonal=True)
         assert np.array_equal(diagonal, np.diagonal(full))
 
     @settings(max_examples=60, deadline=None)
@@ -185,8 +185,8 @@ class TestExactTail:
         v2 = np.insert(v, c + 1, v_new)
         evals = np.concatenate([x2, [x[0] - 0.5, x[-1] + 0.5],
                                 np.linspace(x[0], x[-1], 17)])
-        base = _tail(x, v[:-1], v[1:], evals, kappa)
-        refined = _tail(x2, v2[:-1], v2[1:], evals, kappa)
+        base, _ = _tail(x, v[:-1], v[1:], evals, kappa)
+        refined, _ = _tail(x2, v2[:-1], v2[1:], evals, kappa)
         assert np.max(np.abs(refined - base)) <= 1e-13 * max(1.0, np.max(np.abs(base)))
 
     @settings(max_examples=60, deadline=None)
@@ -204,9 +204,30 @@ class TestExactTail:
         v2 = np.insert(v, c, v[c])
         evals = np.concatenate([edges2, [edges[0] - 0.5, edges[-1] + 0.5],
                                 np.linspace(edges[0], edges[-1], 17)])
-        base = _tail(edges, v, v, evals, kappa)
-        split_tail = _tail(edges2, v2, v2, evals, kappa)
+        base, _ = _tail(edges, v, v, evals, kappa)
+        split_tail, _ = _tail(edges2, v2, v2, evals, kappa)
         assert np.max(np.abs(split_tail - base)) <= 1e-13 * max(1.0, np.max(np.abs(base)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(widths=st.lists(st.floats(1e-3, 3.0), min_size=1, max_size=8),
+           re=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+           im=st.lists(st.floats(-1.0, 1.0), min_size=9, max_size=9),
+           start=st.floats(-5.0, 5.0),
+           fracs=st.lists(st.floats(-0.2, 1.2), min_size=1, max_size=12))
+    def test_value_is_the_cell_interpolant(self, widths, re, im, start, fracs):
+        x = start + np.concatenate([[0.0], np.cumsum(widths)])
+        evals = np.concatenate([x, x[0] + np.array(fracs) * (x[-1] - x[0])])
+        v = (np.array(re) + 1j * np.array(im))[:len(x)]
+        # exact pieces: the value is the piecewise-constant sample, bit for bit
+        pieces = PiecewiseConstant(x, v[:-1])
+        _, value = _tail(x, pieces.values, pieces.values, evals, 0.9)
+        assert np.array_equal(value, pieces.sample(evals))
+        # samples: their linear interpolant, zero outside the nodes
+        _, value = _tail(x, v[:-1], v[1:], evals, 0.9)
+        inside = (evals >= x[0]) & (evals <= x[-1])
+        ref = np.where(inside, np.interp(evals, x, v.real)
+                       + 1j * np.interp(evals, x, v.imag), 0.0)
+        assert np.max(np.abs(value - ref)) <= 2e-15 * np.max(np.abs(v))
 
 
 class TestTwoPhotonLinear:
@@ -365,6 +386,23 @@ class TestGeneral2DPath:
         res_g = apply_two_photon(stripped, gout, P)
         assert np.max(np.abs(res_f.total.amp - res_g.total.amp)) <= 1e-12
         assert max_asymmetry(res_g.total) == 0.0
+
+    def test_memory_layout_is_irrelevant(self):
+        gin = Grid1D(0.0, 6.0, 41)
+        f = gaussian_pulse(3.0, 1.0, gin)
+        gout = Grid1D(-4.0, 6.0, 57)
+        amp = np.outer(f.amp, f.amp)
+        columns = np.stack([f.amp, 2.0 * f.amp], axis=1)
+        pairs = [(Wavefunction2(gin, np.asfortranarray(amp)), Wavefunction2(gin, amp)),
+                 (Wavefunction1(gin, columns[:, 0]), f)]
+        for strided, contiguous in pairs:
+            a, b = apply_two_photon(strided, gout, P), apply_two_photon(contiguous, gout, P)
+            for part in ("linear", "nonlinear", "total"):
+                assert np.array_equal(getattr(a, part).amp, getattr(b, part).amp)
+        bad = np.asfortranarray(amp.copy())
+        bad[3, 3] = math.nan
+        with pytest.raises(ValueError, match="finite"):
+            apply_two_photon(Wavefunction2(gin, bad), gout, P)
 
 
 def test_default_output_grid(rect):
