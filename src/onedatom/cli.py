@@ -38,6 +38,7 @@ from .csvio import (
     read_wavefunction2,
     sniff_columns,
     write_curve,
+    write_trace,
     write_wavefunction1,
     write_wavefunction2,
 )
@@ -248,9 +249,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
         part.amp                        # every grid is written: build it here, timed
     elapsed = time.perf_counter() - started
 
+    started = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     for name, part in outputs.items():
         write_wavefunction2(out_dir / name, part, meta)
+    write_seconds = time.perf_counter() - started
 
     entries = {
         "run.linear_only": linear_only,
@@ -259,6 +262,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
         "run.norm_linear": norm2(result.linear),
         "run.norm_nonlinear": norm2(result.nonlinear),
         "run.seconds": elapsed,
+        "run.write_seconds": write_seconds,
     }
     failure = None
     if check:
@@ -275,7 +279,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
         if worst > cfg.check_max_abs:
             failure = f"max-abs deviation {worst:.3e} exceeds {cfg.check_max_abs:.3e}"
     summary = (f"simulate: wrote {out_dir}/psi_out.csv "
-               f"(norm {entries['run.norm_out']:.6f}, {elapsed:.2f}s)")
+               f"(norm {entries['run.norm_out']:.6f}, {elapsed:.2f}s, "
+               f"written in {write_seconds:.2f}s)")
     return entries, summary, failure
 
 
@@ -304,6 +309,7 @@ def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
     undefined = int(np.count_nonzero(np.isnan(curve.values)))
     elapsed = time.perf_counter() - started
 
+    started = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     write_curve(out_dir / "g2_curve.csv", curve, meta)
     entries = {
@@ -311,6 +317,7 @@ def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
         "run.zero_count": len(zeros),
         "run.undefined_tau": undefined,
         "run.seconds": elapsed,
+        "run.write_seconds": time.perf_counter() - started,
         **{f"run.zero_{i}": z for i, z in enumerate(zeros)},
     }
     failure = None
@@ -353,16 +360,15 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
     far = far_field(run.state, params)
     elapsed = time.perf_counter() - started
 
+    started = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     write(out_dir / "oracle_farfield.csv", far, meta)
-    with open(out_dir / "oracle_trace.csv", "w") as fh:
-        fh.write("t,value\n")
-        np.savetxt(fh, np.column_stack([run.trace.times, run.trace.values]),
-                   fmt="%.17g", delimiter=",")
+    write_trace(out_dir / "oracle_trace.csv", run.trace)
     entries = {
         "run.rel_l2": err,
         "run.final_norm": run.state.total_norm(),
         "run.seconds": elapsed,
+        "run.write_seconds": time.perf_counter() - started,
     }
     ratio_txt = ""
     if err_half is not None:
@@ -390,11 +396,13 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check)
     sum_dev = float(np.max(np.abs(parts.total - total)))
     elapsed = time.perf_counter() - started
 
+    started = time.perf_counter()
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in ("p_i", "p_ii", "p_iii"):
         amp = np.broadcast_to(getattr(parts, name), (n, n)).astype(complex)
         write_wavefunction2(out_dir / f"{name}.csv", Wavefunction2(grid, amp), meta)
-    entries = {"run.sum_identity_max_abs": sum_dev, "run.seconds": elapsed}
+    entries = {"run.sum_identity_max_abs": sum_dev, "run.seconds": elapsed,
+               "run.write_seconds": time.perf_counter() - started}
     summary = (f"decompose: wrote process grids (sum identity {sum_dev:.2e}, "
                f"{elapsed:.2f}s)")
     return entries, summary, None

@@ -129,7 +129,9 @@ def g2_slice(psi2: Wavefunction2, x_anchor: float, tau_range: tuple[float, float
 
 def find_dip_zeros(curve: CorrelationCurve) -> list[float]:
     """Delays where the curve touches zero: local minima below
-    1e-6 * max(curve), refined by parabolic interpolation.
+    1e-6 * max(curve), refined by parabolic interpolation.  The peak is taken
+    over the finite values, and a sample that is nan or has a nan neighbour
+    (g2 undefined there) is never a minimum.
 
     The curve must be sampled finely enough to resolve the sign structure of
     the underlying amplitude (spacing <= 0.01/gamma for the double-dip
@@ -138,12 +140,14 @@ def find_dip_zeros(curve: CorrelationCurve) -> list[float]:
     v = curve.values
     if len(v) == 0:
         raise ValueError("empty correlation curve")
-    peak = float(np.max(v))
+    finite = v[np.isfinite(v)]
+    peak = float(np.max(finite)) if len(finite) else 0.0
     if peak <= 0.0:
         return []
     threshold = ZERO_THRESHOLD * peak
     zeros: list[float] = []
     for i in range(1, len(v) - 1):
+        # every comparison with a nan is False, so a nan sample or neighbour fails
         if not (v[i] <= v[i - 1] and v[i] <= v[i + 1] and v[i] < threshold):
             continue
         if v[i] == v[i - 1]:        # plateau of equal minima: keep one edge

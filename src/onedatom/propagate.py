@@ -118,11 +118,22 @@ def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
         cols = np.arange(len(evals))
         cell, node, bshape = (k, cols), (nxt, cols), (...,)
     t = (evals - edges[k]) / (edges[k + 1] - edges[k])
-    at_e = left[cell] + t[bshape] * (right[cell] - left[cell])
-    in_cell = ((j >= 1) & (j <= n_cells))[bshape]
-    partial = np.where(in_cell, a_e[bshape] * at_e + b_e[bshape] * right[cell], 0.0)
+    # in place, so at most three n_out x batch arrays are alive at a time
+    at_r, at_e = right[cell], left[cell]
+    step = at_r - at_e
+    step *= t[bshape]
+    at_e += step                        # left + t (right - left)
+    del step
+    partial = a_e[bshape] * at_e
+    at_r *= b_e[bshape]
+    partial += at_r
+    del at_r
+    partial[(j < 1) | (j > n_cells)] = 0.0
     at_e[(evals < edges[0]) | (evals > edges[-1])] = 0.0
-    return decay_e[bshape] * K[node] + partial, at_e
+    tail = K[node]
+    tail *= decay_e[bshape]
+    tail += partial
+    return tail, at_e
 
 
 def _cells(psi: Wavefunction1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

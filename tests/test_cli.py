@@ -315,3 +315,19 @@ def test_g2_builds_no_grid(extra, tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 16 * n ** 2 / 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--grid.n", "41"],
+    ["g2"],
+    ["oracle", "--pulse.length", "2.0", "--oracle.dx", "0.05", "--oracle.ratio", "false"],
+    ["decompose", "--grid.n", "41"],
+], ids=lambda argv: argv[0])
+def test_write_seconds_recorded(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "run.cfg")
+    assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
+    write_seconds = float(manifest_entries(out / "manifest.txt")["run.write_seconds"])
+    assert write_seconds >= 0.0
+    if argv[0] == "simulate":
+        assert f"written in {write_seconds:.2f}s" in capsys.readouterr().out

@@ -141,6 +141,16 @@ class TestFindDipZeros:
         c = CorrelationCurve(tau, np.full(201, 0.7), "normalized", 0.0)
         assert find_dip_zeros(c) == []
 
+    @pytest.mark.parametrize("undefined, zeros", [([], [0.0]),
+                                                   (slice(-5, None), [0.0]),
+                                                   ([101], [])])
+    def test_nan_values_are_skipped(self, undefined, zeros):
+        tau = np.linspace(-1.0, 1.0, 201)
+        values = tau ** 2
+        values[undefined] = np.nan
+        c = CorrelationCurve(tau, values, "normalized", 0.0)
+        assert find_dip_zeros(c) == zeros
+
     def test_empty_curve_rejected(self):
         c = CorrelationCurve(np.array([]), np.array([]), "raw", 0.0)
         with pytest.raises(ValueError):
