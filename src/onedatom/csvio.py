@@ -12,11 +12,26 @@ one `%` over a line template repeated for every row.  A two-photon grid
 formats each axis value once into a row template, fills it with one `%`
 over the row's interleaved re/im values and splices the row's x1 string in
 with one `str.replace`; it holds one row of text at a time, never the file.
+
+That `%.17g` conversion is nearly all of a grid's write time, so a grid is
+formatted by one process per usable CPU (`os.sched_getaffinity`), each
+taking a contiguous range of rows of at least `SPLIT_CELLS` values.  The
+writing process reads the amplitudes and formats the axis before it forks,
+so a child never evaluates a structured state.  Each forked child writes
+its range, one row at a time, into an anonymous temporary file beside the
+output, then leaves with `os._exit` (status 0, or 1 on any failure): it
+never returns into the caller, calls BLAS or takes a lock held elsewhere.
+The parent formats the first range straight into the output, then waits
+for each child in order and appends its file; a non-zero status raises
+`OSError`.  With one usable CPU, a small grid or no `os.fork`, there is one
+range and no child, and the same loop runs in-process.  The bytes never
+depend on how many processes wrote them.
 """
 
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 
@@ -58,15 +73,85 @@ def write_wavefunction1(path, psi: Wavefunction1, meta: dict | None = None) -> N
                  psi.grid.points, psi.amp.real, psi.amp.imag)
 
 
+# A forked range must hold at least this many values: a fork, its wait and
+# the copy of its file cost about as much as formatting 2500 values.
+SPLIT_CELLS = 8192
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _write_rows(fh, row: str, xs: list[str], amp: np.ndarray, i0: int, i1: int) -> None:
+    """Rows i0:i1 of the grid, one row of text at a time."""
+    for i in range(i0, i1):
+        reim = np.ascontiguousarray(amp[i]).view(float).tolist()
+        fh.write((row % tuple(reim)).replace("\n", "\n" + xs[i]))
+
+
+def _fork_rows(tmp, row: str, xs: list[str], amp: np.ndarray, i0: int, i1: int) -> int:
+    """Fork a child that writes rows i0:i1 into the open file `tmp`; its pid.
+    The child exits with status 0, or 1 on any failure, and never returns
+    into the caller."""
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            with open(tmp.fileno(), "w", closefd=False) as out:
+                _write_rows(out, row, xs, amp, i0, i1)
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _write_split(fh, path, row: str, xs: list[str], amp: np.ndarray, cuts: list[int]) -> None:
+    """Rows cuts[0]:cuts[-1] into `fh`: the first range formatted here, each
+    further range by a forked child into an anonymous temporary file beside
+    `path`, appended in order once the child has exited with status 0."""
+    import shutil
+    import signal
+    import tempfile
+    from contextlib import ExitStack
+
+    folder = os.path.dirname(os.path.abspath(path))
+    children = []                       # (pid, file, i0, i1), not yet waited for
+    with ExitStack() as files:
+        try:
+            for i0, i1 in zip(cuts[1:-1], cuts[2:]):
+                tmp = files.enter_context(tempfile.TemporaryFile(dir=folder))
+                children.append((_fork_rows(tmp, row, xs, amp, i0, i1), tmp, i0, i1))
+            _write_rows(fh, row, xs, amp, cuts[0], cuts[1])
+            fh.flush()
+            while children:
+                pid, tmp, i0, i1 = children[0]
+                status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del children[0]
+                if status != 0:
+                    raise OSError(f"{path}: the process writing rows {i0}:{i1} "
+                                  f"exited with status {status}")
+                tmp.seek(0)
+                shutil.copyfileobj(tmp, fh.buffer)
+        finally:
+            for pid, *_ in children:    # left only when this process failed first
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
 def write_wavefunction2(path, psi: Wavefunction2, meta: dict | None = None) -> None:
+    amp = psi.amp                       # evaluated once, here, never in a child
     xs = [FMT % v for v in psi.grid.points.tolist()]
     # every line of a row starts after a newline, where the row's x1 goes in
     row = "".join("\n," + x2 + f",{FMT},{FMT}" for x2 in xs)
+    n = len(xs)
+    w = max(1, min(_usable_cpus(), n * n // SPLIT_CELLS))
     with open(path, "w") as fh:
         fh.write(_meta_line(meta) + "x1,x2,re,im")
-        for x1, amp in zip(xs, psi.amp):
-            reim = np.ascontiguousarray(amp).view(float).tolist()
-            fh.write((row % tuple(reim)).replace("\n", "\n" + x1))
+        fh.flush()                      # a child inherits no unwritten bytes of fh
+        _write_split(fh, path, row, xs, amp, [n * k // w for k in range(w + 1)])
         fh.write("\n")
 
 

@@ -349,8 +349,9 @@ def norm1(psi: Wavefunction1) -> float:
 def _mirrored(amp: np.ndarray) -> np.ndarray:
     """Exactly symmetric copy: the upper triangle (including the diagonal) is
     mirrored into the lower one."""
-    upper = np.triu(amp)
-    return upper + np.triu(amp, 1).T
+    out = np.triu(amp)
+    out += np.triu(amp, 1).T
+    return out
 
 
 @dataclass(frozen=True)

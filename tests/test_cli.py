@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import onedatom
 from onedatom import PhysicalParams, rect_two_photon_out
 from onedatom.cli import main
 from onedatom.csvio import read_curve, read_wavefunction1, read_wavefunction2, \
@@ -331,3 +336,13 @@ def test_write_seconds_recorded(argv, tmp_path, capsys):
     assert write_seconds >= 0.0
     if argv[0] == "simulate":
         assert f"written in {write_seconds:.2f}s" in capsys.readouterr().out
+
+
+def test_import_starts_no_process_pool():
+    # each CLI run pays for its imports; the grid writer forks with `os` alone
+    code = ("import sys, onedatom.cli; print([m for m in ('multiprocessing', "
+            "'concurrent.futures') if m in sys.modules])")
+    env = {**os.environ, "PYTHONPATH": str(Path(onedatom.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120).stdout
+    assert out.strip() == "[]"

@@ -1,12 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from onedatom import CorrelationCurve, Grid1D, Wavefunction1, Wavefunction2
+import onedatom
+from onedatom import CorrelationCurve, Grid1D, Wavefunction1, Wavefunction2, csvio
+from onedatom.cli import main
 from onedatom.csvio import (
     _complex,
     read_curve,
@@ -140,6 +146,101 @@ def test_wavefunction2_writer_matches_savetxt(tmp_path_factory, data, n):
     write_wavefunction2(out / "got.csv", Wavefunction2(_grid(pts), amp), META)
     _savetxt_grid(out / "ref.csv", META_LINE + "x1,x2,re,im\n", np.array(pts), amp)
     assert (out / "got.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# the two-photon writer split over forked processes, one row range each
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("cpus", [2, 3])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(2, 7))
+def test_split_writer_matches_savetxt(tmp_path_factory, cpus, data, n):
+    # every grid is split, so n = 2 < 3 processes and uneven ranges occur
+    pts = data.draw(st.lists(values, min_size=n, max_size=n))
+    re = data.draw(st.lists(values, min_size=n * n, max_size=n * n))
+    im = data.draw(st.lists(values, min_size=n * n, max_size=n * n))
+    amp = _complex(np.reshape(re, (n, n)), np.reshape(im, (n, n)))
+    out = tmp_path_factory.mktemp("split")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(csvio, "_usable_cpus", lambda: cpus)
+        mp.setattr(csvio, "SPLIT_CELLS", 1)
+        write_wavefunction2(out / "got.csv", Wavefunction2(_grid(pts), amp), META)
+    _savetxt_grid(out / "ref.csv", META_LINE + "x1,x2,re,im\n", np.array(pts), amp)
+    assert (out / "got.csv").read_bytes() == (out / "ref.csv").read_bytes()
+    assert sorted(os.listdir(out)) == ["got.csv", "ref.csv"]
+
+
+def _special_grid(n, seed):
+    rng = np.random.default_rng(seed)
+    amp = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    for part in (amp.real, amp.imag):
+        mask = rng.random((n, n)) < 0.05
+        part[mask] = rng.choice(ADVERSARIAL, size=mask.sum())
+    return Wavefunction2(Grid1D(-2.0, 3.0, n), amp)
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_split_writer_forks_one_process_per_extra_cpu(tmp_path, monkeypatch, cpus):
+    n = 157                             # 3 ranges of SPLIT_CELLS; 157 is odd and prime
+    assert n * n // csvio.SPLIT_CELLS >= 3
+    psi = _special_grid(n, 8)
+    forked = []
+    fork_rows = csvio._fork_rows
+    monkeypatch.setattr(csvio, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(csvio, "_fork_rows",
+                        lambda *args: forked.append(args[-2:]) or fork_rows(*args))
+    write_wavefunction2(tmp_path / "got.csv", psi, META)
+    _savetxt_grid(tmp_path / "ref.csv", META_LINE + "x1,x2,re,im\n",
+                  psi.grid.points, psi.amp)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert len(forked) == cpus - 1 and all(i1 > i0 for i0, i1 in forked)
+
+
+def _failing_at(row):
+    """`csvio._write_rows` that raises once it reaches `row`."""
+    write_rows = csvio._write_rows
+
+    def rows(fh, template, xs, amp, i0, i1):
+        if i0 <= row < i1:
+            write_rows(fh, template, xs, amp, i0, row)
+            raise ValueError(f"row {row}")
+        write_rows(fh, template, xs, amp, i0, i1)
+    return rows
+
+
+@pytest.mark.parametrize("row, error", [(156, OSError), (0, ValueError)],
+                         ids=["in a child", "in the parent"])
+def test_failed_range_leaves_no_file_or_process(tmp_path, monkeypatch, row, error):
+    monkeypatch.setattr(csvio, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(csvio, "_write_rows", _failing_at(row))
+    with pytest.raises(error):
+        write_wavefunction2(tmp_path / "grid.csv", _special_grid(157, 9))
+    assert os.listdir(tmp_path) == ["grid.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)      # every forked child was waited for
+
+
+def test_failed_child_exits_4(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(csvio, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(csvio, "_write_rows", _failing_at(200))
+    out = tmp_path / "sim"
+    assert main(["simulate", "--grid.n", "201", "--out", str(out)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "Traceback" not in err
+    assert os.listdir(out) == ["psi_out.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")
+def test_simulate_bytes_do_not_depend_on_cpus(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(onedatom.__file__).resolve().parents[1])}
+    one_cpu = {min(os.sched_getaffinity(0))}
+    for name, pin in [("one", lambda: os.sched_setaffinity(0, one_cpu)), ("all", None)]:
+        subprocess.run([sys.executable, "-m", "onedatom.cli", "simulate", "--grid.n", "199",
+                        "--out", str(tmp_path / name)],
+                       env=env, preexec_fn=pin, capture_output=True, check=True, timeout=300)
+    for name in ("psi_out.csv", "psi_lin.csv", "psi_nonlin.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -145,6 +146,23 @@ class TestWavefunction2:
         raw = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
         psi = Wavefunction2.symmetric(g, raw)
         assert max_asymmetry(psi) == 0.0
+
+    def test_mirroring_holds_two_grids(self):
+        n = 256
+        rng = np.random.default_rng(4)
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        raw.real[rng.random((n, n)) < 0.1] = -0.0
+        raw.imag[rng.random((n, n)) < 0.1] = -0.0
+        tracemalloc.start()
+        try:
+            psi = Wavefunction2.symmetric(Grid1D(0.0, 1.0, n), raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the result and one triangle, never a third n x n grid
+        assert peak < 2.5 * 16 * n * n
+        ref = np.triu(raw) + np.triu(raw, 1).T
+        assert psi.amp.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
 
     def test_product_is_exactly_symmetric(self):
         g = Grid1D(-2.0, 2.0, 64)
