@@ -84,13 +84,12 @@ def rect_two_photon_out(x1, x2, length: float, params: PhysicalParams):
 class ProcessAmplitudes:
     """Amplitudes of the three interaction processes at a point (x1, x2):
     (i) both photons pass without absorption, (ii) exactly one is absorbed and
-    reemitted, (iii) both are absorbed and reemitted.  `nonlin_part` is the
-    nonlinear correction contained in p_iii."""
+    reemitted, (iii) both are absorbed and reemitted; p_iii contains the
+    nonlinear correction."""
 
     p_i: np.ndarray | float
     p_ii: np.ndarray | float
     p_iii: np.ndarray | float
-    nonlin_part: np.ndarray | float
 
     @property
     def total(self):
@@ -110,11 +109,11 @@ def rect_process_amplitudes(x1, x2, length: float, params: PhysicalParams) -> Pr
     a2 = np.exp(-k * (length - x2))
     p_i = np.broadcast_to(np.asarray(1.0 / length), np.broadcast(x1, x2).shape).copy()
     p_ii = (2.0 / length) * (a1 - 1.0) + (2.0 / length) * (a2 - 1.0)
-    nonlin = rect_nonlin_out(x1, x2, length, params)
-    p_iii = (4.0 / length) * (a1 - 1.0) * (a2 - 1.0) + nonlin
+    p_iii = ((4.0 / length) * (a1 - 1.0) * (a2 - 1.0)
+             + rect_nonlin_out(x1, x2, length, params))
     if p_ii.ndim == 0:
-        return ProcessAmplitudes(float(p_i), float(p_ii), float(p_iii), float(nonlin))
-    return ProcessAmplitudes(p_i, p_ii, p_iii, nonlin)
+        return ProcessAmplitudes(float(p_i), float(p_ii), float(p_iii))
+    return ProcessAmplitudes(p_i, p_ii, p_iii)
 
 
 def longpulse_psi_out(x1, x2, length: float, params: PhysicalParams):

@@ -441,8 +441,7 @@ class LabState1:
         object.__setattr__(self, "field", f)
 
     def total_norm(self) -> float:
-        return float(np.sum(np.abs(self.field) ** 2) * self.grid.dx
-                     + abs(self.excited) ** 2)
+        return lab_norm(self.field, self.excited, self.grid.dx)
 
 
 @dataclass(frozen=True)
@@ -468,7 +467,25 @@ class LabState2:
         object.__setattr__(self, "excited1", e)
 
     def total_norm(self) -> float:
-        dx = self.grid.dx
-        # e(r) stands for both (E, r) and (r, E), equal by symmetry
-        return float(np.sum(np.abs(self.field2) ** 2) * dx * dx
-                     + 2.0 * np.sum(np.abs(self.excited1) ** 2) * dx)
+        return lab_norm(self.field2, self.excited1, self.grid.dx)
+
+
+def excitation_probability(rank: int, dx: float):
+    """The atom's excitation probability as a function of the excited
+    amplitude of a lab state whose field has `rank` photons: |E|^2 for the
+    scalar one-photon E, the sum of |e(r)|^2 dx for the two-photon e(r).
+    Chosen once per rank, so a step loop pays no dispatch on the scalar."""
+    if rank == 1:
+        return lambda e: abs(e) ** 2
+    return lambda e: np.sum(np.abs(e) ** 2) * dx
+
+
+def lab_norm(field: np.ndarray, excited, dx: float) -> float:
+    """Total norm of a lab state: the field's cell sum times dx once per axis,
+    plus the excitation probability once per photon, because e(r) stands for
+    both (E, r) and (r, E), equal by symmetry."""
+    rank = field.ndim
+    total = np.sum(np.abs(field) ** 2)
+    for _ in range(rank):
+        total = total * dx
+    return float(total + rank * excitation_probability(rank, dx)(excited))

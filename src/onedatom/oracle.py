@@ -1,13 +1,17 @@
 """Independent lab-frame time-domain integrator for the field-atom equations
 of motion, used to cross-validate the closed-form scattering map.
 
-Scheme: method of characteristics with dt = dx/c.  Free propagation is exact
-(cell relabeling in a frame moving with the light), so the only discretization
-error sits in the local atom coupling.  The atom line sweeps one cell per
-step; the cell being crossed provides the incoming amplitude at 0- and, after
-crossing, receives the emitted amplitude at 0+.
+Scheme: method of characteristics with dt = dx/c, one loop for any photon
+number d.  The state is a rank-d field phi on a uniform cell grid plus the
+rank-(d-1) amplitude E of the excited atom and the other photons: a scalar
+for one photon, e(r) for two.  Free propagation is exact (cell relabeling in
+a frame moving with the light), so the only discretization error sits in the
+local atom coupling.  The atom line sweeps one cell per step; the crossed line
+provides the incoming amplitude at 0- and, after crossing, receives the
+emitted amplitude at 0+ along every axis.  Two photons add one structural
+rule: no amplitude holds two excitations, as a two-level atom cannot.
 
-The excitation ODE dE/dt = -gamma E - sqrt(2 gamma c) psi(0-) is integrated
+The excitation ODE dE/dt = -gamma E - sqrt(2 gamma c) phi(0-) is integrated
 with an explicit midpoint step (the incoming amplitude is constant along the
 characteristic crossing the atom).  The emission deposited into the crossed
 cell blends the step's start and end excitation as (2 E_start + E_end)/3: the
@@ -32,6 +36,8 @@ from .model import (
     PhysicalParams,
     Wavefunction1,
     Wavefunction2,
+    excitation_probability,
+    lab_norm,
     rectangular_pulse,
 )
 
@@ -40,8 +46,7 @@ __all__ = [
     "evolve_two_photon",
     "excitation_trace",
     "ExcitationTrace",
-    "OnePhotonRun",
-    "TwoPhotonRun",
+    "LabRun",
     "one_photon_initial",
     "two_photon_initial",
     "far_field_one_photon",
@@ -66,22 +71,17 @@ class ExcitationTrace:
 
 
 @dataclass(frozen=True)
-class OnePhotonRun:
-    state: LabState1
+class LabRun:
+    """A completed lab-frame run: the final state, the excitation trace if
+    recorded, and the total norm after every norm_stride-th step and after
+    the last step if norm_stride > 0."""
+
+    state: LabState1 | LabState2
     trace: ExcitationTrace | None = None
-    norm_times: np.ndarray | None = None
     norm_values: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class TwoPhotonRun:
-    state: LabState2
-    trace: ExcitationTrace | None = None
-    norm_times: np.ndarray | None = None
-    norm_values: np.ndarray | None = None
-
-
-def excitation_trace(run: OnePhotonRun | TwoPhotonRun) -> ExcitationTrace:
+def excitation_trace(run: LabRun) -> ExcitationTrace:
     """Excitation time series of a completed run; raises if the run was made
     without tracing."""
     if run.trace is None:
@@ -157,138 +157,88 @@ def _prepare(initial_grid: Grid1D, t0: float, dx: float, t_final: float,
     return centers, steps, j_first
 
 
-def _midpoint_coeffs(gamma: float, dt: float) -> tuple[float, float]:
-    """E_new = a E + b F for the explicit midpoint step of
-    dE/dt = -gamma E + F with F constant during the step."""
-    gdt = gamma * dt
-    return 1.0 - gdt + 0.5 * gdt * gdt, dt * (1.0 - 0.5 * gdt)
+def _evolve(initial: LabState1 | LabState2, field: np.ndarray, excited, dx: float,
+            t_final: float, params: PhysicalParams, record_trace: bool,
+            norm_stride: int) -> LabRun:
+    """Run the scheme on a rank-d field and its rank-(d-1) excited amplitude:
+    read the crossed line phi[j], advance E, deposit along every axis."""
+    _validate_dx(dx)
+    if not np.all(np.isfinite(field)):
+        raise ValueError("initial field must be finite")
+    # one axis suffices: a two-photon field is checked symmetric before this
+    if np.any(field[initial.grid.points >= 0]):
+        raise ValueError("initial field must be supported at r_i < 0")
+    if np.any(np.abs(excited) > 0):
+        raise ValueError("the atom must start in the ground state")
+
+    centers, steps, j_first = _prepare(initial.grid, initial.t, dx, t_final, params)
+    n, rank = len(centers), field.ndim
+    window = (slice(n - initial.grid.n, None),) * rank
+    phi = np.zeros((n,) * rank, dtype=complex)
+    phi[window] = field
+    e = np.zeros((n,) * (rank - 1), dtype=complex)
+    e[window[1:]] = excited
+    e = e[()]                                   # a scalar for one photon
+
+    gamma, c = params.gamma, params.c
+    dt = dx / c
+    s_abs = -math.sqrt(2.0 * gamma * c)         # absorption, sign included
+    s_em = math.sqrt(2.0 * gamma / c)
+    gdt = gamma * dt                    # midpoint step E_new = a E + b F, F held
+    a_coef, b_coef = 1.0 - gdt + 0.5 * gdt * gdt, dt * (1.0 - 0.5 * gdt)
+    w_start, w_end = 1.0 - DEPOSIT_END_WEIGHT, DEPOSIT_END_WEIGHT
+    lines = [np.moveaxis(phi, axis, 0) for axis in range(rank)]  # [j]: line j
+    excitation = excitation_probability(rank, dx)
+    trace = np.empty(steps) if record_trace else None
+    norm_vals = []
+    for m in range(steps):
+        j = j_first - m
+        if 0 <= j < n:
+            forcing = s_abs * phi[j]            # phi(0-, ...), before this step's emission
+            e_new = a_coef * e + b_coef * forcing
+            deposit = s_em * (w_start * e + w_end * e_new)
+            for line in lines:
+                line[j] += deposit
+        else:
+            e_new = a_coef * e
+        e = e_new
+        if record_trace:
+            trace[m] = excitation(e)
+        if norm_stride and (m % norm_stride == 0 or m == steps - 1):
+            norm_vals.append(lab_norm(phi, e, dx))
+
+    t_f = initial.t + steps * dt
+    state = type(initial)(t_f, _cell_grid(centers + c * t_f), phi, e)
+    if record_trace:
+        trace = ExcitationTrace(initial.t + dt * (1 + np.arange(steps)), trace)
+    return LabRun(state, trace, np.asarray(norm_vals) if norm_stride else None)
 
 
 def evolve_one_photon(initial: LabState1, dx: float, t_final: float,
                       params: PhysicalParams, record_trace: bool = False,
-                      norm_stride: int = 0) -> OnePhotonRun:
+                      norm_stride: int = 0) -> LabRun:
     """Integrate the one-photon lab-frame dynamics up to t_final.
 
     The initial field must be incoming only (zero at r >= 0) with the atom in
     the ground state; dx must match the initial grid spacing and the atom must
     sit on a cell boundary.
     """
-    _validate_dx(dx)
-    if not np.all(np.isfinite(initial.field)):
-        raise ValueError("initial field must be finite")
-    if np.any(np.abs(initial.field[initial.grid.points >= 0]) > 0):
-        raise ValueError("initial field must be supported at r < 0")
-    if abs(initial.excited) > 0:
-        raise ValueError("the atom must start in the ground state")
-
-    centers, steps, j_first = _prepare(initial.grid, initial.t, dx, t_final, params)
-    n = len(centers)
-    psi = np.zeros(n, dtype=complex)
-    psi[n - initial.grid.n:] = initial.field
-
-    gamma, c = params.gamma, params.c
-    dt = dx / c
-    s_abs = math.sqrt(2.0 * gamma * c)
-    s_em = math.sqrt(2.0 * gamma / c)
-    a_coef, b_coef = _midpoint_coeffs(gamma, dt)
-    wt = DEPOSIT_END_WEIGHT
-
-    excited = complex(initial.excited)
-    trace = np.empty(steps) if record_trace else None
-    norm_vals = [] if norm_stride else None
-    for m in range(steps):
-        j = j_first - m
-        if 0 <= j < n:
-            forcing = -s_abs * psi[j]
-            e_new = a_coef * excited + b_coef * forcing
-            psi[j] += s_em * ((1.0 - wt) * excited + wt * e_new)
-        else:
-            e_new = a_coef * excited
-        excited = e_new
-        if record_trace:
-            trace[m] = abs(excited) ** 2
-        if norm_stride and (m % norm_stride == 0 or m == steps - 1):
-            norm_vals.append(np.sum(np.abs(psi) ** 2) * dx + abs(excited) ** 2)
-
-    t_f = initial.t + steps * dt
-    state = LabState1(t=t_f, grid=_cell_grid(centers + c * t_f), field=psi,
-                      excited=excited)
-    times = initial.t + dt * (1 + np.arange(steps))
-    return OnePhotonRun(
-        state=state,
-        trace=ExcitationTrace(times, trace) if record_trace else None,
-        norm_times=None if not norm_stride else times[::norm_stride],
-        norm_values=None if not norm_stride else np.asarray(norm_vals),
-    )
+    return _evolve(initial, initial.field, initial.excited, dx, t_final, params,
+                   record_trace, norm_stride)
 
 
 def evolve_two_photon(initial: LabState2, dx: float, t_final: float,
                       params: PhysicalParams, record_trace: bool = False,
-                      norm_stride: int = 0) -> TwoPhotonRun:
-    """Integrate the two-photon lab-frame dynamics up to t_final.
-
-    The same characteristics scheme runs along both coordinates.  e(r) obeys
-    advection plus -gamma e - sqrt(2 gamma c) phi(0-, r), and the field gains
-    sqrt(2 gamma/c) e on the just-downstream line of each axis.  No
-    doubly-excited amplitude exists anywhere in the update.
-    """
-    _validate_dx(dx)
-    if not np.all(np.isfinite(initial.field2)):
-        raise ValueError("initial field must be finite")
-    outgoing = initial.grid.points >= 0
-    if np.any(np.abs(initial.field2[outgoing, :]) > 0) \
-            or np.any(np.abs(initial.field2[:, outgoing]) > 0):
-        raise ValueError("initial field must be supported at r_i < 0")
-    if np.any(np.abs(initial.excited1) > 0):
-        raise ValueError("the atom must start in the ground state")
-    if np.max(np.abs(initial.field2 - initial.field2.T)) > 0:
+                      norm_stride: int = 0) -> LabRun:
+    """Integrate the two-photon lab-frame dynamics up to t_final: the
+    one-photon scheme run along both coordinates, with e(r) as the excited
+    amplitude.  The initial field must also be exchange symmetric."""
+    field = initial.field2
+    # unlike a difference, array_equal neither warns on inf nor flags nan here
+    if not np.array_equal(field, field.T, equal_nan=True):
         raise ValueError("initial two-photon field must be symmetric")
-
-    centers, steps, j_first = _prepare(initial.grid, initial.t, dx, t_final, params)
-    n = len(centers)
-    n0 = initial.grid.n
-    phi = np.zeros((n, n), dtype=complex)
-    phi[n - n0:, n - n0:] = initial.field2
-    e_amp = np.zeros(n, dtype=complex)
-    e_amp[n - n0:] = initial.excited1
-
-    gamma, c = params.gamma, params.c
-    dt = dx / c
-    s_abs = math.sqrt(2.0 * gamma * c)
-    s_em = math.sqrt(2.0 * gamma / c)
-    a_coef, b_coef = _midpoint_coeffs(gamma, dt)
-    wt = DEPOSIT_END_WEIGHT
-
-    trace = np.empty(steps) if record_trace else None
-    norm_vals = [] if norm_stride else None
-    for m in range(steps):
-        j = j_first - m
-        if 0 <= j < n:
-            row = phi[j, :].copy()              # phi(0-, x), before this step's emission
-            forcing = -s_abs * row
-            e_new = a_coef * e_amp + b_coef * forcing
-            deposit = s_em * ((1.0 - wt) * e_amp + wt * e_new)
-            phi[j, :] += deposit
-            phi[:, j] += deposit
-        else:
-            e_new = a_coef * e_amp
-        e_amp = e_new
-        if record_trace:
-            trace[m] = np.sum(np.abs(e_amp) ** 2) * dx
-        if norm_stride and (m % norm_stride == 0 or m == steps - 1):
-            norm_vals.append(np.sum(np.abs(phi) ** 2) * dx * dx
-                             + 2.0 * np.sum(np.abs(e_amp) ** 2) * dx)
-
-    t_f = initial.t + steps * dt
-    state = LabState2(t=t_f, grid=_cell_grid(centers + c * t_f), field2=phi,
-                      excited1=e_amp)
-    times = initial.t + dt * (1 + np.arange(steps))
-    return TwoPhotonRun(
-        state=state,
-        trace=ExcitationTrace(times, trace) if record_trace else None,
-        norm_times=None if not norm_stride else times[::norm_stride],
-        norm_values=None if not norm_stride else np.asarray(norm_vals),
-    )
+    return _evolve(initial, field, initial.excited1, dx, t_final, params,
+                   record_trace, norm_stride)
 
 
 # ---------------------------------------------------------------------------
@@ -309,7 +259,7 @@ def far_field_two_photon(state: LabState2, params: PhysicalParams) -> Wavefuncti
 def run_one_photon_rect(length: float, dx: float, params: PhysicalParams,
                         pad: float = 5.0, clear: float = 15.0,
                         record_trace: bool = False,
-                        norm_stride: int = 0) -> OnePhotonRun:
+                        norm_stride: int = 0) -> LabRun:
     """Build and evolve a rectangular-pulse run until the trailing edge has
     cleared the atom by clear*c/gamma (residual excitation ~ e^{-clear})."""
     initial = one_photon_initial(length, dx, params, pad)
@@ -320,7 +270,7 @@ def run_one_photon_rect(length: float, dx: float, params: PhysicalParams,
 def run_two_photon_rect(length: float, dx: float, params: PhysicalParams,
                         pad: float = 5.0, clear: float = 15.0,
                         record_trace: bool = False,
-                        norm_stride: int = 0) -> TwoPhotonRun:
+                        norm_stride: int = 0) -> LabRun:
     initial = two_photon_initial(length, dx, params, pad)
     return evolve_two_photon(initial, dx, clear / params.gamma, params,
                              record_trace=record_trace, norm_stride=norm_stride)
@@ -333,7 +283,7 @@ def relative_l2(values: np.ndarray, reference: np.ndarray) -> float:
     return num / den if den > 0 else num
 
 
-def rect_error_one_photon(run: OnePhotonRun, length: float,
+def rect_error_one_photon(run: LabRun, length: float,
                           params: PhysicalParams) -> float:
     """Relative L2 deviation of the far field from the closed-form output,
     over the captured window."""
@@ -342,7 +292,7 @@ def rect_error_one_photon(run: OnePhotonRun, length: float,
     return relative_l2(ff.amp, ref.astype(complex))
 
 
-def rect_error_two_photon(run: TwoPhotonRun, length: float,
+def rect_error_two_photon(run: LabRun, length: float,
                           params: PhysicalParams) -> float:
     ff = far_field_two_photon(run.state, params)
     x = ff.grid.points

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from onedatom import (
     Grid1D,
@@ -12,6 +14,7 @@ from onedatom import (
     evolve_two_photon,
     excitation_trace,
     far_field_one_photon,
+    far_field_two_photon,
     one_photon_initial,
     run_one_photon_rect,
     run_two_photon_rect,
@@ -59,6 +62,15 @@ class TestPreconditions:
                        excited1=initial.excited1)
         with pytest.raises(ValueError):
             evolve_two_photon(st, 0.1, 1.0, P)
+
+    def test_rejects_infinite_two_photon_without_a_warning(self):
+        initial = two_photon_initial(2.0, 0.1, P)
+        amp = initial.field2.copy()
+        amp[0, 0] = math.inf
+        state = LabState2(t=initial.t, grid=initial.grid, field2=amp,
+                          excited1=initial.excited1)
+        with pytest.raises(ValueError, match="finite"):
+            evolve_two_photon(state, 0.1, 1.0, P)
 
     def test_memory_layout_is_irrelevant(self):
         initial = two_photon_initial(2.0, 0.1, P)
@@ -119,10 +131,39 @@ class TestOnePhotonConvergence:
         drift_half = np.max(np.abs(run_half.norm_values - run_half.norm_values[0]))
         assert 1.7 <= drift / drift_half <= 2.3
 
-    def test_causality_upstream_cells_untouched(self):
-        run = run_one_photon_rect(2.0, 0.02, P)
-        ff = far_field_one_photon(run.state, P)
-        assert np.max(np.abs(ff.amp[ff.grid.points > 2.0])) == 0.0
+
+@pytest.mark.parametrize("run_rect, far_field, dx", [
+    (run_one_photon_rect, far_field_one_photon, 0.02),
+    (run_two_photon_rect, far_field_two_photon, 0.04),
+], ids=["one", "two"])
+def test_causality_upstream_cells_untouched(run_rect, far_field, dx):
+    """The far field is exactly 0 wherever any coordinate lies upstream of
+    the pulse (x_i > L): nothing reaches a cell the atom crossed before the
+    pulse arrived."""
+    ff = far_field(run_rect(2.0, dx, P).state, P)
+    upstream = ff.grid.points > 2.0
+    assert np.any(upstream)
+    for axis in range(ff.amp.ndim):
+        assert np.max(np.abs(np.moveaxis(ff.amp, axis, 0)[upstream])) == 0.0
+
+
+@pytest.mark.parametrize("stride", [1, 7, 10])
+@pytest.mark.parametrize("initial, evolve, dx", [
+    (one_photon_initial, evolve_one_photon, 0.05),
+    (two_photon_initial, evolve_two_photon, 0.1),
+], ids=["one", "two"])
+def test_norm_sampled_every_stride_and_at_the_last_step(initial, evolve, dx, stride):
+    start = initial(2.0, dx, P)
+    run = evolve(start, dx, 15.0, P, record_trace=True, norm_stride=stride)
+    steps = len(run.trace.values)
+    sampled = sorted(set(range(0, steps, stride)) | {steps - 1})
+    assert len(run.norm_values) == len(sampled)
+    # the state's grid spacing is rebuilt from its points, so not to the bit
+    assert run.norm_values[-1] == pytest.approx(run.state.total_norm(), rel=1e-12)
+    # sample k is the norm after step sampled[k], at t0 + (sampled[k] + 1) dt
+    for k in (1, len(sampled) // 2):
+        mid = evolve(start, dx, start.t + (sampled[k] + 1) * dx / P.c, P)
+        assert run.norm_values[k] == pytest.approx(mid.state.total_norm(), rel=1e-12)
 
 
 class TestExcitationTrace:
@@ -152,8 +193,11 @@ class TestTwoPhoton:
         run = run_two_photon_rect(length, 0.02, P)
         assert rect_error_two_photon(run, length, P) <= 3e-2
 
-    def test_field_exactly_symmetric(self):
-        run = run_two_photon_rect(2.0, 0.04, P)
+    @settings(max_examples=20, deadline=None)
+    @given(length=st.sampled_from([0.4, 1.0, 2.0, 3.0]),
+           dx=st.sampled_from([0.04, 0.05, 0.1]))
+    def test_field_exactly_symmetric(self, length, dx):
+        run = run_two_photon_rect(length, dx, P)
         assert np.max(np.abs(run.state.field2 - run.state.field2.T)) == 0.0
 
     def test_norm_drift_halves(self):
