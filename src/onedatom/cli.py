@@ -316,6 +316,7 @@ def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
         "run.linear_only": linear_only,
         "run.zero_count": len(zeros),
         "run.undefined_tau": undefined,
+        "run.density_rows": curve.density_rows,
         "run.seconds": elapsed,
         "run.write_seconds": time.perf_counter() - started,
         **{f"run.zero_{i}": z for i, z in enumerate(zeros)},

@@ -29,9 +29,18 @@ __all__ = [
     "max_asymmetry",
 ]
 
-# Rows per block wherever a two-photon grid is assembled or read row by row;
-# a block of complex rows takes 16 * ASSEMBLE_BLOCK * n bytes.
-ASSEMBLE_BLOCK = 512
+# Cells per block wherever a two-photon grid is assembled, mapped, mirrored
+# or read in blocks of rows or columns: a complex block takes at most
+# 16 * BLOCK_CELLS bytes (1 MiB), so at any n the temporaries of a blocked
+# loop stay far below one n x n grid.
+BLOCK_CELLS = 1 << 16
+
+
+def blocks(lo: int, hi: int, width: int):
+    """(i0, i1) ranges splitting lo:hi into blocks of at most BLOCK_CELLS
+    cells, each index standing for `width` cells (one index at least)."""
+    step = max(1, BLOCK_CELLS // width)
+    return ((i0, min(i0 + step, hi)) for i0 in range(lo, hi, step))
 
 
 @dataclass(frozen=True)
@@ -346,12 +355,19 @@ def norm1(psi: Wavefunction1) -> float:
     return max(float(np.dot(w, np.abs(psi.amp) ** 2)), 0.0)
 
 
-def _mirrored(amp: np.ndarray) -> np.ndarray:
-    """Exactly symmetric copy: the upper triangle (including the diagonal) is
-    mirrored into the lower one."""
-    out = np.triu(amp)
-    out += np.triu(amp, 1).T
-    return out
+def _mirror(amp: np.ndarray) -> np.ndarray:
+    """Make a square grid exactly symmetric in place and return it: the upper
+    triangle (including the diagonal) is mirrored into the lower one, block
+    by block.  Adding +0.0 to the kept triangle turns a -0.0 into +0.0 on
+    both sides, the bits of the sum triu(a) + triu(a, 1).T."""
+    n = len(amp)
+    for i0, i1 in blocks(0, n, n):
+        amp[i0:i1, i0:] += 0.0
+        diag = amp[i0:i1, i0:i1]
+        lower = np.tril_indices(i1 - i0, -1)
+        diag[lower] = diag.T[lower]
+        amp[i0:i1, :i0] = amp[:i0, i0:i1].T
+    return amp
 
 
 @dataclass(frozen=True)
@@ -382,7 +398,7 @@ class Wavefunction2:
 
     @classmethod
     def symmetric(cls, grid: Grid1D, amp) -> "Wavefunction2":
-        return cls(grid, _mirrored(np.asarray(amp, dtype=complex)))
+        return cls(grid, _mirror(np.array(amp, dtype=complex)))
 
     def at(self, i, j) -> np.ndarray:
         """Amplitudes at the node pairs (i, j); index arrays broadcast."""
@@ -393,16 +409,20 @@ class Wavefunction2:
         return self.amp[i0:i1]
 
 
-def _row_density(psi: Wavefunction2, w: np.ndarray) -> np.ndarray:
-    """sum_j w[j] |amp[i, j]|^2 for each row i, read through `rows` in
-    blocks.  numpy's own reduction, not a BLAS product: the result does not
-    depend on how many threads BLAS would split the rows between."""
-    out = np.empty(psi.grid.n)
-    for i0 in range(0, psi.grid.n, ASSEMBLE_BLOCK):
-        sq = np.abs(psi.rows(i0, i0 + ASSEMBLE_BLOCK))
+def _row_density(psi: Wavefunction2, w: np.ndarray, lo: int = 0,
+                 hi: int | None = None) -> np.ndarray:
+    """sum_j w[j] |amp[i, j]|^2 for each row i in lo:hi (all rows by
+    default), read through `rows` in blocks.  numpy's own reduction, not a
+    BLAS product: the result does not depend on how many threads BLAS would
+    split the rows between, nor on the block size."""
+    n = psi.grid.n
+    hi = n if hi is None else hi
+    out = np.empty(hi - lo)
+    for i0, i1 in blocks(lo, hi, n):
+        sq = np.abs(psi.rows(i0, i1))
         sq *= sq
         sq *= w
-        out[i0:i0 + ASSEMBLE_BLOCK] = np.sum(sq, axis=1)
+        out[i0 - lo:i1 - lo] = np.sum(sq, axis=1)
         del sq                          # freed before the next block is built
     return out
 

@@ -32,11 +32,12 @@ from functools import cached_property
 import numpy as np
 
 from .model import (
-    ASSEMBLE_BLOCK,
     Grid1D,
     PhysicalParams,
     Wavefunction1,
     Wavefunction2,
+    _mirror,
+    blocks,
 )
 
 __all__ = [
@@ -105,12 +106,22 @@ def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
     bshape = (...,) + (None,) * (left.ndim - 1)
     decay, a, b = _cell_weights(np.diff(edges), kappa)
     source = a[bshape] * left + b[bshape] * right
-    K = np.zeros((n_cells + 1,) + left.shape[1:], dtype=complex)
-    for k in range(n_cells - 1, -1, -1):
-        K[k] = decay[k] * K[k + 1] + source[k]
-    # the first node at or right of e, then the partial cell [e, that node]
+    # the first node at or right of e; K is read from the lowest one up
     j = np.searchsorted(edges, evals, side="right")
     nxt = np.minimum(j, n_cells)
+    steps = range(n_cells - 1, int(nxt.min(initial=n_cells)) - 1, -1)
+    K = np.zeros((n_cells + 1,) + left.shape[1:], dtype=complex)
+    # a scalar step is cheapest on numpy scalars; a row step runs in place on
+    # views, as column blocks make narrow rows whose steps are mostly calls
+    if K.ndim == 1:
+        for k in steps:
+            K[k] = decay[k] * K[k + 1] + source[k]
+    else:
+        rows, src, dec = list(K), list(source), decay.tolist()
+        for k in steps:
+            np.multiply(rows[k + 1], dec[k], out=rows[k])
+            rows[k] += src[k]
+    # then the partial cell [e, that node]
     decay_e, a_e, b_e = _cell_weights(np.maximum(edges[nxt] - evals, 0.0), kappa)
     k = np.clip(j - 1, 0, n_cells - 1)
     cell, node = k, nxt
@@ -149,6 +160,29 @@ def _one_photon_map(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
     """psi(e) - 2 kappa K(e) for the cell data of `_tail`, along axis 0."""
     tail, out = _tail(edges, left, right, evals, kappa)
     out -= 2.0 * kappa * tail
+    return out
+
+
+def _tail_only(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
+               evals: np.ndarray, kappa: float) -> np.ndarray:
+    """K(e) of `_tail` without the data's value."""
+    return _tail(edges, left, right, evals, kappa)[0]
+
+
+def _map_columns(along_axis0, edges: np.ndarray, a: np.ndarray, evals: np.ndarray,
+                 kappa: float, *, upper: bool = False) -> np.ndarray:
+    """`_one_photon_map` or `_tail_only` of the samples a along axis 0, into
+    a new C-contiguous grid whose row j is column j mapped.  Columns are
+    mapped in blocks of at most BLOCK_CELLS cells per temporary; this is
+    exact, because `_tail` maps each column on its own.  With upper=True
+    only the upper triangle (row <= column) is evaluated and the rest is
+    left unset, for `_mirror` to fill."""
+    cols = a.shape[1]
+    out = np.empty((cols, len(evals)), dtype=complex)
+    for c0, c1 in blocks(0, cols, max(len(edges), len(evals))):
+        e0 = c0 if upper else 0
+        out[c0:c1, e0:] = along_axis0(edges, a[:-1, c0:c1], a[1:, c0:c1],
+                                      evals[e0:], kappa).T
     return out
 
 
@@ -192,12 +226,11 @@ def _nonlinear_at(xs: np.ndarray, tail_sq: np.ndarray, kappa: float,
                   i: np.ndarray, j: np.ndarray) -> np.ndarray:
     """-4 kappa^2 e^{-k(M-x_i)} e^{-k(M-x_j)} tail_sq[max(i,j)] with
     M = max(x_i, x_j), at the node pairs (i, j); index arrays broadcast."""
-    x1, x2 = xs[i], xs[j]
-    m = np.maximum(x1, x2)
-    # the two exponentials swap under i <-> j, so grouping their product
-    # first makes the result exactly symmetric
+    # one of M - x_i, M - x_j is 0, whose exponential is exactly 1, and the
+    # other is |x_i - x_j|: one exponential per cell gives the same bits, and
+    # the same under i <-> j, so the result is exactly symmetric
     return (-4.0 * kappa * kappa) \
-        * (np.exp(-kappa * (m - x1)) * np.exp(-kappa * (m - x2))) * tail_sq[np.maximum(i, j)]
+        * np.exp(-kappa * np.abs(xs[i] - xs[j])) * tail_sq[np.maximum(i, j)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -254,8 +287,8 @@ class ScatteredState:
         else:
             n = self.grid.n
             out = np.empty((n, n), dtype=complex)
-            for i0 in range(0, n, ASSEMBLE_BLOCK):
-                out[i0:i0 + ASSEMBLE_BLOCK] = self.rows(i0, i0 + ASSEMBLE_BLOCK)
+            for i0, i1 in blocks(0, n, n):
+                out[i0:i1] = self.rows(i0, i1)
         out.setflags(write=False)
         return out
 
@@ -273,11 +306,11 @@ def apply_two_photon_linear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D
     k = params.gamma_over_c
     pts = psi.grid.points
     xs = out_grid.points
-    # axis 0, then axis 1
-    a = psi.amp
-    bt = np.ascontiguousarray(_one_photon_map(pts, a[:-1], a[1:], xs, k).T)
-    out = _one_photon_map(pts, bt[:-1], bt[1:], xs, k)
-    return ScatteredState(out_grid, linear=Wavefunction2.symmetric(out_grid, out.T))
+    # axis 0, then axis 1 into the upper triangle of the one output grid,
+    # mirrored in place
+    bt = _map_columns(_one_photon_map, pts, psi.amp, xs, k)
+    out = _map_columns(_one_photon_map, pts, bt, xs, k, upper=True)
+    return ScatteredState(out_grid, linear=Wavefunction2(out_grid, _mirror(out)))
 
 
 def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
@@ -302,9 +335,11 @@ def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Gri
         # inner tail along axis 0 at the output points, then the outer tail
         # along axis 1; the physical value needs both tails anchored at the
         # same M, so column i of the inner tail is taken only at x_i
-        a = psi.amp
-        inner = np.ascontiguousarray(_tail(pts, a[:-1], a[1:], xs, k)[0].T)  # (n_in, n)
-        tail_sq, _ = _tail(pts, inner[:-1], inner[1:], xs, k, diagonal=True)
+        inner = _map_columns(_tail_only, pts, psi.amp, xs, k)       # (n_in, n)
+        tail_sq = np.empty(out_grid.n, dtype=complex)
+        for c0, c1 in blocks(0, out_grid.n, max(len(pts), out_grid.n)):
+            tail_sq[c0:c1] = _tail(pts, inner[:-1, c0:c1], inner[1:, c0:c1],
+                                   xs[c0:c1], k, diagonal=True)[0]
     return ScatteredState(out_grid, tail_sq=tail_sq, kappa=k)
 
 

@@ -134,6 +134,19 @@ class TestG2:
         assert np.count_nonzero(np.isnan(read_curve(out / "g2_curve.csv").values)) == count
         assert f"g2 undefined at {count} tau" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("kind", ["gaussian", "rectangular"])
+    def test_density_rows_recorded(self, kind, tmp_path):
+        # the local density of the default gaussian reads only the rows under
+        # anchor + tau, [0, 20] of [-10, 20]; the long-pulse normalisation none
+        out = tmp_path / "g2"
+        assert main(["g2", "--out", str(out), "--pulse.kind", kind]) == 0
+        rows = int(manifest_entries(out / "manifest.txt")["run.density_rows"])
+        if kind == "gaussian":
+            assert 0 < rows < 512
+            assert rows == pytest.approx(512 * 2 / 3, abs=2)
+        else:
+            assert rows == 0
+
     def test_tau_window_outside_grid(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "run.cfg")
         out = tmp_path / "g2far"
@@ -307,10 +320,13 @@ def test_check_failure_prints_summary(tmp_path, capsys):
     assert float(entries["check.max_abs_total"]) > 1e-30
 
 
-@pytest.mark.parametrize("extra", [[], ["--linear-only"]], ids=["total", "linear-only"])
+@pytest.mark.parametrize("extra", [[], ["--linear-only"], ["--pulse.kind", "gaussian",
+                                                         "--pulse.center", "0.0"]],
+                         ids=["total", "linear-only", "gaussian"])
 def test_g2_builds_no_grid(extra, tmp_path):
-    # g2 on a product input reads the scattered pair from its O(n) generators;
-    # a quarter of one dense n x n complex grid bounds its peak
+    # g2 on a product input reads the scattered pair from its O(n) generators,
+    # and a sampled pulse's local density reads row blocks of them; an eighth
+    # of one dense n x n complex grid bounds its peak
     n = 2048
     cfg = write_config(tmp_path / "run.cfg", **{"grid.n": n})
     tracemalloc.start()
@@ -319,7 +335,7 @@ def test_g2_builds_no_grid(extra, tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * n ** 2 / 4
+    assert peak < 16 * n ** 2 / 8
 
 
 @pytest.mark.parametrize("argv", [

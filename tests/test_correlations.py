@@ -3,9 +3,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import onedatom
 from onedatom import (
@@ -16,11 +19,16 @@ from onedatom import (
     apply_two_photon,
     find_dip_zeros,
     g2_slice,
+    gaussian_pulse,
     longpulse_g2,
+    norm2,
     normalized_g2,
     rectangular_pulse,
     second_order_correlation,
 )
+from onedatom import model
+from onedatom.correlations import marginal_density
+from onedatom.model import _row_density, grid_weights
 
 P = PhysicalParams()
 L = 40.0
@@ -94,6 +102,51 @@ class TestNormalizedG2:
             normalized_g2(scattered.total, 20.0, 0.0, -1.0, P)
 
 
+class TestMarginalDensity:
+    def test_rejects_non_finite_points(self, scattered):
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                marginal_density(scattered.total, [20.0, bad], P)
+        with pytest.raises(ValueError, match="outside"):
+            marginal_density(scattered.total, [20.0, L + 1.0], P)
+
+    def test_no_points_read_no_rows(self, scattered):
+        assert marginal_density(scattered.total, [], P).shape == (0,)
+
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["rectangular", "sampled", "general", "dense"]),
+           n=st.integers(2, 90), start=st.floats(0.0, 1.0), width=st.floats(0.0, 1.0),
+           nodes=st.integers(0, 3), block_cells=st.integers(1, 3000),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_window_matches_full_grid(self, kind, n, start, width, nodes,
+                                      block_cells, seed):
+        # the rows read for a window of points give the same densities, bit
+        # for bit, as interpolating the density of every row; and neither
+        # they nor norm2 depend on how many cells a block holds
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(-4.0, 6.0, n)
+        if kind == "dense":
+            amp = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            psi = Wavefunction2(grid, amp)
+        else:
+            f = gaussian_pulse(3.0, 0.8, Grid1D(0.0, 6.0, 31))
+            source = {"rectangular": rectangular_pulse(4.0), "sampled": f,
+                      "general": Wavefunction2.from_product(f)}[kind]
+            psi = apply_two_photon(source, grid, P).total
+        pts = grid.points
+        lo = pts[0] + start * (pts[-1] - pts[0])
+        hi = lo + width * (pts[-1] - lo)
+        inside = pts[(pts >= lo) & (pts <= hi)]
+        x = np.concatenate([rng.uniform(lo, hi, 5),
+                            rng.choice(inside, nodes) if len(inside) else []])
+        full = 2.0 * P.c * np.interp(x, pts, _row_density(psi, grid_weights(grid)))
+        norm = norm2(psi).hex()
+        assert np.array_equal(marginal_density(psi, x, P), full)
+        with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+            assert np.array_equal(marginal_density(psi, x, P), full)
+            assert norm2(psi).hex() == norm
+
+
 class TestCurve:
     def test_symmetric_in_tau_at_plateau_anchor(self, scattered):
         c = g2_slice(scattered.total, 10.0, (-4.0, 4.0), 1601, L, P)
@@ -157,8 +210,9 @@ class TestFindDipZeros:
             find_dip_zeros(c)
 
 
-# A row count that is not a multiple of the 512-row block, where a BLAS
-# matrix-vector product would split the rows between threads differently.
+# A row count that is not a multiple of the rows per block (2^16 cells over
+# 1500 columns is 43 rows), where a BLAS matrix-vector product would split
+# the rows between threads differently.
 _DENSITY_SCRIPT = """
 import sys
 import numpy as np

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from onedatom import (
     rect_two_photon_out,
     rectangular_pulse,
 )
+from onedatom import model
 from onedatom.propagate import ResolutionWarning, _cell_weights, _tail
 
 P = PhysicalParams()
@@ -437,16 +439,36 @@ class TestGeneral2DPath:
         x = gin.points
         a = np.exp(-((x[:, None] - 6.0) ** 2 + (x[None, :] - 5.0) ** 2))
         psi = Wavefunction2.symmetric(gin, a + a.T)
-        n = 512
+        n = 1024
         tracemalloc.start()
         try:
-            apply_two_photon_linear(psi, Grid1D(-10.0, 12.0, n), P)
+            res = apply_two_photon_linear(psi, Grid1D(-10.0, 12.0, n), P)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the second axis pass builds its partial cells in place: about 4.3
-        # n x n grids at the peak, where one expression per step needs 4.8
-        assert peak < 4.5 * 16 * n * n
+        # both axis passes map column blocks into preallocated grids and the
+        # output is mirrored in place: one n x n grid and bounded blocks
+        assert peak <= 2 * 16 * n * n
+        assert res.linear.amp.flags.c_contiguous
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_in=st.integers(2, 40), n=st.integers(2, 60),
+           block_cells=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
+    def test_blocks_do_not_change_bits(self, n_in, n, block_cells, seed):
+        # every map maps each column on its own and the mirror copies, so the
+        # block size cannot change a bit of the input or of either part
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(n_in, n_in)) + 1j * rng.normal(size=(n_in, n_in))
+        raw.real[rng.random((n_in, n_in)) < 0.2] = -0.0
+        gin, gout = Grid1D(0.0, 3.0, n_in), Grid1D(-2.0, 3.0, n)
+        psi = Wavefunction2.symmetric(gin, raw)
+        ref = apply_two_photon(psi, gout, P)
+        with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+            again = Wavefunction2.symmetric(gin, raw)
+            got = apply_two_photon(again, gout, P)
+            assert again.amp.tobytes() == psi.amp.tobytes()
+            for part in ("linear", "nonlinear"):
+                assert getattr(got, part).amp.tobytes() == getattr(ref, part).amp.tobytes()
 
     def test_memory_layout_is_irrelevant(self):
         gin = Grid1D(0.0, 6.0, 41)
