@@ -32,7 +32,7 @@ from .analytic import (
     rect_process_amplitudes,
     rect_two_photon_out,
 )
-from .correlations import find_dip_zeros, g2_slice
+from .correlations import _density_window, find_dip_zeros, g2_slice
 from .csvio import (
     read_wavefunction1,
     read_wavefunction2,
@@ -307,6 +307,10 @@ def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
                      length, params, local_density=not rectangular)
     zeros = find_dip_zeros(curve)
     undefined = int(np.count_nonzero(np.isnan(curve.values)))
+    # the rows g2_slice's local density read: those around anchor + c tau
+    # and the anchor itself
+    lo, hi = (0, 0) if rectangular else _density_window(
+        grid.points, np.append(cfg.anchor_x + params.c * curve.tau, cfg.anchor_x))
     elapsed = time.perf_counter() - started
 
     started = time.perf_counter()
@@ -316,7 +320,7 @@ def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
         "run.linear_only": linear_only,
         "run.zero_count": len(zeros),
         "run.undefined_tau": undefined,
-        "run.density_rows": curve.density_rows,
+        "run.density_rows": hi - lo,
         "run.seconds": elapsed,
         "run.write_seconds": time.perf_counter() - started,
         **{f"run.zero_{i}": z for i, z in enumerate(zeros)},

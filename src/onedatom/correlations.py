@@ -38,7 +38,6 @@ class CorrelationCurve:
     values: np.ndarray
     kind: str
     anchor_x: float
-    density_rows: int = 0   # grid rows the local-density normalisation read
 
     def __post_init__(self) -> None:
         t = np.asarray(self.tau, dtype=float)
@@ -79,9 +78,18 @@ def second_order_correlation(psi2: Wavefunction2, x: float, tau,
     return float(out) if out.ndim == 0 else out
 
 
-def _marginal_density(psi2: Wavefunction2, x, params: PhysicalParams):
-    """`marginal_density` and the number of grid rows it read: lo:hi, whose
-    cells bracket every point of x."""
+def _density_window(pts: np.ndarray, x: np.ndarray) -> tuple[int, int]:
+    """The grid rows lo:hi whose cells bracket every point of x, which must
+    be finite, inside the grid and not empty."""
+    lo = int(np.searchsorted(pts, np.min(x), side="right")) - 1
+    hi = int(np.searchsorted(pts, np.max(x), side="left")) + 1
+    return lo, hi
+
+
+def marginal_density(psi2: Wavefunction2, x, params: PhysicalParams):
+    """Single-photon detection probability density per unit time at
+    coordinate x: 2c * integral |psi(x, y)|^2 dy, read in row blocks, only
+    over the rows whose cells hold x."""
     x = np.asarray(x, dtype=float)
     pts = psi2.grid.points
     if not np.all(np.isfinite(x)):
@@ -89,20 +97,12 @@ def _marginal_density(psi2: Wavefunction2, x, params: PhysicalParams):
     if np.any(x < pts[0]) or np.any(x > pts[-1]):
         raise ValueError("evaluation point outside the wavefunction grid")
     if x.size == 0:
-        return 2.0 * params.c * x, 0
-    lo = int(np.searchsorted(pts, np.min(x), side="right")) - 1
-    hi = int(np.searchsorted(pts, np.max(x), side="left")) + 1
+        return 2.0 * params.c * x
+    lo, hi = _density_window(pts, x)
     # np.interp reads only the two nodes around each point, all in lo:hi
     rho = np.interp(x, pts[lo:hi], _row_density(psi2, grid_weights(psi2.grid), lo, hi))
     out = 2.0 * params.c * rho
-    return (float(out) if out.ndim == 0 else out), hi - lo
-
-
-def marginal_density(psi2: Wavefunction2, x, params: PhysicalParams):
-    """Single-photon detection probability density per unit time at
-    coordinate x: 2c * integral |psi(x, y)|^2 dy, read in row blocks, only
-    over the rows whose cells hold x."""
-    return _marginal_density(psi2, x, params)[0]
+    return float(out) if out.ndim == 0 else out
 
 
 def normalized_g2(psi2: Wavefunction2, x: float, tau, length: float,
@@ -115,24 +115,18 @@ def normalized_g2(psi2: Wavefunction2, x: float, tau, length: float,
     instead (for anchors outside the plateau); g2 is nan where their product
     is 0, beyond the pulse's reach or where it underflows.
     """
-    return _normalized_g2(psi2, x, tau, length, params, local_density)[0]
-
-
-def _normalized_g2(psi2: Wavefunction2, x: float, tau, length: float,
-                   params: PhysicalParams, local_density: bool):
-    """`normalized_g2` and the number of grid rows its density read."""
     if not (length > 0 and math.isfinite(length)):
         raise ValueError(f"pulse length must be positive, got {length}")
     g2 = second_order_correlation(psi2, x, tau, params)
     if not local_density:
-        return g2 / (2.0 * params.c / length) ** 2, 0
+        return g2 / (2.0 * params.c / length) ** 2
     tau = np.asarray(tau, dtype=float)
     # one pass over the rows for both coordinates; the anchor's density last
-    rho, rows = _marginal_density(psi2, np.append(x + params.c * tau, x), params)
+    rho = marginal_density(psi2, np.append(x + params.c * tau, x), params)
     density = rho[:-1].reshape(tau.shape) * rho[-1]
     with np.errstate(divide="ignore", invalid="ignore"):
         out = np.where(density > 0, g2 / density, np.nan)
-    return (float(out) if np.ndim(out) == 0 else out), rows
+    return float(out) if np.ndim(out) == 0 else out
 
 
 def g2_slice(psi2: Wavefunction2, x_anchor: float, tau_range: tuple[float, float],
@@ -142,9 +136,10 @@ def g2_slice(psi2: Wavefunction2, x_anchor: float, tau_range: tuple[float, float
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     tau = np.linspace(tau_range[0], tau_range[1], n_samples)
-    vals, rows = _normalized_g2(psi2, x_anchor, tau, length, params, local_density)
+    vals = normalized_g2(psi2, x_anchor, tau, length, params,
+                         local_density=local_density)
     return CorrelationCurve(tau=tau, values=np.asarray(vals, dtype=float),
-                            kind="normalized", anchor_x=x_anchor, density_rows=rows)
+                            kind="normalized", anchor_x=x_anchor)
 
 
 def find_dip_zeros(curve: CorrelationCurve) -> list[float]:

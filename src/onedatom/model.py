@@ -359,12 +359,14 @@ def _mirror(amp: np.ndarray) -> np.ndarray:
     """Make a square grid exactly symmetric in place and return it: the upper
     triangle (including the diagonal) is mirrored into the lower one, block
     by block.  Adding +0.0 to the kept triangle turns a -0.0 into +0.0 on
-    both sides, the bits of the sum triu(a) + triu(a, 1).T."""
+    both sides, the bits of the sum triu(a) + triu(a, 1).T.  Only the kept
+    triangle is read, so the lower one may be left unset."""
     n = len(amp)
     for i0, i1 in blocks(0, n, n):
-        amp[i0:i1, i0:] += 0.0
         diag = amp[i0:i1, i0:i1]
-        lower = np.tril_indices(i1 - i0, -1)
+        lower = np.tri(i1 - i0, k=-1, dtype=bool)
+        np.add(diag, 0.0, out=diag, where=~lower)
+        amp[i0:i1, i1:] += 0.0
         diag[lower] = diag.T[lower]
         amp[i0:i1, :i0] = amp[:i0, i0:i1].T
     return amp
@@ -398,7 +400,7 @@ class Wavefunction2:
 
     @classmethod
     def symmetric(cls, grid: Grid1D, amp) -> "Wavefunction2":
-        return cls(grid, _mirror(np.array(amp, dtype=complex)))
+        return cls(grid, _mirror(np.array(amp, dtype=complex, order="C")))
 
     def at(self, i, j) -> np.ndarray:
         """Amplitudes at the node pairs (i, j); index arrays broadcast."""

@@ -111,16 +111,13 @@ def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
     nxt = np.minimum(j, n_cells)
     steps = range(n_cells - 1, int(nxt.min(initial=n_cells)) - 1, -1)
     K = np.zeros((n_cells + 1,) + left.shape[1:], dtype=complex)
-    # a scalar step is cheapest on numpy scalars; a row step runs in place on
-    # views, as column blocks make narrow rows whose steps are mostly calls
-    if K.ndim == 1:
-        for k in steps:
-            K[k] = decay[k] * K[k + 1] + source[k]
-    else:
-        rows, src, dec = list(K), list(source), decay.tolist()
-        for k in steps:
-            np.multiply(rows[k + 1], dec[k], out=rows[k])
-            rows[k] += src[k]
+    # each step runs in place on row views (one column without a batch), as
+    # column blocks make narrow rows whose steps are mostly calls
+    rows = list(K.reshape(n_cells + 1, -1))
+    src, dec = list(source.reshape(n_cells, rows[0].size)), decay.tolist()
+    for k in steps:
+        np.multiply(rows[k + 1], dec[k], out=rows[k])
+        rows[k] += src[k]
     # then the partial cell [e, that node]
     decay_e, a_e, b_e = _cell_weights(np.maximum(edges[nxt] - evals, 0.0), kappa)
     k = np.clip(j - 1, 0, n_cells - 1)

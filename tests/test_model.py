@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from onedatom import (
     rectangular_pulse,
     rect_one_photon_out,
 )
-from onedatom.model import grid_weights
+from onedatom import model
+from onedatom.model import _mirror, grid_weights
 
 P = PhysicalParams()
 
@@ -163,6 +165,30 @@ class TestWavefunction2:
         assert peak < 2.5 * 16 * n * n
         ref = np.triu(raw) + np.triu(raw, 1).T
         assert psi.amp.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
+        # a Fortran-ordered input gives the same C-ordered grid, so its reads
+        # (numpy's row sums) keep their bits too
+        fortran = Wavefunction2.symmetric(psi.grid, np.asfortranarray(raw))
+        assert fortran.amp.flags.c_contiguous
+        assert fortran.amp.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
+        assert norm2(fortran).hex() == norm2(psi).hex()
+
+    @pytest.mark.parametrize("block_cells", [1, 7, 60, 1 << 16])
+    def test_mirror_reads_only_the_kept_triangle(self, block_cells):
+        # a lower triangle left unset may hold any bits, a signalling nan
+        # among them: arithmetic on it would raise under invalid="raise"
+        n = 23
+        rng = np.random.default_rng(5)
+        raw = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        raw.real[rng.random((n, n)) < 0.2] = -0.0
+        ref = np.triu(raw) + np.triu(raw, 1).T
+        snan = np.uint64(0x7FF0000000000001)
+        bits = raw.view(np.uint64).reshape(n, n, 2)
+        bits[np.tri(n, k=-1, dtype=bool)] = snan
+        with mock.patch.object(model, "BLOCK_CELLS", block_cells), \
+                np.errstate(invalid="raise"):
+            out = _mirror(raw)
+        assert out is raw
+        assert out.view(np.uint64).tobytes() == ref.view(np.uint64).tobytes()
 
     def test_product_is_exactly_symmetric(self):
         g = Grid1D(-2.0, 2.0, 64)
