@@ -3,14 +3,14 @@
 Commands: simulate (scattering map -> output grids), g2 (correlation curve),
 oracle (lab-frame integrator cross-check), decompose (interaction-process
 grids) and compare (diff two result files).  The first four are the rows of
-`COMMANDS`; they share their flags and one run path, `_run_command`: load the
-config (a flat file of dotted keys such as `pulse.kind = rectangular`, each
-overridable by a flag of the same name), call the command, write
-`manifest.txt`, print the command's summary and raise `ToleranceError` on a
-failed check.  A command validates its inputs before it writes anything.
+`COMMANDS`; they share their flags and one runner, `_run_command`: it loads
+the config (a flat file of dotted keys such as `pulse.kind = rectangular`,
+each overridable by a flag of the same name) and calls the command, which
+validates, computes and checks but writes nothing; then it creates --out,
+writes the command's files and `manifest.txt`, prints one summary line and
+raises `ToleranceError` on a failed check.
 Exit codes: 0 success, 2 configuration error or malformed input (files and
-non-finite values included), 3 tolerance failure in --check mode, 4 I/O error.
-"""
+non-finite values included), 3 tolerance failure in --check mode, 4 I/O error."""
 
 from __future__ import annotations
 
@@ -191,10 +191,9 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]
     kind = cfg.pulse_kind
     breakpoints = ()
     if kind == "rectangular":
-        if cfg.pulse_length <= 0:
-            raise ConfigError("pulse.length must be positive")
-        psi = rectangular_pulse(cfg.pulse_length)
-        support = breakpoints = (0.0, cfg.pulse_length)
+        length = _rect_length(cfg, "a rectangular input")
+        psi = rectangular_pulse(length)
+        support = breakpoints = (0.0, length)
     elif kind == "gaussian":
         if cfg.pulse_width <= 0:
             raise ConfigError("pulse.width must be positive")
@@ -232,38 +231,26 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]
     return psi, grid
 
 
-# Each configured command takes (cfg, out_dir, CSV header meta, --linear-only,
-# --check) and returns (manifest entries, summary line, failure message or None).
+# A configured command takes (cfg, CSV header meta, --linear-only, --check),
+# validates its inputs, computes and runs its check, and touches no file.  It
+# returns (files, manifest entries, summary detail, failure message or None);
+# `files` holds (name, writer, *writer args after the path) in write order,
+# and may be a generator that builds each entry only when it is written.
 
-def cmd_simulate(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
+def cmd_simulate(cfg: RunConfig, meta: dict, linear_only, check):
     if check:
         _rect_length(cfg, "--check for simulate")
     params = _params(cfg)
     psi_in, grid = _build_input(cfg)
-    started = time.perf_counter()
     result = apply_two_photon(psi_in, grid, params)
     total = result.linear if linear_only else result.total
     outputs = {"psi_out.csv": total, "psi_lin.csv": result.linear,
                "psi_nonlin.csv": result.nonlinear}
     for part in outputs.values():
-        part.amp                        # every grid is written: build it here, timed
-    elapsed = time.perf_counter() - started
-
-    started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, part in outputs.items():
-        write_wavefunction2(out_dir / name, part, meta)
-    write_seconds = time.perf_counter() - started
-
-    entries = {
-        "run.linear_only": linear_only,
-        "run.grid_points": grid.n,
-        "run.norm_out": norm2(total),
-        "run.norm_linear": norm2(result.linear),
-        "run.norm_nonlinear": norm2(result.nonlinear),
-        "run.seconds": elapsed,
-        "run.write_seconds": write_seconds,
-    }
+        part.amp                        # every grid is written: build it once, here
+    entries = {"run.linear_only": linear_only, "run.grid_points": grid.n,
+               "run.norm_out": norm2(total), "run.norm_linear": norm2(result.linear),
+               "run.norm_nonlinear": norm2(result.nonlinear)}
     failure = None
     if check:
         x = grid.points
@@ -278,13 +265,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
         worst = max(entries[f"check.max_abs_{part}"] for part in refs)
         if worst > cfg.check_max_abs:
             failure = f"max-abs deviation {worst:.3e} exceeds {cfg.check_max_abs:.3e}"
-    summary = (f"simulate: wrote {out_dir}/psi_out.csv "
-               f"(norm {entries['run.norm_out']:.6f}, {elapsed:.2f}s, "
-               f"written in {write_seconds:.2f}s)")
-    return entries, summary, failure
+    files = [(name, write_wavefunction2, part, meta) for name, part in outputs.items()]
+    return files, entries, f"norm {entries['run.norm_out']:.6f}", failure
 
 
-def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
+def cmd_g2(cfg: RunConfig, meta: dict, linear_only, check):
     if check:
         _rect_length(cfg, "--check for g2")
     if cfg.tau_n < 2:
@@ -297,7 +282,6 @@ def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
             f"anchor.x + c*tau over [{cfg.tau_min}, {cfg.tau_max}] spans "
             f"[{min(reach):.6g}, {max(reach):.6g}], outside the output grid "
             f"[{grid.points[0]:.6g}, {grid.points[-1]:.6g}]")
-    started = time.perf_counter()
     result = apply_two_photon(psi_in, grid, params)
     psi = result.linear if linear_only else result.total
 
@@ -311,20 +295,9 @@ def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
     # and the anchor itself
     lo, hi = (0, 0) if rectangular else _density_window(
         grid.points, np.append(cfg.anchor_x + params.c * curve.tau, cfg.anchor_x))
-    elapsed = time.perf_counter() - started
-
-    started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_curve(out_dir / "g2_curve.csv", curve, meta)
-    entries = {
-        "run.linear_only": linear_only,
-        "run.zero_count": len(zeros),
-        "run.undefined_tau": undefined,
-        "run.density_rows": hi - lo,
-        "run.seconds": elapsed,
-        "run.write_seconds": time.perf_counter() - started,
-        **{f"run.zero_{i}": z for i, z in enumerate(zeros)},
-    }
+    entries = {"run.linear_only": linear_only, "run.zero_count": len(zeros),
+               "run.undefined_tau": undefined, "run.density_rows": hi - lo,
+               **{f"run.zero_{i}": z for i, z in enumerate(zeros)}}
     failure = None
     if check:
         ref = longpulse_g2(curve.tau, params)
@@ -334,12 +307,11 @@ def cmd_g2(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
             failure = (f"g2 deviates from the long-pulse curve by {dev:.3e} "
                        f"(> {cfg.check_g2:.3e})")
     zs = ", ".join(f"{z:.4f}" for z in zeros) or "none"
-    summary = (f"g2: wrote {out_dir}/g2_curve.csv (zeros at {zs}, "
-               f"g2 undefined at {undefined} tau, {elapsed:.2f}s)")
-    return entries, summary, failure
+    return ([("g2_curve.csv", write_curve, curve, meta)], entries,
+            f"zeros at {zs}, g2 undefined at {undefined} tau", failure)
 
 
-def cmd_oracle(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
+def cmd_oracle(cfg: RunConfig, meta: dict, linear_only, check):
     params = _params(cfg)
     length = _rect_length(cfg, "the oracle command")
     # Built per call, so each name is looked up in this module when it runs.
@@ -354,7 +326,6 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
     run_rect, rect_error, far_field, write, tol = modes[cfg.oracle_mode]
     dx = cfg.oracle_dx
     window = {"pad": cfg.oracle_pad, "clear": cfg.oracle_clear}
-    started = time.perf_counter()
     with _invalid_input():
         run = run_rect(length, dx, params, record_trace=True, **window)
         err = rect_error(run, length, params)
@@ -362,32 +333,21 @@ def cmd_oracle(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
         if cfg.oracle_ratio:
             run_half = run_rect(length, dx / 2, params, **window)
             err_half = rect_error(run_half, length, params)
-    far = far_field(run.state, params)
-    elapsed = time.perf_counter() - started
-
-    started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write(out_dir / "oracle_farfield.csv", far, meta)
-    write_trace(out_dir / "oracle_trace.csv", run.trace)
-    entries = {
-        "run.rel_l2": err,
-        "run.final_norm": run.state.total_norm(),
-        "run.seconds": elapsed,
-        "run.write_seconds": time.perf_counter() - started,
-    }
-    ratio_txt = ""
+    entries = {"run.rel_l2": err, "run.final_norm": run.state.total_norm()}
+    detail = f"mode {cfg.oracle_mode}, rel-L2 {err:.3e}"
     if err_half is not None:
         entries["run.rel_l2_half_dx"] = err_half
         entries["run.convergence_ratio"] = err / err_half if err_half else math.inf
-        ratio_txt = f", ratio {entries['run.convergence_ratio']:.2f}"
-    summary = f"oracle[{cfg.oracle_mode}]: rel-L2 {err:.3e}{ratio_txt} ({elapsed:.1f}s)"
+        detail += f", ratio {entries['run.convergence_ratio']:.2f}"
     failure = None
     if check and err > tol:
         failure = f"oracle rel-L2 {err:.3e} exceeds {tol:.3e}"
-    return entries, summary, failure
+    files = [("oracle_farfield.csv", write, far_field(run.state, params), meta),
+             ("oracle_trace.csv", write_trace, run.trace)]
+    return files, entries, detail, failure
 
 
-def cmd_decompose(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check):
+def cmd_decompose(cfg: RunConfig, meta: dict, linear_only, check):
     params = _params(cfg)
     length = _rect_length(cfg, "decompose")
     n = cfg.grid_n
@@ -395,22 +355,17 @@ def cmd_decompose(cfg: RunConfig, out_dir: Path, meta: dict, linear_only, check)
         raise ConfigError("grid.n must be at least 2")
     grid = Grid1D(0.0, length, n)
     x = grid.points
-    started = time.perf_counter()
     parts = rect_process_amplitudes(x[:, None], x[None, :], length, params)
     total = rect_two_photon_out(x[:, None], x[None, :], length, params)
     sum_dev = float(np.max(np.abs(parts.total - total)))
-    elapsed = time.perf_counter() - started
-
-    started = time.perf_counter()
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name in ("p_i", "p_ii", "p_iii"):
-        amp = np.broadcast_to(getattr(parts, name), (n, n)).astype(complex)
-        write_wavefunction2(out_dir / f"{name}.csv", Wavefunction2(grid, amp), meta)
-    entries = {"run.sum_identity_max_abs": sum_dev, "run.seconds": elapsed,
-               "run.write_seconds": time.perf_counter() - started}
-    summary = (f"decompose: wrote process grids (sum identity {sum_dev:.2e}, "
-               f"{elapsed:.2f}s)")
-    return entries, summary, None
+    failure = None
+    if check and sum_dev > cfg.check_max_abs:
+        failure = f"sum identity {sum_dev:.3e} exceeds {cfg.check_max_abs:.3e}"
+    # a generator: each complex process grid is built only when it is written
+    files = ((f"{name}.csv", write_wavefunction2, Wavefunction2(
+                 grid, np.broadcast_to(getattr(parts, name), (n, n)).astype(complex)), meta)
+             for name in ("p_i", "p_ii", "p_iii"))
+    return files, {"run.sum_identity_max_abs": sum_dev}, f"sum identity {sum_dev:.2e}", failure
 
 
 def cmd_compare(path_a, path_b, tol: float | None) -> None:
@@ -431,8 +386,9 @@ def cmd_compare(path_a, path_b, tol: float | None) -> None:
 
 
 # name -> (command, help, --linear-only help or None for no such flag).  The
-# table holds the cmd_* functions only: the layer functions they call are
-# looked up in this module at call time, where the benchmark's tracer wraps them.
+# table holds the cmd_* functions only: the layer functions they call and the
+# writers they return are looked up in this module at call time, where the
+# benchmark's tracer wraps them.
 COMMANDS = {
     "simulate": (cmd_simulate, "run the scattering map, emit grids",
                  "disable the nonlinear kernel"),
@@ -449,15 +405,29 @@ def _run_command(args: argparse.Namespace) -> None:
     cfg = load_config(args.config, overrides)
     config = {dotted: getattr(cfg, attr) for dotted, attr in sorted(KEYS.items())}
     out_dir = Path(args.out)
-    entries, summary, failure = COMMANDS[args.command][0](
-        cfg, out_dir, {"version": __version__, **config},
+    started = time.perf_counter()
+    files, entries, detail, failure = COMMANDS[args.command][0](
+        cfg, {"version": __version__, **config},
         getattr(args, "linear_only", False), args.check)
+    seconds = time.perf_counter() - started
+
+    started = time.perf_counter()
+    out_dir.mkdir(parents=True, exist_ok=True)
+    written = []
+    for name, write, *write_args in files:
+        write(out_dir / name, *write_args)
+        written.append(name)
+    write_seconds = time.perf_counter() - started
+
+    entries = {**config, "run.command": args.command, **entries,
+               "run.seconds": seconds, "run.write_seconds": write_seconds}
     with open(out_dir / "manifest.txt", "w") as fh:
         fh.write(f"# onedatom {__version__} run manifest\n")
-        for key, value in {**config, "run.command": args.command, **entries}.items():
+        for key, value in entries.items():
             text = f"{value:.17g}" if isinstance(value, float) else value
             fh.write(f"{key} = {text}\n")
-    print(summary)
+    print(f"{args.command}: wrote {out_dir}/{written[0]} ({detail}, {seconds:.2f}s, "
+          f"written in {write_seconds:.2f}s)")
     if failure:
         raise ToleranceError(failure)
 

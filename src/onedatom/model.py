@@ -438,8 +438,12 @@ def norm2(psi: Wavefunction2) -> float:
 
 
 def max_asymmetry(psi: Wavefunction2) -> float:
-    """Largest |amp(x1,x2) - amp(x2,x1)| over all stored pairs."""
-    return float(np.max(np.abs(psi.amp - psi.amp.T)))
+    """Largest |amp(x1,x2) - amp(x2,x1)| over all stored pairs (nan if any
+    difference is), read in row blocks against the matching column blocks."""
+    amp = psi.amp
+    n = len(amp)
+    return float(np.max([np.max(np.abs(amp[i0:i1] - amp[:, i0:i1].T))
+                         for i0, i1 in blocks(0, n, n)]))
 
 
 # ---------------------------------------------------------------------------

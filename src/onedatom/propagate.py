@@ -38,6 +38,7 @@ from .model import (
     Wavefunction2,
     _mirror,
     blocks,
+    max_asymmetry,
 )
 
 __all__ = [
@@ -215,7 +216,7 @@ def apply_one_photon(psi: Wavefunction1, out_grid: Grid1D,
 # ---------------------------------------------------------------------------
 
 def _require_symmetric(psi: Wavefunction2) -> None:
-    if np.max(np.abs(psi.amp - psi.amp.T)) > 0:
+    if max_asymmetry(psi) > 0:
         raise ValueError("two-photon input must be exchange symmetric")
 
 

@@ -11,7 +11,7 @@ import pytest
 
 import onedatom
 from onedatom import PhysicalParams, rect_two_photon_out
-from onedatom.cli import main
+from onedatom.cli import COMMANDS, load_config, main
 from onedatom.csvio import read_curve, read_wavefunction1, read_wavefunction2, \
     write_wavefunction1
 from onedatom import Grid1D, Wavefunction1
@@ -348,10 +348,58 @@ def test_write_seconds_recorded(argv, tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "run.cfg")
     assert main([*argv, "--config", cfg, "--out", str(out)]) == 0
-    write_seconds = float(manifest_entries(out / "manifest.txt")["run.write_seconds"])
+    entries = manifest_entries(out / "manifest.txt")
+    write_seconds = float(entries["run.write_seconds"])
     assert write_seconds >= 0.0
-    if argv[0] == "simulate":
-        assert f"written in {write_seconds:.2f}s" in capsys.readouterr().out
+    assert list(entries)[-2:] == ["run.seconds", "run.write_seconds"]
+    # one summary format for every command
+    summary = capsys.readouterr().out.strip()
+    assert summary.startswith(f"{argv[0]}: wrote {out}/")
+    assert summary.endswith(f"written in {write_seconds:.2f}s)")
+
+
+@pytest.mark.parametrize("command,overrides", [
+    ("simulate", {"grid.n": "41"}),
+    ("g2", {}),
+    ("oracle", {"pulse.length": "2.0", "oracle.dx": "0.05", "oracle.ratio": "false"}),
+    ("decompose", {"grid.n": "41"}),
+], ids=["simulate", "g2", "oracle", "decompose"])
+def test_commands_only_compute(command, overrides, tmp_path, monkeypatch):
+    # a command validates, computes and checks; the runner writes what it
+    # returns, so a command called on its own creates nothing, even once its
+    # file list is consumed
+    cfg = load_config(write_config(tmp_path / "run.cfg"), overrides)
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    files, entries, detail, _ = COMMANDS[command][0](cfg, {"version": "test"}, False, True)
+    files = list(files)
+    assert list(work.iterdir()) == []
+    assert files and entries and detail
+    for name, writer, *args in files:
+        assert name.endswith(".csv") and writer.__module__ == "onedatom.csvio" and args
+
+
+def test_decompose_check_gates_sum_identity(tmp_path):
+    # the process amplitudes sum to the closed form only to rounding, so a
+    # zero bound fails the check (exit 3); without --check the run passes
+    argv = ["decompose", "--grid.n", "64", "--check.max_abs", "0", "--out", str(tmp_path)]
+    assert main(argv) == 0
+    assert main([*argv, "--check"]) == 3
+    assert float(manifest_entries(tmp_path / "manifest.txt")["run.sum_identity_max_abs"]) > 0
+
+
+def test_decompose_builds_grids_as_written(tmp_path):
+    # the runner writes each process grid as the command's generator builds it,
+    # so the three are never held at once
+    n = 320
+    tracemalloc.start()
+    try:
+        assert main(["decompose", "--grid.n", str(n), "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 16 * n ** 2
 
 
 def test_import_starts_no_process_pool():

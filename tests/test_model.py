@@ -202,6 +202,21 @@ class TestWavefunction2:
         amp[1, 0] = -1.0
         assert max_asymmetry(Wavefunction2(g, amp)) == 2.0
 
+    @pytest.mark.parametrize("block_cells", [1, 7, 60, 1 << 16])
+    def test_blockwise_asymmetry(self, block_cells):
+        # row blocks against column blocks give the whole-grid maximum, and a
+        # nan in a later block than a larger difference still propagates
+        n = 9
+        rng = np.random.default_rng(3)
+        amp = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        g = Grid1D(0.0, 1.0, n)
+        bad = amp.copy()
+        bad[0, 1] = 1e6
+        bad[n - 1, n - 2] = np.nan
+        with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+            assert max_asymmetry(Wavefunction2(g, amp)) == np.max(np.abs(amp - amp.T))
+            assert math.isnan(max_asymmetry(Wavefunction2(g, bad)))
+
     def test_norm2_phase_invariance(self):
         g = Grid1D(-2.0, 2.0, 64)
         psi = Wavefunction2.from_product(gaussian_pulse(0.0, 0.5, g))

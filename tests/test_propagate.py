@@ -451,6 +451,22 @@ class TestGeneral2DPath:
         assert peak <= 2 * 16 * n * n
         assert res.linear.amp.flags.c_contiguous
 
+    def test_nonlinear_peak_memory(self):
+        # the symmetry check reads row blocks, so a general input's nonlinear
+        # map holds no n_in x n_in temporary
+        n_in = 512
+        gin = Grid1D(0.0, 12.0, n_in)
+        x = gin.points
+        a = np.exp(-((x[:, None] - 6.0) ** 2 + (x[None, :] - 5.0) ** 2))
+        psi = Wavefunction2.symmetric(gin, a + a.T)
+        tracemalloc.start()
+        try:
+            apply_two_photon_nonlinear(psi, Grid1D(-10.0, 12.0, 64), P)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * n_in * n_in
+
     @settings(max_examples=40, deadline=None)
     @given(n_in=st.integers(2, 40), n=st.integers(2, 60),
            block_cells=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
