@@ -75,9 +75,10 @@ def rect_nonlin_out(x1, x2, length: float, params: PhysicalParams):
 def rect_two_photon_out(x1, x2, length: float, params: PhysicalParams):
     """Full two-photon output: product of one-photon outputs plus the
     nonlinear correction."""
+    nonlin = rect_nonlin_out(x1, x2, length, params)   # its temporaries go first
     lin = np.multiply(rect_one_photon_out(x1, length, params),
                       rect_one_photon_out(x2, length, params))
-    return lin + rect_nonlin_out(x1, x2, length, params)
+    return lin + nonlin
 
 
 @dataclass(frozen=True)
@@ -98,7 +99,8 @@ class ProcessAmplitudes:
 
 def rect_process_amplitudes(x1, x2, length: float, params: PhysicalParams) -> ProcessAmplitudes:
     """Process decomposition of the rectangular-pulse output, defined on the
-    transmitted window 0 <= x_i <= length only."""
+    transmitted window 0 <= x_i <= length only.  For array inputs p_i is a
+    read-only broadcast of 1/length."""
     length = _check_length(length)
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
@@ -107,10 +109,10 @@ def rect_process_amplitudes(x1, x2, length: float, params: PhysicalParams) -> Pr
     k = params.gamma_over_c
     a1 = np.exp(-k * (length - x1))
     a2 = np.exp(-k * (length - x2))
-    p_i = np.broadcast_to(np.asarray(1.0 / length), np.broadcast(x1, x2).shape).copy()
+    nonlin = rect_nonlin_out(x1, x2, length, params)   # its temporaries go first
+    p_iii = (4.0 / length) * (a1 - 1.0) * (a2 - 1.0) + nonlin
     p_ii = (2.0 / length) * (a1 - 1.0) + (2.0 / length) * (a2 - 1.0)
-    p_iii = ((4.0 / length) * (a1 - 1.0) * (a2 - 1.0)
-             + rect_nonlin_out(x1, x2, length, params))
+    p_i = np.broadcast_to(np.asarray(1.0 / length), p_ii.shape)
     if p_ii.ndim == 0:
         return ProcessAmplitudes(float(p_i), float(p_ii), float(p_iii))
     return ProcessAmplitudes(p_i, p_ii, p_iii)

@@ -27,6 +27,7 @@ __all__ = [
     "norm1",
     "norm2",
     "max_asymmetry",
+    "deviation",
 ]
 
 # Cells per block wherever a two-photon grid is assembled, mapped, mirrored
@@ -437,13 +438,27 @@ def norm2(psi: Wavefunction2) -> float:
     return max(float(np.sum(w * _row_density(psi, w))), 0.0)
 
 
+def deviation(values, reference, n: int) -> tuple[float, float, float]:
+    """Largest |a - b|, sum |a - b|^2 and sum |b|^2 of two n x n grids read
+    through row readers (i0, i1) -> rows i0:i1, in row blocks of the cell
+    budget.  numpy's own reductions, not BLAS: the sums do not depend on how
+    many threads BLAS would use, and a nan difference makes the max nan."""
+    worst, num, den = [], 0.0, 0.0
+    for i0, i1 in blocks(0, n, n):
+        ref = reference(i0, i1)
+        dev = np.abs(values(i0, i1) - ref)
+        worst.append(np.max(dev))
+        num += float(np.sum(dev * dev))
+        den += float(np.sum(np.abs(ref) ** 2))
+        del dev, ref                    # freed before the next block is built
+    return float(np.max(worst)), num, den
+
+
 def max_asymmetry(psi: Wavefunction2) -> float:
     """Largest |amp(x1,x2) - amp(x2,x1)| over all stored pairs (nan if any
     difference is), read in row blocks against the matching column blocks."""
     amp = psi.amp
-    n = len(amp)
-    return float(np.max([np.max(np.abs(amp[i0:i1] - amp[:, i0:i1].T))
-                         for i0, i1 in blocks(0, n, n)]))
+    return deviation(lambda i0, i1: amp[i0:i1], lambda i0, i1: amp[:, i0:i1].T, len(amp))[0]
 
 
 # ---------------------------------------------------------------------------

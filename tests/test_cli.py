@@ -5,15 +5,16 @@ import sys
 import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import onedatom
-from onedatom import PhysicalParams, rect_two_photon_out
+from onedatom import PhysicalParams, Wavefunction2, cli, model, rect_two_photon_out
 from onedatom.cli import COMMANDS, load_config, main
 from onedatom.csvio import read_curve, read_wavefunction1, read_wavefunction2, \
-    write_wavefunction1
+    write_wavefunction1, write_wavefunction2
 from onedatom import Grid1D, Wavefunction1
 
 P = PhysicalParams()
@@ -220,6 +221,39 @@ class TestCompare:
         assert main(["compare", str(tmp_path / "no.csv"),
                      str(tmp_path / "no.csv")]) == 2
 
+    @pytest.mark.parametrize("two_photon", [False, True], ids=["one-photon", "two-photon"])
+    def test_nan_cell_fails_any_tolerance(self, tmp_path, capsys, two_photon):
+        # a nan difference is within no tolerance, not even an infinite one
+        n = 7
+        g = Grid1D(0.0, 1.0, n)
+        amp = np.ones((n, n) if two_photon else n, dtype=complex)
+        bad = amp.copy()
+        bad[(3,) * amp.ndim] = np.nan
+        write = write_wavefunction2 if two_photon else write_wavefunction1
+        kind = Wavefunction2 if two_photon else Wavefunction1
+        write(tmp_path / "a.csv", kind(g, bad))
+        write(tmp_path / "b.csv", kind(g, amp))
+        argv = ["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]
+        assert main([*argv, "--tol", "0"]) == 3
+        assert main([*argv, "--tol", "1e300"]) == 3
+        assert "max-abs nan" in capsys.readouterr().out
+
+    def test_two_photon_files_read_in_row_blocks(self, tmp_path, capsys):
+        # any block height gives the dense max-abs and rel-L2
+        n = 23
+        rng = np.random.default_rng(8)
+        g = Grid1D(0.0, 1.0, n)
+        a, b = (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(2))
+        write_wavefunction2(tmp_path / "a.csv", Wavefunction2(g, a))
+        write_wavefunction2(tmp_path / "b.csv", Wavefunction2(g, b))
+        dense = np.abs(a - b)
+        rel = math.sqrt(np.sum(dense ** 2) / np.sum(np.abs(b) ** 2))
+        expected = f"compare: max-abs {np.max(dense):.6e}, rel-L2 {rel:.6e}"
+        for rows in (1, 5, n):
+            with mock.patch.object(model, "BLOCK_CELLS", rows * n):
+                assert main(["compare", str(tmp_path / "a.csv"), str(tmp_path / "b.csv")]) == 0
+            assert capsys.readouterr().out.startswith(expected)
+
 
 class TestDecompose:
     def test_emits_process_grids(self, tmp_path):
@@ -400,6 +434,96 @@ def test_decompose_builds_grids_as_written(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4.5 * 16 * n ** 2
+
+
+def test_decompose_call_reads_row_blocks(tmp_path):
+    # the sum identity reads row blocks of the processes and the closed form,
+    # and each process keeps only its own rows until its grid is built
+    n = 320
+    cfg = load_config(None, {"grid.n": str(n)})
+    tracemalloc.start()
+    try:
+        files, entries, _, _ = COMMANDS["decompose"][0](cfg, {}, False, True)
+        for _, _, psi, _ in files:      # each grid in turn, as the runner writes it
+            del psi
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.0 * 16 * n ** 2
+    assert entries["run.sum_identity_max_abs"] <= 1e-12
+
+
+def test_simulate_check_reads_row_blocks(tmp_path):
+    # the three written grids, plus one block of each closed form at a time
+    cfg = load_config(write_config(tmp_path / "run.cfg", **{"grid.n": 1024}), {})
+    tracemalloc.start()
+    try:
+        files, entries, _, failure = COMMANDS["simulate"][0](cfg, {}, False, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = entries["run.grid_points"]
+    assert failure is None and len(files) == 3
+    assert peak < 3.5 * 16 * n ** 2
+
+
+def _nan_like(*args, **kwargs):
+    shape = np.broadcast(*[a for a in args if isinstance(a, np.ndarray)]).shape
+    return np.full(shape, np.nan)
+
+
+@pytest.mark.parametrize("argv,name", [
+    (["simulate", "--grid.n", "41"], "rect_nonlin_out"),
+    (["decompose", "--grid.n", "41"], "rect_two_photon_out"),
+    (["g2", "--pulse.length", "40", "--grid.x_max", "40", "--anchor.x", "20",
+      "--check.g2", "0.1"], "longpulse_g2"),
+    (["oracle", "--pulse.length", "2.0", "--oracle.dx", "0.05", "--oracle.ratio", "false"],
+     "rect_error_one_photon"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_nan_deviation_fails_check(argv, name, tmp_path, monkeypatch):
+    # every tolerance gate reads "not (dev <= tol)", so a nan deviation fails
+    argv = [*argv, "--config", write_config(tmp_path / "run.cfg"),
+            "--out", str(tmp_path / "out"), "--check"]
+    assert main(argv) == 0
+    monkeypatch.setattr(cli, name, lambda *a, **k: (
+        math.nan if name.startswith("rect_error") else _nan_like(*a)))
+    assert main(argv) == 3
+
+
+def _run_under_blas_threads(argv, tmp_path):
+    """The --out directories of the CLI run in a fresh interpreter with
+    OPENBLAS_NUM_THREADS 1 and 2."""
+    src = str(Path(onedatom.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": src}
+        subprocess.run([sys.executable, "-m", "onedatom.cli", *argv, "--out", str(out)],
+                       env=env, capture_output=True, check=True, timeout=300)
+        outs.append(out)
+    return outs
+
+
+def test_oracle_rel_l2_does_not_depend_on_blas_threads(tmp_path):
+    outs = _run_under_blas_threads(
+        ["oracle", "--oracle.mode", "two", "--pulse.length", "2.94", "--oracle.dx", "0.03",
+         "--oracle.pad", "3", "--oracle.clear", "8"], tmp_path)
+    one, two = (manifest_entries(out / "manifest.txt") for out in outs)
+    for key in ("run.rel_l2", "run.rel_l2_half_dx", "run.convergence_ratio"):
+        assert one[key] == two[key]
+
+
+def test_sampled_g2_does_not_depend_on_blas_threads(tmp_path):
+    g = Grid1D(2.0, 8.0, 4001)
+    x = g.points
+    amp = np.exp(-((x - 5.0) ** 2) / 2.0 + 0.3j * (x - 5.0) ** 2)
+    write_wavefunction1(tmp_path / "pulse.csv", Wavefunction1.sampled(g, amp))
+    cfg = write_config(tmp_path / "run.cfg", **{
+        "pulse.kind": "file", "pulse.path": str(tmp_path / "pulse.csv"),
+        "grid.x_min": -4.0, "grid.x_max": 8.0, "grid.n": 777,
+        "anchor.x": 5.0, "tau.min": -2.5, "tau.max": 2.5, "tau.n": 1001})
+    one, two = _run_under_blas_threads(["g2", "--config", cfg], tmp_path)
+    assert (one / "g2_curve.csv").read_bytes() == (two / "g2_curve.csv").read_bytes()
 
 
 def test_import_starts_no_process_pool():

@@ -66,6 +66,23 @@ def test_wavefunction2_read_streams(tmp_path):
     assert peak < 10 * 16 * n * n
 
 
+def test_wavefunction2_read_keeps_no_table(tmp_path):
+    # the grid's axis is a copy, so the parsed table is freed on return and
+    # only the amplitude grid (16 n^2 bytes) stays
+    n = 381
+    rng = np.random.default_rng(9)
+    path = tmp_path / "wf2.csv"
+    write_wavefunction2(path, Wavefunction2(Grid1D(0.0, 1.0, n), rng.normal(size=(n, n)) + 0j))
+    tracemalloc.start()
+    try:
+        back = read_wavefunction2(path)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert back.grid.points.base is None
+    assert held < 1.5 * 16 * n * n
+
+
 def test_blank_lines_and_comments_skipped(tmp_path):
     path = tmp_path / "wf1.csv"
     path.write_text("\n# meta\n  \n x, re, im \n0,1,2\n   \n  # note\n\t\n1,3,4\n\n")

@@ -217,6 +217,29 @@ class TestWavefunction2:
             assert max_asymmetry(Wavefunction2(g, amp)) == np.max(np.abs(amp - amp.T))
             assert math.isnan(max_asymmetry(Wavefunction2(g, bad)))
 
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(2, 60), height=st.integers(1, 70), seed=st.integers(0, 2**32 - 1),
+           scale=st.floats(1e-100, 1e100), real_ref=st.booleans(),
+           nan_at=st.none() | st.tuples(st.integers(0, 59), st.integers(0, 59)))
+    def test_blockwise_deviation(self, n, height, seed, scale, real_ref, nan_at):
+        # row blocks of any height, n not a multiple of it included, give the
+        # dense max exactly (a nan anywhere too) and the dense sums to rounding
+        rng = np.random.default_rng(seed)
+        a = scale * (rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        b = scale * rng.normal(size=(n, n))
+        if not real_ref:
+            b = b + 1j * scale * rng.normal(size=(n, n))
+        if nan_at is not None:
+            a[nan_at[0] % n, nan_at[1] % n] = np.nan
+        with mock.patch.object(model, "BLOCK_CELLS", height * n):
+            worst, num, den = model.deviation(lambda i0, i1: a[i0:i1],
+                                              lambda i0, i1: b[i0:i1], n)
+        dense = np.abs(a - b)
+        assert np.array_equal(worst, np.max(dense), equal_nan=True)
+        assert isinstance(worst, float)
+        np.testing.assert_allclose([num, den], [np.sum(dense ** 2), np.sum(np.abs(b) ** 2)],
+                                   rtol=1e-13)
+
     def test_norm2_phase_invariance(self):
         g = Grid1D(-2.0, 2.0, 64)
         psi = Wavefunction2.from_product(gaussian_pulse(0.0, 0.5, g))

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from onedatom import (
     far_field_one_photon,
     far_field_two_photon,
     one_photon_initial,
+    rect_two_photon_out,
     run_one_photon_rect,
     run_two_photon_rect,
     two_photon_initial,
@@ -217,6 +219,27 @@ def test_relative_l2():
     a = np.array([1.0, 2.0, 2.0])
     assert relative_l2(a, a) == 0.0
     assert relative_l2(np.zeros(3), a) == 1.0
+    assert relative_l2(a, np.zeros(3)) == 3.0       # absolute against a zero reference
+
+
+def test_two_photon_error_reads_row_blocks():
+    # the benchmark's two-photon run at dx/2: the closed form is built one
+    # block of rows at a time, never as an m x m grid beside the far field
+    length = 2.94
+    run = run_two_photon_rect(length, 0.015, P, pad=3.0, clear=8.0)
+    m = run.state.grid.n
+    tracemalloc.start()
+    try:
+        err = rect_error_two_photon(run, length, P)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * 16 * m * m
+    ff = far_field_two_photon(run.state, P)
+    x = ff.grid.points
+    ref = rect_two_photon_out(x[:, None], x[None, :], length, P)
+    dense = math.sqrt(np.sum(np.abs(ff.amp - ref) ** 2) / np.sum(ref ** 2))
+    assert err == pytest.approx(dense, rel=1e-13)
 
 
 def test_far_field_coordinates():
