@@ -163,20 +163,26 @@ def write_trace(path, trace: ExcitationTrace) -> None:
     _write_table(path, "t,value\n", trace.times, trace.values)
 
 
-def _data_lines(fh):
-    """The lines of an open file that are neither blank nor `#` comments."""
-    return (ln for ln in fh if ln.strip() and not ln.lstrip().startswith("#"))
+def _header(fh) -> str:
+    """The first line of an open file that is neither blank nor a `#`
+    comment, stripped ("" if there is none), read with `readline` so the
+    file is left at the line after it."""
+    for line in iter(fh.readline, ""):
+        if line.strip() and not line.lstrip().startswith("#"):
+            return line.strip()
+    return ""
 
 
 def _load_rows(path, expected_header: str) -> np.ndarray:
     with open(path) as fh:
-        lines = _data_lines(fh)
-        header = next(lines, "").strip().replace(" ", "")
+        header = _header(fh).replace(" ", "")
         if not header:
             raise ValueError(f"{path}: no data rows")
         if header != expected_header:
             raise ValueError(f"{path}: expected header {expected_header!r}, got {header!r}")
-        return np.loadtxt(lines, delimiter=",", ndmin=2)   # parsed as it is read
+        # parsed as it is read; the stripped lines drop blank and
+        # whitespace-only ones in C, and loadtxt drops `#` comments itself
+        return np.loadtxt(filter(None, map(str.strip, fh)), delimiter=",", ndmin=2)
 
 
 def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
@@ -191,7 +197,7 @@ def sniff_columns(path) -> int:
     """Number of data columns (3 for 1D wavefunctions, 4 for 2D), counted on
     the first non-blank line that is not a `#` comment."""
     with open(path) as fh:
-        header = next(_data_lines(fh), "").strip()
+        header = _header(fh)
     if not header:
         raise ValueError(f"{path}: empty file")
     return len(header.split(","))

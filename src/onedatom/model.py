@@ -352,8 +352,12 @@ def norm1(psi: Wavefunction1) -> float:
     for piecewise-constant data, breakpoint-aware trapezoid otherwise."""
     if psi.pieces is not None:
         return psi.pieces.norm()
-    w = grid_weights(psi.grid)
-    return max(float(np.dot(w, np.abs(psi.amp) ** 2)), 0.0)
+    # numpy's own reduction, not a BLAS dot: the sum does not depend on how
+    # many threads BLAS would split a long input between
+    sq = np.abs(psi.amp)
+    sq *= sq
+    sq *= grid_weights(psi.grid)
+    return max(float(np.sum(sq)), 0.0)
 
 
 def _mirror(amp: np.ndarray) -> np.ndarray:

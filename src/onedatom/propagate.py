@@ -15,12 +15,13 @@ weights, the phi functions of exponential integrators, so the only error is
 rounding.  The one-photon kernel, the value minus 2 kappa times the tail, is
 applied along each coordinate; its delta part is never discretized.
 
-The output is a `ScatteredState`, held by its generators: the one-photon
-output phi_out (rank-1 linear part) of a product input, or the dense linear
-grid of a general input, and the n-vector of squared tails that sets the
-semiseparable nonlinear part.  For a product input that is O(n) data; node
-pairs and row blocks are evaluated from it on demand, and the dense n x n
-grid is built only when `amp` is read.
+Each input is mapped along axis 0 once (`_map_axis0`), and both parts are
+taken from that pass.  The output is a `ScatteredState`, held by its
+generators: the one-photon output phi_out (rank-1 linear part) of a product
+input, or the `ColumnMap` of a general input (its axis-0 map and that map's
+node tails, O(n_in n)), and the n-vector of squared tails that sets the
+semiseparable nonlinear part.  Node pairs and row blocks are evaluated from
+them on demand, and the dense n x n grid is built only when `amp` is read.
 """
 
 from __future__ import annotations
@@ -93,6 +94,80 @@ def _cell_weights(h: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray, 
     return decay, h * a, h * b
 
 
+def _lookup(edges: np.ndarray, evals: np.ndarray, kappa: float) -> tuple[np.ndarray, ...]:
+    """Where each evaluation point e sits among the cells: the cell k that
+    holds it, the first node at or right of it, its fraction t of cell k, the
+    weights (decay, a, b) of `_cell_weights` over [e, that node], and the
+    masks of the points with no partial cell and of those outside the data.
+    Every array has one entry per point, so a slice is the lookup of a slice
+    of the points."""
+    n_cells = len(edges) - 1
+    j = np.searchsorted(edges, evals, side="right")
+    nxt = np.minimum(j, n_cells)
+    decay_e, a_e, b_e = _cell_weights(np.maximum(edges[nxt] - evals, 0.0), kappa)
+    k = np.clip(j - 1, 0, n_cells - 1)
+    t = (evals - edges[k]) / (edges[k + 1] - edges[k])
+    return (k, nxt, t, decay_e, a_e, b_e, (j < 1) | (j > n_cells),
+            (evals < edges[0]) | (evals > edges[-1]))
+
+
+def _node_tails(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
+                kappa: float, lowest: int = 0) -> np.ndarray:
+    """K at the nodes lowest..n_cells (rows below `lowest` stay 0): K[n_cells]
+    = 0 and K[k] = exp(-kappa h_k) K[k+1] + the exact integral over cell k,
+    along axis 0 of left/right, each batch column on its own."""
+    n_cells = len(edges) - 1
+    bshape = (...,) + (None,) * (left.ndim - 1)
+    decay, a, b = _cell_weights(np.diff(edges), kappa)
+    K = np.zeros((n_cells + 1,) + left.shape[1:], dtype=complex)
+    # each step runs in place on row views (one column without a batch), as
+    # column blocks make narrow rows whose steps are mostly calls; the cell
+    # integrals are formed for a block of rows of the cell budget at a time,
+    # with the block's rows of K, not yet stepped, as scratch
+    rows = list(K.reshape(n_cells + 1, -1))
+    dec = decay.tolist()
+    for r0, r1 in reversed(list(blocks(lowest, n_cells, rows[0].size))):
+        src = np.multiply(a[r0:r1][bshape], left[r0:r1],
+                          out=np.empty(K[r0:r1].shape, dtype=complex))
+        src += np.multiply(b[r0:r1][bshape], right[r0:r1], out=K[r0:r1])
+        src = src.reshape(r1 - r0, -1)
+        for k in range(r1 - 1, r0 - 1, -1):
+            np.multiply(rows[k + 1], dec[k], out=rows[k])
+            rows[k] += src[k - r0]
+        del src                         # freed before the next block's is formed
+    return K
+
+
+def _partial_cell(left: np.ndarray, right: np.ndarray, K: np.ndarray,
+                  look: tuple[np.ndarray, ...],
+                  cols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(K(e), psi(e)) at the points of the lookup `look`: the node tail K read
+    at the first node at or right of e, carried back to e, plus the exact
+    integral over the partial cell [e, that node].  Without `cols` every batch
+    column is evaluated at every point, shape (points,) + batch; with `cols`,
+    point m reads batch column cols[m] only, shape of the points."""
+    k, nxt, t, decay_e, a_e, b_e, no_cell, outside = look
+    cell, node, bshape = k, nxt, (...,) + (None,) * (left.ndim - 1)
+    if cols is not None:
+        cell, node, bshape = (k, cols), (nxt, cols), (...,)
+    # in place, so at most three point x batch arrays are alive at a time
+    at_r, at_e = right[cell], left[cell]
+    step = at_r - at_e
+    step *= t[bshape]
+    at_e += step                        # left + t (right - left)
+    del step
+    partial = a_e[bshape] * at_e
+    at_r *= b_e[bshape]
+    partial += at_r
+    del at_r
+    partial[no_cell] = 0.0
+    at_e[outside] = 0.0
+    tail = K[node]
+    tail *= decay_e[bshape]
+    tail += partial
+    return tail, at_e
+
+
 def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
           evals: np.ndarray, kappa: float, *,
           diagonal: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -103,46 +178,18 @@ def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
     shape (len(evals),) + batch.  With diagonal=True, left/right have one batch
     column per evaluation point and only column m is evaluated at evals[m],
     which gives the diagonals, bit for bit.  Every exponent is <= 0."""
-    n_cells = len(edges) - 1
-    bshape = (...,) + (None,) * (left.ndim - 1)
-    decay, a, b = _cell_weights(np.diff(edges), kappa)
-    source = a[bshape] * left + b[bshape] * right
-    # the first node at or right of e; K is read from the lowest one up
-    j = np.searchsorted(edges, evals, side="right")
-    nxt = np.minimum(j, n_cells)
-    steps = range(n_cells - 1, int(nxt.min(initial=n_cells)) - 1, -1)
-    K = np.zeros((n_cells + 1,) + left.shape[1:], dtype=complex)
-    # each step runs in place on row views (one column without a batch), as
-    # column blocks make narrow rows whose steps are mostly calls
-    rows = list(K.reshape(n_cells + 1, -1))
-    src, dec = list(source.reshape(n_cells, rows[0].size)), decay.tolist()
-    for k in steps:
-        np.multiply(rows[k + 1], dec[k], out=rows[k])
-        rows[k] += src[k]
-    # then the partial cell [e, that node]
-    decay_e, a_e, b_e = _cell_weights(np.maximum(edges[nxt] - evals, 0.0), kappa)
-    k = np.clip(j - 1, 0, n_cells - 1)
-    cell, node = k, nxt
-    if diagonal:                        # evaluation m reads batch column m only
-        cols = np.arange(len(evals))
-        cell, node, bshape = (k, cols), (nxt, cols), (...,)
-    t = (evals - edges[k]) / (edges[k + 1] - edges[k])
-    # in place, so at most three n_out x batch arrays are alive at a time
-    at_r, at_e = right[cell], left[cell]
-    step = at_r - at_e
-    step *= t[bshape]
-    at_e += step                        # left + t (right - left)
-    del step
-    partial = a_e[bshape] * at_e
-    at_r *= b_e[bshape]
-    partial += at_r
-    del at_r
-    partial[(j < 1) | (j > n_cells)] = 0.0
-    at_e[(evals < edges[0]) | (evals > edges[-1])] = 0.0
-    tail = K[node]
-    tail *= decay_e[bshape]
-    tail += partial
-    return tail, at_e
+    look = _lookup(edges, evals, kappa)
+    # K is read from the lowest node at or right of an evaluation point up
+    K = _node_tails(edges, left, right, kappa,
+                    int(look[1].min(initial=len(edges) - 1)))
+    return _partial_cell(left, right, K, look,
+                         np.arange(len(evals)) if diagonal else None)
+
+
+def _one_photon(value: np.ndarray, tail: np.ndarray, kappa: float) -> np.ndarray:
+    """The one-photon kernel's output psi(e) - 2 kappa K(e), in value's array."""
+    value -= 2.0 * kappa * tail
+    return value
 
 
 def _cells(psi: Wavefunction1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -153,39 +200,8 @@ def _cells(psi: Wavefunction1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return psi.grid.points, psi.amp[:-1], psi.amp[1:]
 
 
-def _one_photon_map(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
-                    evals: np.ndarray, kappa: float) -> np.ndarray:
-    """psi(e) - 2 kappa K(e) for the cell data of `_tail`, along axis 0."""
-    tail, out = _tail(edges, left, right, evals, kappa)
-    out -= 2.0 * kappa * tail
-    return out
-
-
-def _tail_only(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
-               evals: np.ndarray, kappa: float) -> np.ndarray:
-    """K(e) of `_tail` without the data's value."""
-    return _tail(edges, left, right, evals, kappa)[0]
-
-
-def _map_columns(along_axis0, edges: np.ndarray, a: np.ndarray, evals: np.ndarray,
-                 kappa: float, *, upper: bool = False) -> np.ndarray:
-    """`_one_photon_map` or `_tail_only` of the samples a along axis 0, into
-    a new C-contiguous grid whose row j is column j mapped.  Columns are
-    mapped in blocks of at most BLOCK_CELLS cells per temporary; this is
-    exact, because `_tail` maps each column on its own.  With upper=True
-    only the upper triangle (row <= column) is evaluated and the rest is
-    left unset, for `_mirror` to fill."""
-    cols = a.shape[1]
-    out = np.empty((cols, len(evals)), dtype=complex)
-    for c0, c1 in blocks(0, cols, max(len(edges), len(evals))):
-        e0 = c0 if upper else 0
-        out[c0:c1, e0:] = along_axis0(edges, a[:-1, c0:c1], a[1:, c0:c1],
-                                      evals[e0:], kappa).T
-    return out
-
-
 # ---------------------------------------------------------------------------
-# one-photon map
+# the axis-0 pass and the one-photon map
 # ---------------------------------------------------------------------------
 
 def _warn_if_coarse(psi: Wavefunction1, out_grid: Grid1D) -> None:
@@ -195,7 +211,38 @@ def _warn_if_coarse(psi: Wavefunction1, out_grid: Grid1D) -> None:
             warnings.warn(
                 f"output grid spacing {out_grid.dx:.3g} is coarser than the "
                 f"input's smallest cell {min_cell:.3g}",
-                ResolutionWarning, stacklevel=3)
+                ResolutionWarning, stacklevel=4)
+
+
+def _require_symmetric(psi: Wavefunction2) -> None:
+    if max_asymmetry(psi) > 0:
+        raise ValueError("two-photon input must be exchange symmetric")
+
+
+def _map_axis0(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
+               params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
+    """(mapped, tail): psi mapped along axis 0 by the one-photon kernel and
+    its tail K, both at the output points and from one `_tail` pass, after
+    the input's one check.  A `Wavefunction1` gives two n-vectors.  A
+    `Wavefunction2` gives two (n_in, n) arrays whose row r is input column r
+    mapped, formed in column blocks of the cell budget; that is exact,
+    because `_tail` maps each column on its own."""
+    _check_amp(psi.amp)
+    k, xs = params.gamma_over_c, out_grid.points
+    if isinstance(psi, Wavefunction1):
+        _warn_if_coarse(psi, out_grid)
+        tail, value = _tail(*_cells(psi), xs, k)
+        return _one_photon(value, tail, k), tail
+    _require_symmetric(psi)
+    pts, a = psi.grid.points, psi.amp
+    mapped = np.empty((a.shape[1], len(xs)), dtype=complex)
+    tail = np.empty_like(mapped)
+    for c0, c1 in blocks(0, a.shape[1], max(len(pts), len(xs))):
+        t, value = _tail(pts, a[:-1, c0:c1], a[1:, c0:c1], xs, k)
+        tail[c0:c1] = t.T
+        mapped[c0:c1] = _one_photon(value, t, k).T
+        del t, value                    # freed before the next block is mapped
+    return mapped, tail
 
 
 def apply_one_photon(psi: Wavefunction1, out_grid: Grid1D,
@@ -205,20 +252,12 @@ def apply_one_photon(psi: Wavefunction1, out_grid: Grid1D,
     The output is the transmitted amplitude plus the absorption-reemission
     integral, evaluated in closed form per cell.
     """
-    _check_amp(psi.amp)
-    _warn_if_coarse(psi, out_grid)
-    out = _one_photon_map(*_cells(psi), out_grid.points, params.gamma_over_c)
-    return Wavefunction1.sampled(out_grid, out)
+    return Wavefunction1.sampled(out_grid, _map_axis0(psi, out_grid, params)[0])
 
 
 # ---------------------------------------------------------------------------
 # two-photon maps
 # ---------------------------------------------------------------------------
-
-def _require_symmetric(psi: Wavefunction2) -> None:
-    if max_asymmetry(psi) > 0:
-        raise ValueError("two-photon input must be exchange symmetric")
-
 
 def _nonlinear_at(xs: np.ndarray, tail_sq: np.ndarray, kappa: float,
                   i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -232,13 +271,92 @@ def _nonlinear_at(xs: np.ndarray, tail_sq: np.ndarray, kappa: float,
 
 
 @dataclass(frozen=True, eq=False)
+class ColumnMap:
+    """Linear output of a general input on `grid`, held by its generators.
+
+    `columns` is the input mapped along axis 0 (n_in x n): its column c is
+    the input's first axis mapped to output point c.  The amplitude at the
+    pair (c, e) with c <= e is column c mapped along the second axis at
+    output point e, which `_tail`'s partial cell reads from the column's
+    node tails `node_tails`, plus 0.0 as `_mirror` adds it; (e, c) reads the
+    same, so the amplitude is exactly symmetric by construction.  `look` is
+    the `_lookup` of the output points among the input's nodes, shared by
+    every read.  `at` and `rows` evaluate these O(n_in n) arrays; `amp`, the
+    dense grid, is built on first read and cached.
+    """
+
+    grid: Grid1D
+    columns: np.ndarray
+    node_tails: np.ndarray
+    look: tuple[np.ndarray, ...]
+    kappa: float
+
+    @classmethod
+    def of(cls, edges: np.ndarray, columns: np.ndarray, grid: Grid1D,
+           kappa: float) -> "ColumnMap":
+        """The map of `columns`, linear between the input nodes `edges`."""
+        look = _lookup(edges, grid.points, kappa)
+        node_tails = _node_tails(edges, columns[:-1], columns[1:], kappa,
+                                 int(look[1].min()))
+        return cls(grid, columns, node_tails, look, kappa)
+
+    def _mapped(self, e0: int, e1: int, c0: int, c1: int) -> np.ndarray:
+        """Columns c0:c1 mapped at the output points e0:e1, shape
+        (e1 - e0, c1 - c0): the amplitude wherever c <= e, before the +0.0."""
+        cols, K = self.columns, self.node_tails
+        tail, value = _partial_cell(cols[:-1, c0:c1], cols[1:, c0:c1], K[:, c0:c1],
+                                    tuple(a[e0:e1] for a in self.look))
+        return _one_photon(value, tail, self.kappa)
+
+    def at(self, i, j) -> np.ndarray:
+        """Amplitudes at the node pairs (i, j); index arrays broadcast."""
+        e, c = np.maximum(i, j), np.minimum(i, j)
+        shape = np.shape(e)
+        e, c = np.ravel(e), np.ravel(c)
+        cols, K = self.columns, self.node_tails
+        tail, value = _partial_cell(cols[:-1], cols[1:], K,
+                                    tuple(a[e] for a in self.look), c)
+        out = _one_photon(value, tail, self.kappa)
+        out += 0.0
+        return out.reshape(shape)
+
+    def rows(self, i0: int, i1: int) -> np.ndarray:
+        """Rows i0:i1 of the amplitude grid (clipped like a slice): the pairs
+        left of the diagonal block as mapped columns, the block mirrored, and
+        those right of it as mapped columns transposed."""
+        n = self.grid.n
+        span = range(n)[i0:i1]
+        i0, i1 = span.start, max(span.start, span.stop)
+        out = np.empty((i1 - i0, n), dtype=complex)
+        out[:, :i0] = self._mapped(i0, i1, 0, i0)
+        block = self._mapped(i0, i1, i0, i1)
+        out[:, i0:i1] = np.where(np.tri(i1 - i0, dtype=bool), block, block.T)
+        del block
+        out[:, i1:] = self._mapped(i1, n, i0, i1).T
+        out += 0.0
+        return out
+
+    @cached_property
+    def amp(self) -> np.ndarray:
+        """The dense n x n grid (read-only): the upper triangle mapped in
+        column blocks of the cell budget, mirrored in place."""
+        n = self.grid.n
+        out = np.empty((n, n), dtype=complex)
+        for c0, c1 in blocks(0, n, n):
+            out[c0:c1, c0:] = self._mapped(c0, n, c0, c1).T
+        out = _mirror(out)
+        out.setflags(write=False)
+        return out
+
+
+@dataclass(frozen=True, eq=False)
 class ScatteredState:
     """Scattered two-photon amplitude on `grid`, held by its generators.
 
     A state has one generator, or is the sum of its two `parts`:
     - `linear`, a linear part: the one-photon output phi_out of a product
-      input (the part is phi_out(x1) phi_out(x2)), or the dense linear output
-      of a general input;
+      input (the part is phi_out(x1) phi_out(x2)), or the `ColumnMap` of a
+      general input;
     - `tail_sq`, a nonlinear part: the squared tail T^2 at each node, which
       with `kappa` gives -4 kappa^2 e^{-kappa(M-x1)} e^{-kappa(M-x2)} T(M)^2,
       M = max(x1, x2).
@@ -248,7 +366,7 @@ class ScatteredState:
     """
 
     grid: Grid1D
-    linear: Wavefunction1 | Wavefunction2 | None = None
+    linear: Wavefunction1 | ColumnMap | None = None
     tail_sq: np.ndarray | None = None
     kappa: float = 0.0
     parts: tuple[ScatteredState, ...] = ()
@@ -260,8 +378,10 @@ class ScatteredState:
             return first.at(i, j) + second.at(i, j)
         if self.tail_sq is not None:
             return _nonlinear_at(self.grid.points, self.tail_sq, self.kappa, i, j)
+        if isinstance(self.linear, ColumnMap):
+            return self.linear.at(i, j)
         a = self.linear.amp
-        return a[i] * a[j] if a.ndim == 1 else a[i, j]
+        return a[i] * a[j]
 
     def rows(self, i0: int, i1: int) -> np.ndarray:
         """Rows i0:i1 of the amplitude grid (clipped like a slice)."""
@@ -270,15 +390,18 @@ class ScatteredState:
         if self.parts:
             first, second = self.parts
             return first.rows(i0, i1) + second.rows(i0, i1)
+        if isinstance(self.linear, ColumnMap):
+            return self.linear.rows(i0, i1)
         idx = np.arange(self.grid.n)
         return self.at(idx[i0:i1, None], idx[None, :])
 
     @cached_property
     def amp(self) -> np.ndarray:
         """The dense n x n grid (read-only); a sum builds and keeps its parts'."""
+        if isinstance(self.linear, Wavefunction1):
+            return Wavefunction2.from_product(self.linear).amp
         if self.linear is not None:
-            return (self.linear if self.linear.amp.ndim == 2
-                    else Wavefunction2.from_product(self.linear)).amp
+            return self.linear.amp
         if self.parts:
             first, second = self.parts
             out = first.amp + second.amp
@@ -292,27 +415,25 @@ class ScatteredState:
 
 
 def apply_two_photon_linear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
-                            params: PhysicalParams) -> ScatteredState:
+                            params: PhysicalParams, *,
+                            mapped: np.ndarray | None = None) -> ScatteredState:
     """Linear (independent-photon) part of the two-photon map: the product of
     one-photon maps applied along each axis.  A `Wavefunction1` psi is the
     product input psi(x1) psi(x2), whose output is the product of its
-    one-photon output and is held as that output."""
+    one-photon output and is held as that output; a general input's is held
+    as its `ColumnMap`.  `mapped`, psi's axis-0 pass (`_map_axis0`), is
+    taken as given when the caller has run that pass."""
+    if mapped is None:
+        mapped = _map_axis0(psi, out_grid, params)[0]
     if isinstance(psi, Wavefunction1):
-        return ScatteredState(out_grid, linear=apply_one_photon(psi, out_grid, params))
-    _check_amp(psi.amp)
-    _require_symmetric(psi)
-    k = params.gamma_over_c
-    pts = psi.grid.points
-    xs = out_grid.points
-    # axis 0, then axis 1 into the upper triangle of the one output grid,
-    # mirrored in place
-    bt = _map_columns(_one_photon_map, pts, psi.amp, xs, k)
-    out = _map_columns(_one_photon_map, pts, bt, xs, k, upper=True)
-    return ScatteredState(out_grid, linear=Wavefunction2(out_grid, _mirror(out)))
+        return ScatteredState(out_grid, linear=Wavefunction1.sampled(out_grid, mapped))
+    return ScatteredState(out_grid, linear=ColumnMap.of(
+        psi.grid.points, mapped, out_grid, params.gamma_over_c))
 
 
 def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
-                               params: PhysicalParams) -> ScatteredState:
+                               params: PhysicalParams, *,
+                               tail: np.ndarray | None = None) -> ScatteredState:
     """Nonlinear correction of the two-photon map.
 
     The kernel factorizes once the min-constraint is rewritten as both source
@@ -320,23 +441,23 @@ def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Gri
     squared tail integral from M (a `Wavefunction1` psi, the product input
     psi(x1) psi(x2)) or a nested tail transform evaluated on the diagonal (a
     general `Wavefunction2`).  Either way the output is held by that n-vector.
+    `tail`, psi's inner tail from its axis-0 pass (`_map_axis0`), is taken as
+    given when the caller has run that pass.
     """
-    _check_amp(psi.amp)
+    if tail is None:
+        tail = _map_axis0(psi, out_grid, params)[1]
     k = params.gamma_over_c
     xs = out_grid.points
     if isinstance(psi, Wavefunction1):
-        tail, _ = _tail(*_cells(psi), xs, k)
         tail_sq = tail * tail
     else:
-        _require_symmetric(psi)
         pts = psi.grid.points
-        # inner tail along axis 0 at the output points, then the outer tail
-        # along axis 1; the physical value needs both tails anchored at the
-        # same M, so column i of the inner tail is taken only at x_i
-        inner = _map_columns(_tail_only, pts, psi.amp, xs, k)       # (n_in, n)
+        # the outer tail along axis 1 of the inner one; the physical value
+        # needs both tails anchored at the same M, so column i of the inner
+        # tail is taken only at x_i
         tail_sq = np.empty(out_grid.n, dtype=complex)
         for c0, c1 in blocks(0, out_grid.n, max(len(pts), out_grid.n)):
-            tail_sq[c0:c1] = _tail(pts, inner[:-1, c0:c1], inner[1:, c0:c1],
+            tail_sq[c0:c1] = _tail(pts, tail[:-1, c0:c1], tail[1:, c0:c1],
                                    xs[c0:c1], k, diagonal=True)[0]
     return ScatteredState(out_grid, tail_sq=tail_sq, kappa=k)
 
@@ -357,12 +478,15 @@ class TwoPhotonResult:
 
 def apply_two_photon(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
                      params: PhysicalParams) -> TwoPhotonResult:
-    """Full two-photon scattering map: linear part plus nonlinear correction.
+    """Full two-photon scattering map: linear part plus nonlinear correction,
+    both from one axis-0 pass over the input.
 
     psi is either a `Wavefunction1`, standing for the product input
     psi(x1) psi(x2), or a general exchange-symmetric `Wavefunction2`."""
-    linear = apply_two_photon_linear(psi, out_grid, params)
-    nonlinear = apply_two_photon_nonlinear(psi, out_grid, params)
+    mapped, tail = _map_axis0(psi, out_grid, params)
+    nonlinear = apply_two_photon_nonlinear(psi, out_grid, params, tail=tail)
+    del tail                            # freed before the linear part's node tails
+    linear = apply_two_photon_linear(psi, out_grid, params, mapped=mapped)
     total = ScatteredState(out_grid, parts=(linear, nonlinear))
     return TwoPhotonResult(total=total, linear=linear, nonlinear=nonlinear)
 

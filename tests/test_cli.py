@@ -526,6 +526,56 @@ def test_sampled_g2_does_not_depend_on_blas_threads(tmp_path):
     assert (one / "g2_curve.csv").read_bytes() == (two / "g2_curve.csv").read_bytes()
 
 
+
+def test_long_sampled_g2_does_not_depend_on_blas_threads(tmp_path):
+    # above 10^4 samples a BLAS dot splits between threads; the input's norm
+    # is a numpy reduction, so the renormalized curve keeps its bits
+    g = Grid1D(2.0, 8.0, 20001)
+    x = g.points
+    amp = 1.7 * np.exp(-((x - 5.0) ** 2) / 2.0 + 0.3j * (x - 5.0) ** 2)
+    write_wavefunction1(tmp_path / "pulse.csv", Wavefunction1.sampled(g, amp))
+    cfg = write_config(tmp_path / "run.cfg", **{
+        "pulse.kind": "file", "pulse.path": str(tmp_path / "pulse.csv"),
+        "grid.x_min": -4.0, "grid.x_max": 8.0, "grid.n": 513,
+        "anchor.x": 5.0, "tau.min": -2.5, "tau.max": 2.5, "tau.n": 1001})
+    one, two = _run_under_blas_threads(["g2", "--config", cfg], tmp_path)
+    assert (one / "g2_curve.csv").read_bytes() == (two / "g2_curve.csv").read_bytes()
+
+
+# Starts one command and reports its peak RSS from wait4.  A child forked
+# from the test process would report at least that process's own resident
+# set, so the command is started from this small interpreter instead.
+_PEAK_RSS = ("import os, subprocess, sys\n"
+             "p = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL,"
+             " stderr=subprocess.DEVNULL)\n"
+             "_, status, usage = os.wait4(p.pid, 0)\n"
+             "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
+
+
+def test_general_input_g2_memory_grows_with_n_not_n_squared(tmp_path):
+    # a general 2-D input's g2 holds O(n_in n) arrays, never an n x n grid:
+    # doubling grid.n from 1024 to 2048 would add 16 (2048^2 - 1024^2) bytes,
+    # about 50 MB, for one grid alone
+    g = Grid1D(0.0, 12.0, 129)
+    x = g.points
+    a = np.exp(-((x[:, None] - 6.0) ** 2 + (x[None, :] - 5.0) ** 2) / 2.0)
+    write_wavefunction2(tmp_path / "pair.csv", Wavefunction2.symmetric(g, a + a.T))
+    env = {**os.environ, "PYTHONPATH": str(Path(onedatom.__file__).resolve().parents[1])}
+    peak = {}
+    for n in (1024, 2048):
+        argv = [sys.executable, "-m", "onedatom.cli", "g2", "--pulse.kind", "file",
+                "--pulse.path", str(tmp_path / "pair.csv"), "--grid.x_min", "-6",
+                "--grid.x_max", "12", "--grid.n", str(n), "--anchor.x", "6",
+                "--tau.min", "-2", "--tau.max", "2", "--tau.n", "1001",
+                "--out", str(tmp_path / f"out-{n}")]
+        out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+                             capture_output=True, text=True, check=True, timeout=300).stdout
+        code, kb = map(int, out.split())
+        assert code == 0
+        peak[n] = 1024 * kb
+    assert peak[2048] - peak[1024] < 16 * (2048 ** 2 - 1024 ** 2) / 4
+
+
 def test_import_starts_no_process_pool():
     # each CLI run pays for its imports; the grid writer forks with `os` alone
     code = ("import sys, onedatom.cli; print([m for m in ('multiprocessing', "

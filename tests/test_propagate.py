@@ -147,6 +147,20 @@ def _tail_reference(edges, left, right, evals, kappa, diagonal=False):
     return decay_e[bshape] * K[node] + partial, at_e
 
 
+def _map_columns_reference(edges, a, evals, kappa, upper=False):
+    """Row c: column c of the samples a mapped along axis 0 by the one-photon
+    kernel at evals, by `_tail` in column blocks; with upper=True only at
+    evals[e] for e >= the block's first column, the rest left unset."""
+    cols = a.shape[1]
+    out = np.empty((cols, len(evals)), dtype=complex)
+    for c0, c1 in model.blocks(0, cols, max(len(edges), len(evals))):
+        e0 = c0 if upper else 0
+        tail, value = _tail(edges, a[:-1, c0:c1], a[1:, c0:c1], evals[e0:], kappa)
+        value -= 2.0 * kappa * tail
+        out[c0:c1, e0:] = value.T
+    return out
+
+
 class TestExactTail:
     """The one tail primitive against quadrature and under re-representation
     of the same input."""
@@ -446,10 +460,28 @@ class TestGeneral2DPath:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # both axis passes map column blocks into preallocated grids and the
-        # output is mirrored in place: one n x n grid and bounded blocks
-        assert peak <= 2 * 16 * n * n
+        # the part is held by its mapped columns and their node tails, two
+        # n_in x n arrays, with blocks of the cell budget while they are
+        # formed: no n x n grid (7.9 of these units here)
+        assert peak <= 5 * 16 * gin.n * n
         assert res.linear.amp.flags.c_contiguous
+
+    def test_g2_slice_holds_no_output_grid(self):
+        n_in, n = 129, 1024
+        gin = Grid1D(0.0, 12.0, n_in)
+        x = gin.points
+        a = np.exp(-((x[:, None] - 6.0) ** 2 + (x[None, :] - 5.0) ** 2))
+        psi = Wavefunction2.symmetric(gin, a + a.T)
+        tracemalloc.start()
+        try:
+            result = apply_two_photon(psi, Grid1D(-10.0, 12.0, n), P)
+            g2_slice(result.total, 6.0, (-3.0, 3.0), 2001, 1.0, P, local_density=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # one n x n grid alone would be 16 n^2 = 7.9 of these units
+        assert peak < 5 * 16 * n_in * n
+        assert "amp" not in vars(result.total)
 
     def test_nonlinear_peak_memory(self):
         # the symmetry check reads row blocks, so a general input's nonlinear
@@ -485,6 +517,38 @@ class TestGeneral2DPath:
             assert again.amp.tobytes() == psi.amp.tobytes()
             for part in ("linear", "nonlinear"):
                 assert getattr(got, part).amp.tobytes() == getattr(ref, part).amp.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_in=st.integers(2, 30), n=st.integers(2, 50),
+           block_cells=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
+    def test_column_map_matches_dense_construction(self, n_in, n, block_cells, seed):
+        # the linear part read from its column map equals, bit for bit, the
+        # dense construction: both axes mapped column by column, the second
+        # into the upper triangle only, then mirrored in place
+        rng = np.random.default_rng(seed)
+        raw = rng.normal(size=(n_in, n_in)) + 1j * rng.normal(size=(n_in, n_in))
+        amp = raw + raw.T
+        for values in (amp.real, amp.imag):     # signed zeros, kept symmetric
+            signed = rng.random((n_in, n_in)) < 0.2
+            values[signed | signed.T] = -0.0
+        x_lo = float(rng.uniform(-3.0, 0.5))
+        gin = Grid1D(0.0, 3.0, n_in)
+        gout = Grid1D(x_lo, float(rng.uniform(2.0, 4.0)), n)
+        psi = Wavefunction2(gin, amp)
+        kappa = P.gamma_over_c
+        bt = _map_columns_reference(gin.points, amp, gout.points, kappa)
+        dense = model._mirror(_map_columns_reference(gin.points, bt, gout.points, kappa,
+                                                     upper=True))
+        i, j = rng.integers(0, n, (4, 1)), rng.integers(0, n, (1, 6))
+        i0 = int(rng.integers(0, n))
+        i1 = int(rng.integers(i0, n + 2))
+        with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+            res = apply_two_photon(psi, gout, P)
+            part = res.linear
+            assert part.at(i, j).tobytes() == dense[i, j].tobytes()
+            assert part.rows(i0, i1).tobytes() == dense[i0:i1].tobytes()
+            assert part.amp.tobytes() == dense.tobytes()
+            assert max_asymmetry(res.total) == 0.0
 
     def test_memory_layout_is_irrelevant(self):
         gin = Grid1D(0.0, 6.0, 41)
