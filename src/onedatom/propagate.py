@@ -270,7 +270,7 @@ def _nonlinear_at(xs: np.ndarray, tail_sq: np.ndarray, kappa: float,
         * np.exp(-kappa * np.abs(xs[i] - xs[j])) * tail_sq[np.maximum(i, j)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class ColumnMap:
     """Linear output of a general input on `grid`, held by its generators.
 
@@ -281,13 +281,14 @@ class ColumnMap:
     node tails `node_tails`, plus 0.0 as `_mirror` adds it; (e, c) reads the
     same, so the amplitude is exactly symmetric by construction.  `look` is
     the `_lookup` of the output points among the input's nodes, shared by
-    every read.  `at` and `rows` evaluate these O(n_in n) arrays; `amp`, the
-    dense grid, is built on first read and cached.
+    every read.  `at` and `rows` evaluate these O(n_in n) arrays.  `amp`,
+    the dense grid, is built on first read and cached; it then answers every
+    read, with the same bits, and the two generators are released.
     """
 
     grid: Grid1D
-    columns: np.ndarray
-    node_tails: np.ndarray
+    columns: np.ndarray | None
+    node_tails: np.ndarray | None
     look: tuple[np.ndarray, ...]
     kappa: float
 
@@ -310,6 +311,8 @@ class ColumnMap:
 
     def at(self, i, j) -> np.ndarray:
         """Amplitudes at the node pairs (i, j); index arrays broadcast."""
+        if "amp" in vars(self):
+            return self.amp[i, j]
         e, c = np.maximum(i, j), np.minimum(i, j)
         shape = np.shape(e)
         e, c = np.ravel(e), np.ravel(c)
@@ -324,6 +327,8 @@ class ColumnMap:
         """Rows i0:i1 of the amplitude grid (clipped like a slice): the pairs
         left of the diagonal block as mapped columns, the block mirrored, and
         those right of it as mapped columns transposed."""
+        if "amp" in vars(self):
+            return self.amp[i0:i1]
         n = self.grid.n
         span = range(n)[i0:i1]
         i0, i1 = span.start, max(span.start, span.stop)
@@ -339,13 +344,16 @@ class ColumnMap:
     @cached_property
     def amp(self) -> np.ndarray:
         """The dense n x n grid (read-only): the upper triangle mapped in
-        column blocks of the cell budget, mirrored in place."""
+        column blocks of the cell budget, mirrored in place.  The generators
+        are released once it is built, so a state whose grid is read holds
+        that grid alone."""
         n = self.grid.n
         out = np.empty((n, n), dtype=complex)
         for c0, c1 in blocks(0, n, n):
             out[c0:c1, c0:] = self._mapped(c0, n, c0, c1).T
         out = _mirror(out)
         out.setflags(write=False)
+        self.columns = self.node_tails = None
         return out
 
 
@@ -414,26 +422,45 @@ class ScatteredState:
         return out
 
 
+def _linear_part(psi: Wavefunction1 | Wavefunction2, mapped: np.ndarray,
+                 out_grid: Grid1D, kappa: float) -> ScatteredState:
+    """The linear part from psi's axis-0 map `mapped` (`_map_axis0`)."""
+    if isinstance(psi, Wavefunction1):
+        return ScatteredState(out_grid, linear=Wavefunction1.sampled(out_grid, mapped))
+    return ScatteredState(out_grid, linear=ColumnMap.of(
+        psi.grid.points, mapped, out_grid, kappa))
+
+
+def _nonlinear_part(psi: Wavefunction1 | Wavefunction2, tail: np.ndarray,
+                    out_grid: Grid1D, kappa: float) -> ScatteredState:
+    """The nonlinear part from psi's axis-0 tail `tail` (`_map_axis0`)."""
+    if isinstance(psi, Wavefunction1):
+        tail_sq = tail * tail
+    else:
+        pts, xs = psi.grid.points, out_grid.points
+        # the outer tail along axis 1 of the inner one; the physical value
+        # needs both tails anchored at the same M, so column i of the inner
+        # tail is taken only at x_i
+        tail_sq = np.empty(out_grid.n, dtype=complex)
+        for c0, c1 in blocks(0, out_grid.n, max(len(pts), out_grid.n)):
+            tail_sq[c0:c1] = _tail(pts, tail[:-1, c0:c1], tail[1:, c0:c1],
+                                   xs[c0:c1], kappa, diagonal=True)[0]
+    return ScatteredState(out_grid, tail_sq=tail_sq, kappa=kappa)
+
+
 def apply_two_photon_linear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
-                            params: PhysicalParams, *,
-                            mapped: np.ndarray | None = None) -> ScatteredState:
+                            params: PhysicalParams) -> ScatteredState:
     """Linear (independent-photon) part of the two-photon map: the product of
     one-photon maps applied along each axis.  A `Wavefunction1` psi is the
     product input psi(x1) psi(x2), whose output is the product of its
     one-photon output and is held as that output; a general input's is held
-    as its `ColumnMap`.  `mapped`, psi's axis-0 pass (`_map_axis0`), is
-    taken as given when the caller has run that pass."""
-    if mapped is None:
-        mapped = _map_axis0(psi, out_grid, params)[0]
-    if isinstance(psi, Wavefunction1):
-        return ScatteredState(out_grid, linear=Wavefunction1.sampled(out_grid, mapped))
-    return ScatteredState(out_grid, linear=ColumnMap.of(
-        psi.grid.points, mapped, out_grid, params.gamma_over_c))
+    as its `ColumnMap`."""
+    return _linear_part(psi, _map_axis0(psi, out_grid, params)[0], out_grid,
+                        params.gamma_over_c)
 
 
 def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
-                               params: PhysicalParams, *,
-                               tail: np.ndarray | None = None) -> ScatteredState:
+                               params: PhysicalParams) -> ScatteredState:
     """Nonlinear correction of the two-photon map.
 
     The kernel factorizes once the min-constraint is rewritten as both source
@@ -441,25 +468,9 @@ def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Gri
     squared tail integral from M (a `Wavefunction1` psi, the product input
     psi(x1) psi(x2)) or a nested tail transform evaluated on the diagonal (a
     general `Wavefunction2`).  Either way the output is held by that n-vector.
-    `tail`, psi's inner tail from its axis-0 pass (`_map_axis0`), is taken as
-    given when the caller has run that pass.
     """
-    if tail is None:
-        tail = _map_axis0(psi, out_grid, params)[1]
-    k = params.gamma_over_c
-    xs = out_grid.points
-    if isinstance(psi, Wavefunction1):
-        tail_sq = tail * tail
-    else:
-        pts = psi.grid.points
-        # the outer tail along axis 1 of the inner one; the physical value
-        # needs both tails anchored at the same M, so column i of the inner
-        # tail is taken only at x_i
-        tail_sq = np.empty(out_grid.n, dtype=complex)
-        for c0, c1 in blocks(0, out_grid.n, max(len(pts), out_grid.n)):
-            tail_sq[c0:c1] = _tail(pts, tail[:-1, c0:c1], tail[1:, c0:c1],
-                                   xs[c0:c1], k, diagonal=True)[0]
-    return ScatteredState(out_grid, tail_sq=tail_sq, kappa=k)
+    return _nonlinear_part(psi, _map_axis0(psi, out_grid, params)[1], out_grid,
+                           params.gamma_over_c)
 
 
 @dataclass(frozen=True)
@@ -483,10 +494,11 @@ def apply_two_photon(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
 
     psi is either a `Wavefunction1`, standing for the product input
     psi(x1) psi(x2), or a general exchange-symmetric `Wavefunction2`."""
+    k = params.gamma_over_c
     mapped, tail = _map_axis0(psi, out_grid, params)
-    nonlinear = apply_two_photon_nonlinear(psi, out_grid, params, tail=tail)
+    nonlinear = _nonlinear_part(psi, tail, out_grid, k)
     del tail                            # freed before the linear part's node tails
-    linear = apply_two_photon_linear(psi, out_grid, params, mapped=mapped)
+    linear = _linear_part(psi, mapped, out_grid, k)
     total = ScatteredState(out_grid, parts=(linear, nonlinear))
     return TwoPhotonResult(total=total, linear=linear, nonlinear=nonlinear)
 

@@ -14,10 +14,9 @@ from onedatom.csvio import write_wavefunction1
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
-# apply_two_photon runs the axis-0 pass itself and hands each part its
-# share, so no command reaches apply_one_photon
-PROPAGATE = {"cli", "propagate.apply", "propagate.linear", "propagate.nonlinear",
-             "model.from_product", "csvio.write"}
+# apply_two_photon runs the axis-0 pass itself and builds each part from its
+# share, so no command reaches apply_one_photon or the public part maps
+PROPAGATE = {"cli", "propagate.apply", "model.from_product", "csvio.write"}
 
 
 def test_tracer_targets_resolve(monkeypatch):
