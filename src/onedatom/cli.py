@@ -21,6 +21,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -56,6 +57,7 @@ from .model import (
 from .oracle import (
     far_field_one_photon,
     far_field_two_photon,
+    one_photon_initial,
     rect_error_one_photon,
     rect_error_two_photon,
     run_one_photon_rect,
@@ -208,6 +210,8 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]
         if not cfg.pulse_path:
             raise ConfigError("pulse.kind=file requires pulse.path")
         psi = _read_file(cfg.pulse_path)
+        if not np.all(np.isfinite(psi.amp)):
+            raise ConfigError(f"{cfg.pulse_path}: amplitudes must be finite")
         one_photon = isinstance(psi, Wavefunction1)
         if not one_photon:
             psi = Wavefunction2.symmetric(psi.grid, psi.amp)
@@ -235,8 +239,9 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]
 # A configured command takes (cfg, CSV header meta, --linear-only, --check),
 # validates its inputs, computes and runs its check, and touches no file.  It
 # returns (files, manifest entries, summary detail, failure message or None);
-# `files` holds (name, writer, *writer args after the path) in write order,
-# and may be a generator that builds each entry only when it is written.
+# `files` holds (name, writer, *writer args after the path) in write order.
+# A two-photon grid is passed as a state that the writer reads in row blocks
+# (`csvio.write_wavefunction2`), so no command builds one to write it.
 
 def cmd_simulate(cfg: RunConfig, meta: dict, linear_only, check):
     if check:
@@ -247,8 +252,6 @@ def cmd_simulate(cfg: RunConfig, meta: dict, linear_only, check):
     total = result.linear if linear_only else result.total
     outputs = {"psi_out.csv": total, "psi_lin.csv": result.linear,
                "psi_nonlin.csv": result.nonlinear}
-    for part in outputs.values():
-        part.amp                        # every grid is written: build it once, here
     entries = {"run.linear_only": linear_only, "run.grid_points": grid.n,
                "run.norm_out": norm2(total), "run.norm_linear": norm2(result.linear),
                "run.norm_nonlinear": norm2(result.nonlinear)}
@@ -329,12 +332,15 @@ def cmd_oracle(cfg: RunConfig, meta: dict, linear_only, check):
     dx = cfg.oracle_dx
     window = {"pad": cfg.oracle_pad, "clear": cfg.oracle_clear}
     with _invalid_input():
-        run = run_rect(length, dx, params, record_trace=True, **window)
-        err = rect_error(run, length, params)
+        # the dx/2 run goes first and only its error is kept, so its larger
+        # field is freed before the dx run, whose field is written, starts;
+        # dx is checked before either, so a bad dx is named as given
+        one_photon_initial(length, dx, params, cfg.oracle_pad)
         err_half = None
         if cfg.oracle_ratio:
-            run_half = run_rect(length, dx / 2, params, **window)
-            err_half = rect_error(run_half, length, params)
+            err_half = rect_error(run_rect(length, dx / 2, params, **window), length, params)
+        run = run_rect(length, dx, params, record_trace=True, **window)
+        err = rect_error(run, length, params)
     entries = {"run.rel_l2": err, "run.final_norm": run.state.total_norm()}
     detail = f"mode {cfg.oracle_mode}, rel-L2 {err:.3e}"
     if err_half is not None:
@@ -357,21 +363,20 @@ def cmd_decompose(cfg: RunConfig, meta: dict, linear_only, check):
         raise ConfigError("grid.n must be at least 2")
     grid = Grid1D(0.0, length, n)
     x = grid.points
-    parts = []                          # each row block's processes, kept to be written
 
-    def process_rows(i0, i1):
-        parts.append(rect_process_amplitudes(x[i0:i1, None], x, length, params))
-        return parts[-1].total
+    def process_rows(name):
+        """Row reader (i0, i1) -> rows i0:i1 of the process `name`."""
+        return lambda i0, i1: getattr(
+            rect_process_amplitudes(x[i0:i1, None], x, length, params), name)
 
-    sum_dev = deviation(process_rows, lambda i0, i1: rect_two_photon_out(
+    sum_dev = deviation(process_rows("total"), lambda i0, i1: rect_two_photon_out(
         x[i0:i1, None], x, length, params), n)[0]
     failure = None
     if check and not sum_dev <= cfg.check_max_abs:
         failure = f"sum identity {sum_dev:.3e} exceeds {cfg.check_max_abs:.3e}"
-    # a generator: each complex process grid is built only when it is written
-    files = ((f"{name}.csv", write_wavefunction2, Wavefunction2(
-                 grid, np.concatenate([getattr(p, name) for p in parts])), meta)
-             for name in ("p_i", "p_ii", "p_iii"))
+    files = [(f"{name}.csv", write_wavefunction2,
+              SimpleNamespace(grid=grid, rows=process_rows(name)), meta)
+             for name in ("p_i", "p_ii", "p_iii")]
     return files, {"run.sum_identity_max_abs": sum_dev}, f"sum identity {sum_dev:.2e}", failure
 
 

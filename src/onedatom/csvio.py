@@ -15,17 +15,25 @@ with one `str.replace`; it holds one row of text at a time, never the file.
 
 That `%.17g` conversion is nearly all of a grid's write time, so a grid is
 formatted by one process per usable CPU (`os.sched_getaffinity`), each
-taking a contiguous range of rows of at least `SPLIT_CELLS` values.  The
-writing process reads the amplitudes and formats the axis before it forks,
-so a child never evaluates a structured state.  Each forked child writes
-its range, one row at a time, into an anonymous temporary file beside the
-output, then leaves with `os._exit` (status 0, or 1 on any failure): it
-never returns into the caller, calls BLAS or takes a lock held elsewhere.
-The parent formats the first range straight into the output, then waits
-for each child in order and appends its file; a non-zero status raises
-`OSError`.  With one usable CPU, a small grid or no `os.fork`, there is one
-range and no child, and the same loop runs in-process.  The bytes never
-depend on how many processes wrote them.
+taking a contiguous range of rows of at least `SPLIT_CELLS` values.  A grid
+is any two-photon state that offers `grid` and `rows(i0, i1)`: a dense
+`Wavefunction2`, a structured `propagate.ScatteredState`, or a reader built
+for one file.  Every process, the parent and each forked child, reads only
+the rows of its own range, through `rows` in blocks of `model.BLOCK_CELLS`
+cells, and formats each block before it reads the next, so no process
+builds the whole grid.  A child may evaluate a structured state because
+every `rows` path in this package is numpy ufuncs and indexing: nothing in
+it calls `dot`, `matmul` or `linalg`, so a child never enters a BLAS thread
+pool the fork left behind; keep it so.  Each forked child writes its range
+into an anonymous temporary file beside the output, then leaves with
+`os._exit` (status 0, or 1 on any failure, in reading its rows or in
+writing them): it never returns into the caller.  The parent formats the
+first range straight into the output, then waits for each child in order
+and appends its file; a non-zero status raises `OSError`, which the CLI
+reports with exit code 4.  With one usable CPU, a small grid or no
+`os.fork`, there is one range and no child, and the same loop runs
+in-process.  The bytes never depend on how many processes wrote them, nor
+on the block size.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ import os
 import numpy as np
 
 from .correlations import CorrelationCurve
-from .model import Grid1D, Wavefunction1, Wavefunction2
+from .model import Grid1D, Wavefunction1, Wavefunction2, blocks
 from .oracle import ExcitationTrace
 
 __all__ = [
@@ -85,30 +93,34 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _write_rows(fh, row: str, xs: list[str], amp: np.ndarray, i0: int, i1: int) -> None:
-    """Rows i0:i1 of the grid, one row of text at a time."""
-    for i in range(i0, i1):
-        reim = np.ascontiguousarray(amp[i]).view(float).tolist()
-        fh.write((row % tuple(reim)).replace("\n", "\n" + xs[i]))
+def _write_rows(fh, row: str, xs: list[str], psi, i0: int, i1: int) -> None:
+    """Rows i0:i1 of the state `psi`, read through `psi.rows` in blocks of
+    the cell budget and written one row of text at a time (real rows with
+    imaginary part 0)."""
+    for b0, b1 in blocks(i0, i1, len(xs)):
+        reim = np.ascontiguousarray(psi.rows(b0, b1), dtype=complex).view(float)
+        for i in range(b0, b1):
+            fh.write((row % tuple(reim[i - b0].tolist())).replace("\n", "\n" + xs[i]))
+        del reim                        # freed before the next block is read
 
 
-def _fork_rows(tmp, row: str, xs: list[str], amp: np.ndarray, i0: int, i1: int) -> int:
-    """Fork a child that writes rows i0:i1 into the open file `tmp`; its pid.
-    The child exits with status 0, or 1 on any failure, and never returns
-    into the caller."""
+def _fork_rows(tmp, row: str, xs: list[str], psi, i0: int, i1: int) -> int:
+    """Fork a child that reads and writes rows i0:i1 into the open file
+    `tmp`; its pid.  The child exits with status 0, or 1 on any failure,
+    and never returns into the caller."""
     pid = os.fork()
     if pid == 0:
         status = 1
         try:
             with open(tmp.fileno(), "w", closefd=False) as out:
-                _write_rows(out, row, xs, amp, i0, i1)
+                _write_rows(out, row, xs, psi, i0, i1)
             status = 0
         finally:
             os._exit(status)
     return pid
 
 
-def _write_split(fh, path, row: str, xs: list[str], amp: np.ndarray, cuts: list[int]) -> None:
+def _write_split(fh, path, row: str, xs: list[str], psi, cuts: list[int]) -> None:
     """Rows cuts[0]:cuts[-1] into `fh`: the first range formatted here, each
     further range by a forked child into an anonymous temporary file beside
     `path`, appended in order once the child has exited with status 0."""
@@ -123,8 +135,8 @@ def _write_split(fh, path, row: str, xs: list[str], amp: np.ndarray, cuts: list[
         try:
             for i0, i1 in zip(cuts[1:-1], cuts[2:]):
                 tmp = files.enter_context(tempfile.TemporaryFile(dir=folder))
-                children.append((_fork_rows(tmp, row, xs, amp, i0, i1), tmp, i0, i1))
-            _write_rows(fh, row, xs, amp, cuts[0], cuts[1])
+                children.append((_fork_rows(tmp, row, xs, psi, i0, i1), tmp, i0, i1))
+            _write_rows(fh, row, xs, psi, cuts[0], cuts[1])
             fh.flush()
             while children:
                 pid, tmp, i0, i1 = children[0]
@@ -141,8 +153,9 @@ def _write_split(fh, path, row: str, xs: list[str], amp: np.ndarray, cuts: list[
                 os.waitpid(pid, 0)
 
 
-def write_wavefunction2(path, psi: Wavefunction2, meta: dict | None = None) -> None:
-    amp = psi.amp                       # evaluated once, here, never in a child
+def write_wavefunction2(path, psi, meta: dict | None = None) -> None:
+    """The two-photon state `psi`, any object with `grid` and
+    `rows(i0, i1)` (rows i0:i1 of its amplitudes), as `x1, x2, re, im`."""
     xs = [FMT % v for v in psi.grid.points.tolist()]
     # every line of a row starts after a newline, where the row's x1 goes in
     row = "".join("\n," + x2 + f",{FMT},{FMT}" for x2 in xs)
@@ -151,7 +164,7 @@ def write_wavefunction2(path, psi: Wavefunction2, meta: dict | None = None) -> N
     with open(path, "w") as fh:
         fh.write(_meta_line(meta) + "x1,x2,re,im")
         fh.flush()                      # a child inherits no unwritten bytes of fh
-        _write_split(fh, path, row, xs, amp, [n * k // w for k in range(w + 1)])
+        _write_split(fh, path, row, xs, psi, [n * k // w for k in range(w + 1)])
         fh.write("\n")
 
 

@@ -15,8 +15,10 @@ from onedatom.csvio import write_wavefunction1
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 # apply_two_photon runs the axis-0 pass itself and builds each part from its
-# share, so no command reaches apply_one_photon or the public part maps
-PROPAGATE = {"cli", "propagate.apply", "model.from_product", "csvio.write"}
+# share, so no command reaches apply_one_photon or the public part maps; the
+# scattered pair is read through its generators, by g2 and by the grid
+# writer alike, so no command builds the dense product grid either
+PROPAGATE = {"cli", "propagate.apply", "csvio.write"}
 
 
 def test_tracer_targets_resolve(monkeypatch):
@@ -31,9 +33,7 @@ def test_tracer_targets_resolve(monkeypatch):
 # a command that captured one of them earlier would leave its span at zero.
 @pytest.mark.parametrize("argv, spans", [
     (["simulate", "--check"], PROPAGATE | {"analytic"}),
-    # g2 reads the product state through its generators: no dense product grid
-    (["g2"], PROPAGATE - {"model.from_product"}
-     | {"correlations.g2_slice", "correlations.find_dip_zeros"}),
+    (["g2"], PROPAGATE | {"correlations.g2_slice", "correlations.find_dip_zeros"}),
     (["decompose"], {"cli", "analytic", "csvio.write"}),
     (["oracle", "--pulse.length", "1", "--oracle.dx", "0.05"],
      {"cli", "oracle.evolve", "oracle.error", "csvio.write"}),

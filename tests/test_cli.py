@@ -15,6 +15,7 @@ from onedatom import PhysicalParams, Wavefunction2, cli, model, rect_two_photon_
 from onedatom.cli import COMMANDS, load_config, main
 from onedatom.csvio import read_curve, read_wavefunction1, read_wavefunction2, \
     write_wavefunction1, write_wavefunction2
+from onedatom.oracle import run_two_photon_rect
 from onedatom import Grid1D, Wavefunction1
 
 P = PhysicalParams()
@@ -324,6 +325,9 @@ GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", 
     ["simulate", "--pulse.kind", "file", "--pulse.path", "{dir}/shifted.csv"],
     ["compare", "{dir}/swapped.csv", "{dir}/swapped.csv"],
     ["compare", "{dir}/shifted.csv", "{dir}/shifted.csv"],
+    # non-finite amplitudes in a pulse file are rejected before the norm
+    *([command, "--pulse.kind", "file", "--pulse.path", f"{{dir}}/{name}.csv"]
+      for command in ("simulate", "g2") for name in ("nan1", "inf1", "nan2")),
 ], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
 def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
     (tmp_path / "unsorted.csv").write_text("x,re,im\n0,1,0\n0,1,0\n")
@@ -334,6 +338,9 @@ def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
     first, last = "x1,x2,re,im\n0,0,1,0\n0,1,1,0\n0,2,1,0\n", "2,0,1,0\n2,1,1,0\n2,2,1,0\n"
     (tmp_path / "swapped.csv").write_text(first + "1,0,1,0\n1,2,1,0\n1,1,1,0\n" + last)
     (tmp_path / "shifted.csv").write_text(first + "1,0,1,0\n1,1,1,0\n1.5,2,1,0\n" + last)
+    (tmp_path / "nan1.csv").write_text("x,re,im\n0,1,0\n1,nan,0\n2,1,0\n")
+    (tmp_path / "inf1.csv").write_text("x,re,im\n0,1,0\n1,1,-inf\n2,1,0\n")
+    (tmp_path / "nan2.csv").write_text(first + "1,0,1,0\n1,1,nan,0\n1,2,1,0\n" + last)
     out = tmp_path / "out"
     argv = [arg.format(dir=tmp_path) for arg in argv]
     if argv[0] != "compare":
@@ -423,38 +430,39 @@ def test_decompose_check_gates_sum_identity(tmp_path):
     assert float(manifest_entries(tmp_path / "manifest.txt")["run.sum_identity_max_abs"]) > 0
 
 
-def test_decompose_builds_grids_as_written(tmp_path):
-    # the runner writes each process grid as the command's generator builds it,
-    # so the three are never held at once
+def test_decompose_builds_grids_as_written(tmp_path, monkeypatch):
+    # the writer reads each process grid through its row reader, one block of
+    # 16 rows at a time, so no process grid is ever held whole
     n = 320
+    monkeypatch.setattr(model, "BLOCK_CELLS", 16 * n)
     tracemalloc.start()
     try:
         assert main(["decompose", "--grid.n", str(n), "--out", str(tmp_path)]) == 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4.5 * 16 * n ** 2
+    assert peak < 0.5 * 16 * n ** 2
 
 
-def test_decompose_call_reads_row_blocks(tmp_path):
+def test_decompose_call_reads_row_blocks(tmp_path, monkeypatch):
     # the sum identity reads row blocks of the processes and the closed form,
-    # and each process keeps only its own rows until its grid is built
+    # and the command returns row readers, no process rows
     n = 320
+    monkeypatch.setattr(model, "BLOCK_CELLS", 16 * n)
     cfg = load_config(None, {"grid.n": str(n)})
     tracemalloc.start()
     try:
         files, entries, _, _ = COMMANDS["decompose"][0](cfg, {}, False, True)
-        for _, _, psi, _ in files:      # each grid in turn, as the runner writes it
-            del psi
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 3.0 * 16 * n ** 2
-    assert entries["run.sum_identity_max_abs"] <= 1e-12
+    assert peak < 0.5 * 16 * n ** 2
+    assert len(files) == 3 and entries["run.sum_identity_max_abs"] <= 1e-12
 
 
 def test_simulate_check_reads_row_blocks(tmp_path):
-    # the three written grids, plus one block of each closed form at a time
+    # the norms and the check read the structured parts and each closed form
+    # a few blocks of the cell budget at a time; no grid is built to be written
     cfg = load_config(write_config(tmp_path / "run.cfg", **{"grid.n": 1024}), {})
     tracemalloc.start()
     try:
@@ -464,7 +472,22 @@ def test_simulate_check_reads_row_blocks(tmp_path):
         tracemalloc.stop()
     n = entries["run.grid_points"]
     assert failure is None and len(files) == 3
-    assert peak < 3.5 * 16 * n ** 2
+    assert peak < 0.5 * 16 * n ** 2
+
+
+def test_oracle_ratio_run_is_gone_before_the_written_run(tmp_path):
+    # the dx/2 run goes first and only its error is kept: the peak is that
+    # run's field and its initial product, not also the dx run's field
+    field = run_two_photon_rect(2.97, 0.015, P, pad=3.0, clear=8.0).state.field2.nbytes
+    tracemalloc.start()
+    try:
+        assert main(["oracle", "--oracle.mode", "two", "--pulse.length", "2.97",
+                     "--oracle.dx", "0.03", "--oracle.pad", "3", "--oracle.clear", "8",
+                     "--out", str(tmp_path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.3 * field
 
 
 def _nan_like(*args, **kwargs):
@@ -552,6 +575,17 @@ _PEAK_RSS = ("import os, subprocess, sys\n"
              "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n")
 
 
+def _peak_rss(*args) -> int:
+    """Peak RSS in bytes of `onedatom <args>`, which must exit 0."""
+    env = {**os.environ, "PYTHONPATH": str(Path(onedatom.__file__).resolve().parents[1])}
+    argv = [sys.executable, "-m", "onedatom.cli", *args]
+    out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
+                         capture_output=True, text=True, check=True, timeout=300).stdout
+    code, kb = map(int, out.split())
+    assert code == 0
+    return 1024 * kb
+
+
 def test_general_input_g2_memory_grows_with_n_not_n_squared(tmp_path):
     # a general 2-D input's g2 holds O(n_in n) arrays, never an n x n grid:
     # doubling grid.n from 1024 to 2048 would add 16 (2048^2 - 1024^2) bytes,
@@ -560,20 +594,22 @@ def test_general_input_g2_memory_grows_with_n_not_n_squared(tmp_path):
     x = g.points
     a = np.exp(-((x[:, None] - 6.0) ** 2 + (x[None, :] - 5.0) ** 2) / 2.0)
     write_wavefunction2(tmp_path / "pair.csv", Wavefunction2.symmetric(g, a + a.T))
-    env = {**os.environ, "PYTHONPATH": str(Path(onedatom.__file__).resolve().parents[1])}
-    peak = {}
-    for n in (1024, 2048):
-        argv = [sys.executable, "-m", "onedatom.cli", "g2", "--pulse.kind", "file",
-                "--pulse.path", str(tmp_path / "pair.csv"), "--grid.x_min", "-6",
-                "--grid.x_max", "12", "--grid.n", str(n), "--anchor.x", "6",
-                "--tau.min", "-2", "--tau.max", "2", "--tau.n", "1001",
-                "--out", str(tmp_path / f"out-{n}")]
-        out = subprocess.run([sys.executable, "-c", _PEAK_RSS, *argv], env=env,
-                             capture_output=True, text=True, check=True, timeout=300).stdout
-        code, kb = map(int, out.split())
-        assert code == 0
-        peak[n] = 1024 * kb
+    peak = {n: _peak_rss("g2", "--pulse.kind", "file", "--pulse.path",
+                         str(tmp_path / "pair.csv"), "--grid.x_min", "-6",
+                         "--grid.x_max", "12", "--grid.n", str(n), "--anchor.x", "6",
+                         "--tau.min", "-2", "--tau.max", "2", "--tau.n", "1001",
+                         "--out", str(tmp_path / f"out-{n}"))
+            for n in (1024, 2048)}
     assert peak[2048] - peak[1024] < 16 * (2048 ** 2 - 1024 ** 2) / 4
+
+
+def test_simulate_memory_does_not_grow_with_its_grids(tmp_path):
+    # simulate writes its three grids from row blocks of the structured state:
+    # from n = 512 to 1024 they would add 3 * 16 (1024^2 - 512^2) bytes, about
+    # 36 MB, if any process built them; one grid's growth bounds the peak's
+    peak = {n: _peak_rss("simulate", "--grid.n", str(n), "--out", str(tmp_path / f"out-{n}"))
+            for n in (512, 1024)}
+    assert peak[1024] - peak[512] < 16 * (1024 ** 2 - 512 ** 2)
 
 
 def test_import_starts_no_process_pool():

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import onedatom
-from onedatom import CorrelationCurve, Grid1D, Wavefunction1, Wavefunction2, csvio
+from onedatom import (
+    CorrelationCurve,
+    Grid1D,
+    PhysicalParams,
+    Wavefunction1,
+    Wavefunction2,
+    apply_two_photon,
+    csvio,
+    model,
+    rectangular_pulse,
+)
 from onedatom.cli import main
 from onedatom.csvio import (
     _complex,
@@ -214,6 +225,49 @@ def test_split_writer_forks_one_process_per_extra_cpu(tmp_path, monkeypatch, cpu
     assert len(forked) == cpus - 1 and all(i1 > i0 for i0, i1 in forked)
 
 
+# ---------------------------------------------------------------------------
+# structured states, read by each process in row blocks
+# ---------------------------------------------------------------------------
+
+def _scattered(kind, n_in, n, seed):
+    """A scattered pair on an n-point grid over [-3, 4], from a product
+    rectangle, a sampled product pulse or a general 2-D input."""
+    params = PhysicalParams()
+    grid = Grid1D.with_breakpoints(-3.0, 4.0, n, (0.0, 2.5))
+    if kind == "rectangle":
+        return apply_two_photon(rectangular_pulse(2.5), grid, params)
+    rng = np.random.default_rng(seed)
+    g_in = Grid1D(0.0, 2.5, n_in)
+    if kind == "sampled":
+        amp = rng.normal(size=n_in) + 1j * rng.normal(size=n_in)
+        return apply_two_photon(Wavefunction1.sampled(g_in, amp), grid, params)
+    amp = rng.normal(size=(n_in, n_in)) + 1j * rng.normal(size=(n_in, n_in))
+    return apply_two_photon(Wavefunction2.symmetric(g_in, amp + amp.T), grid, params)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["rectangle", "sampled", "general"]),
+       part=st.sampled_from(["total", "linear", "nonlinear"]),
+       n_in=st.integers(2, 9), n=st.integers(2, 30), seed=st.integers(0, 2 ** 16),
+       rows=st.integers(1, 8), cpus=st.integers(1, 3))
+def test_structured_state_written_in_row_blocks(tmp_path_factory, kind, part, n_in, n,
+                                                seed, rows, cpus):
+    # block and range edges fall anywhere: each process reads its range
+    # through `rows`, a few rows at a time, with the bytes of the dense grid
+    out = tmp_path_factory.mktemp("rows")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(model, "BLOCK_CELLS", rows * n)
+        mp.setattr(csvio, "SPLIT_CELLS", 1)
+        mp.setattr(csvio, "_usable_cpus", lambda: cpus)
+        psi = getattr(_scattered(kind, n_in, n, seed), part)
+        write_wavefunction2(out / "rows.csv", psi, META)
+        assert "amp" not in vars(psi)   # written without its dense grid
+        write_wavefunction2(out / "dense.csv", Wavefunction2(psi.grid, psi.amp), META)
+    _savetxt_grid(out / "ref.csv", META_LINE + "x1,x2,re,im\n", psi.grid.points, psi.amp)
+    assert (out / "rows.csv").read_bytes() == (out / "dense.csv").read_bytes()
+    assert (out / "rows.csv").read_bytes() == (out / "ref.csv").read_bytes()
+
+
 def _failing_at(row):
     """`csvio._write_rows` that raises once it reaches `row`."""
     write_rows = csvio._write_rows
@@ -236,6 +290,25 @@ def test_failed_range_leaves_no_file_or_process(tmp_path, monkeypatch, row, erro
     assert os.listdir(tmp_path) == ["grid.csv"]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)      # every forked child was waited for
+
+
+@pytest.mark.parametrize("row, error", [(156, OSError), (0, ValueError)],
+                         ids=["in a child", "in the parent"])
+def test_failed_row_read_leaves_no_file_or_process(tmp_path, monkeypatch, row, error):
+    # each process evaluates its own rows; a child whose read fails exits 1,
+    # which the parent raises as OSError
+    monkeypatch.setattr(csvio, "_usable_cpus", lambda: 3)
+    psi = _special_grid(157, 9)
+
+    def rows(i0, i1):
+        if i0 <= row < i1:
+            raise ValueError(f"row {row}")
+        return psi.rows(i0, i1)
+    with pytest.raises(error):
+        write_wavefunction2(tmp_path / "grid.csv", SimpleNamespace(grid=psi.grid, rows=rows))
+    assert os.listdir(tmp_path) == ["grid.csv"]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_failed_child_exits_4(tmp_path, monkeypatch, capsys):
