@@ -252,6 +252,11 @@ def far_field_one_photon(state: LabState1, params: PhysicalParams) -> Wavefuncti
     return Wavefunction1.sampled(_cell_grid(centers), state.field)
 
 
+def _validate_clear(clear: float) -> None:
+    if not clear >= 0:      # the run would stop before the pulse has crossed the atom
+        raise ValueError(f"clear must be non-negative, got {clear}")
+
+
 def far_field_two_photon(state: LabState2, params: PhysicalParams) -> Wavefunction2:
     centers = state.grid.points - params.c * state.t
     return Wavefunction2(_cell_grid(centers), state.field2)
@@ -262,7 +267,8 @@ def run_one_photon_rect(length: float, dx: float, params: PhysicalParams,
                         record_trace: bool = False,
                         norm_stride: int = 0) -> LabRun:
     """Build and evolve a rectangular-pulse run until the trailing edge has
-    cleared the atom by clear*c/gamma (residual excitation ~ e^{-clear})."""
+    cleared the atom by clear*c/gamma >= 0 (residual excitation ~ e^{-clear})."""
+    _validate_clear(clear)
     initial = one_photon_initial(length, dx, params, pad)
     return evolve_one_photon(initial, dx, clear / params.gamma, params,
                              record_trace=record_trace, norm_stride=norm_stride)
@@ -272,6 +278,7 @@ def run_two_photon_rect(length: float, dx: float, params: PhysicalParams,
                         pad: float = 5.0, clear: float = 15.0,
                         record_trace: bool = False,
                         norm_stride: int = 0) -> LabRun:
+    _validate_clear(clear)
     initial = two_photon_initial(length, dx, params, pad)
     return evolve_two_photon(initial, dx, clear / params.gamma, params,
                              record_trace=record_trace, norm_stride=norm_stride)
@@ -301,6 +308,6 @@ def rect_error_two_photon(run: LabRun, length: float,
                           params: PhysicalParams) -> float:
     ff = far_field_two_photon(run.state, params)
     x = ff.grid.points
-    return _relative_l2(lambda i0, i1: ff.amp[i0:i1],
+    return _relative_l2(ff.rows,
                         lambda i0, i1: rect_two_photon_out(x[i0:i1, None], x, length, params),
                         len(x))

@@ -21,14 +21,13 @@ generators: the one-photon output phi_out (rank-1 linear part) of a product
 input, or the `ColumnMap` of a general input (its axis-0 map and that map's
 node tails, O(n_in n)), and the n-vector of squared tails that sets the
 semiseparable nonlinear part.  Node pairs and row blocks are evaluated from
-them on demand, and the dense n x n grid is built only when `amp` is read.
+them on every read; `amp`, a dense grid filled from row blocks, is for tests.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -37,7 +36,6 @@ from .model import (
     PhysicalParams,
     Wavefunction1,
     Wavefunction2,
-    _mirror,
     blocks,
     max_asymmetry,
 )
@@ -58,11 +56,6 @@ SERIES_BELOW = 0.5     # kappa*h below which the cell weights use their series
 
 class ResolutionWarning(UserWarning):
     """Output grid too coarse to resolve the input's cell structure."""
-
-
-def _check_amp(amp: np.ndarray) -> None:
-    if not np.all(np.isfinite(amp)):
-        raise ValueError("input amplitudes must be finite")
 
 
 # ---------------------------------------------------------------------------
@@ -214,26 +207,23 @@ def _warn_if_coarse(psi: Wavefunction1, out_grid: Grid1D) -> None:
                 ResolutionWarning, stacklevel=4)
 
 
-def _require_symmetric(psi: Wavefunction2) -> None:
-    if max_asymmetry(psi) > 0:
-        raise ValueError("two-photon input must be exchange symmetric")
-
-
 def _map_axis0(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
                params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
     """(mapped, tail): psi mapped along axis 0 by the one-photon kernel and
     its tail K, both at the output points and from one `_tail` pass, after
-    the input's one check.  A `Wavefunction1` gives two n-vectors.  A
+    the input's checks.  A `Wavefunction1` gives two n-vectors.  A
     `Wavefunction2` gives two (n_in, n) arrays whose row r is input column r
     mapped, formed in column blocks of the cell budget; that is exact,
     because `_tail` maps each column on its own."""
-    _check_amp(psi.amp)
+    if not np.all(np.isfinite(psi.amp)):
+        raise ValueError("input amplitudes must be finite")
     k, xs = params.gamma_over_c, out_grid.points
     if isinstance(psi, Wavefunction1):
         _warn_if_coarse(psi, out_grid)
         tail, value = _tail(*_cells(psi), xs, k)
         return _one_photon(value, tail, k), tail
-    _require_symmetric(psi)
+    if max_asymmetry(psi) > 0:
+        raise ValueError("two-photon input must be exchange symmetric")
     pts, a = psi.grid.points, psi.amp
     mapped = np.empty((a.shape[1], len(xs)), dtype=complex)
     tail = np.empty_like(mapped)
@@ -270,7 +260,7 @@ def _nonlinear_at(xs: np.ndarray, tail_sq: np.ndarray, kappa: float,
         * np.exp(-kappa * np.abs(xs[i] - xs[j])) * tail_sq[np.maximum(i, j)]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ColumnMap:
     """Linear output of a general input on `grid`, held by its generators.
 
@@ -278,17 +268,15 @@ class ColumnMap:
     the input's first axis mapped to output point c.  The amplitude at the
     pair (c, e) with c <= e is column c mapped along the second axis at
     output point e, which `_tail`'s partial cell reads from the column's
-    node tails `node_tails`, plus 0.0 as `_mirror` adds it; (e, c) reads the
-    same, so the amplitude is exactly symmetric by construction.  `look` is
-    the `_lookup` of the output points among the input's nodes, shared by
-    every read.  `at` and `rows` evaluate these O(n_in n) arrays.  `amp`,
-    the dense grid, is built on first read and cached; it then answers every
-    read, with the same bits, and the two generators are released.
+    node tails `node_tails`, plus 0.0, which turns a -0.0 into +0.0; (e, c)
+    reads the same, so the amplitude is exactly symmetric by construction.
+    `look` is the `_lookup` of the output points among the input's nodes,
+    shared by every read.  `at` and `rows` evaluate these O(n_in n) arrays.
     """
 
     grid: Grid1D
-    columns: np.ndarray | None
-    node_tails: np.ndarray | None
+    columns: np.ndarray
+    node_tails: np.ndarray
     look: tuple[np.ndarray, ...]
     kappa: float
 
@@ -311,8 +299,6 @@ class ColumnMap:
 
     def at(self, i, j) -> np.ndarray:
         """Amplitudes at the node pairs (i, j); index arrays broadcast."""
-        if "amp" in vars(self):
-            return self.amp[i, j]
         e, c = np.maximum(i, j), np.minimum(i, j)
         shape = np.shape(e)
         e, c = np.ravel(e), np.ravel(c)
@@ -327,8 +313,6 @@ class ColumnMap:
         """Rows i0:i1 of the amplitude grid (clipped like a slice): the pairs
         left of the diagonal block as mapped columns, the block mirrored, and
         those right of it as mapped columns transposed."""
-        if "amp" in vars(self):
-            return self.amp[i0:i1]
         n = self.grid.n
         span = range(n)[i0:i1]
         i0, i1 = span.start, max(span.start, span.stop)
@@ -339,21 +323,6 @@ class ColumnMap:
         del block
         out[:, i1:] = self._mapped(i1, n, i0, i1).T
         out += 0.0
-        return out
-
-    @cached_property
-    def amp(self) -> np.ndarray:
-        """The dense n x n grid (read-only): the upper triangle mapped in
-        column blocks of the cell budget, mirrored in place.  The generators
-        are released once it is built, so a state whose grid is read holds
-        that grid alone."""
-        n = self.grid.n
-        out = np.empty((n, n), dtype=complex)
-        for c0, c1 in blocks(0, n, n):
-            out[c0:c1, c0:] = self._mapped(c0, n, c0, c1).T
-        out = _mirror(out)
-        out.setflags(write=False)
-        self.columns = self.node_tails = None
         return out
 
 
@@ -369,8 +338,8 @@ class ScatteredState:
       with `kappa` gives -4 kappa^2 e^{-kappa(M-x1)} e^{-kappa(M-x2)} T(M)^2,
       M = max(x1, x2).
 
-    `at` and `rows` evaluate the generators; `amp`, the dense grid, is built
-    on first read and cached, and `rows` slices it from then on.
+    `at` and `rows` evaluate the generators, and every read goes through
+    them; `amp` is a dense n x n read in row blocks, which only tests use.
     """
 
     grid: Grid1D
@@ -393,8 +362,6 @@ class ScatteredState:
 
     def rows(self, i0: int, i1: int) -> np.ndarray:
         """Rows i0:i1 of the amplitude grid (clipped like a slice)."""
-        if "amp" in self.__dict__:
-            return self.amp[i0:i1]
         if self.parts:
             first, second = self.parts
             return first.rows(i0, i1) + second.rows(i0, i1)
@@ -403,22 +370,13 @@ class ScatteredState:
         idx = np.arange(self.grid.n)
         return self.at(idx[i0:i1, None], idx[None, :])
 
-    @cached_property
+    @property
     def amp(self) -> np.ndarray:
-        """The dense n x n grid (read-only); a sum builds and keeps its parts'."""
-        if isinstance(self.linear, Wavefunction1):
-            return Wavefunction2.from_product(self.linear).amp
-        if self.linear is not None:
-            return self.linear.amp
-        if self.parts:
-            first, second = self.parts
-            out = first.amp + second.amp
-        else:
-            n = self.grid.n
-            out = np.empty((n, n), dtype=complex)
-            for i0, i1 in blocks(0, n, n):
-                out[i0:i1] = self.rows(i0, i1)
-        out.setflags(write=False)
+        """The dense n x n grid, filled from `rows` in row blocks."""
+        n = self.grid.n
+        out = np.empty((n, n), dtype=complex)
+        for i0, i1 in blocks(0, n, n):
+            out[i0:i1] = self.rows(i0, i1)
         return out
 
 
@@ -478,9 +436,8 @@ class TwoPhotonResult:
     """Scattered two-photon state with its linear/nonlinear split retained
     for decomposition and interference queries.
 
-    Each field is a `ScatteredState` on the output grid; `total` is the sum
-    of the other two.  Reading a state through `at` or `rows` builds no
-    n x n grid, and a state's dense `amp` exists only once it has been read."""
+    Each field is a `ScatteredState` on the output grid, read through `at`
+    and `rows`; `total` is the sum of the other two."""
 
     total: ScatteredState
     linear: ScatteredState

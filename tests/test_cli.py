@@ -312,6 +312,7 @@ GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", 
     ["oracle", "--oracle.dx", "0.3"],
     ["oracle", "--oracle.dx", "-1"],
     ["oracle", "--pulse.length", "2", "--oracle.dx", "0.05", "--oracle.clear", "-100"],
+    ["oracle", "--oracle.clear", "-5"],
     ["simulate", "--pulse.kind", "file", "--pulse.path", "{dir}/unsorted.csv"],
     ["simulate", "--pulse.kind", "file", "--pulse.path", "{dir}/empty.csv"],
     ["compare", "{dir}/unsorted.csv", "{dir}/unsorted.csv"],

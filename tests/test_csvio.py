@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import subprocess
@@ -5,6 +6,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from onedatom.csvio import (
     write_wavefunction2,
 )
 from onedatom.oracle import ExcitationTrace
+from onedatom.propagate import ScatteredState
 
 
 def test_wavefunction1_round_trip_is_exact(tmp_path):
@@ -260,8 +263,11 @@ def test_structured_state_written_in_row_blocks(tmp_path_factory, kind, part, n_
         mp.setattr(csvio, "SPLIT_CELLS", 1)
         mp.setattr(csvio, "_usable_cpus", lambda: cpus)
         psi = getattr(_scattered(kind, n_in, n, seed), part)
-        write_wavefunction2(out / "rows.csv", psi, META)
-        assert "amp" not in vars(psi)   # written without its dense grid
+        # written without its dense grid: a read of it fails the test, in
+        # the parent, or in a child, whose failure the writer raises
+        with mock.patch.object(ScatteredState, "amp", property(
+                lambda self: pytest.fail("a scattered state's dense grid was read"))):
+            write_wavefunction2(out / "rows.csv", psi, META)
         write_wavefunction2(out / "dense.csv", Wavefunction2(psi.grid, psi.amp), META)
     _savetxt_grid(out / "ref.csv", META_LINE + "x1,x2,re,im\n", psi.grid.points, psi.amp)
     assert (out / "rows.csv").read_bytes() == (out / "dense.csv").read_bytes()
@@ -319,6 +325,32 @@ def test_failed_child_exits_4(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "Traceback" not in err
     assert os.listdir(out) == ["psi_out.csv"]
+
+
+BLAS_NAMES = {"dot", "vdot", "inner", "matmul", "tensordot", "einsum", "linalg"}
+
+
+def test_package_calls_no_blas():
+    # forked writer children evaluate `rows`, so no code in the package may
+    # enter a BLAS thread pool the fork left behind: no `@` and no BLAS name,
+    # used, imported or imported from
+    found = []
+    for path in sorted(Path(onedatom.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = []
+            if isinstance(node, ast.MatMult):
+                names = ["@"]
+            elif isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = node.name.split(".")
+            elif isinstance(node, ast.ImportFrom):
+                names = (node.module or "").split(".")
+            found += [f"{path.name}:{getattr(node, 'lineno', '?')} {name}"
+                      for name in names if name == "@" or name in BLAS_NAMES]
+    assert found == []
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs CPU affinity")

@@ -56,6 +56,13 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             one_photon_initial(2.0, -0.1, P)
 
+    @pytest.mark.parametrize("run_rect", [run_one_photon_rect, run_two_photon_rect])
+    @pytest.mark.parametrize("clear", [-5.0, -1e-9, math.nan])
+    def test_rejects_negative_clear(self, run_rect, clear):
+        # the run would stop before the pulse has crossed the atom
+        with pytest.raises(ValueError, match="clear"):
+            run_rect(2.0, 0.1, P, clear=clear)
+
     def test_rejects_asymmetric_two_photon(self):
         initial = two_photon_initial(2.0, 0.1, P)
         amp = initial.field2.copy()
