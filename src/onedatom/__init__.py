@@ -24,8 +24,7 @@ from .correlations import (
 from .kernels import eval_abs_kernel, eval_nonlin_kernel
 from .model import (
     Grid1D,
-    LabState1,
-    LabState2,
+    LabState,
     PhysicalParams,
     PiecewiseConstant,
     Wavefunction1,
@@ -40,12 +39,9 @@ from .oracle import (
     evolve_one_photon,
     evolve_two_photon,
     excitation_trace,
-    far_field_one_photon,
-    far_field_two_photon,
-    one_photon_initial,
-    run_one_photon_rect,
-    run_two_photon_rect,
-    two_photon_initial,
+    far_field,
+    rect_initial,
+    run_rect,
 )
 from .propagate import (
     ScatteredState,
@@ -64,8 +60,7 @@ __all__ = [
     "PiecewiseConstant",
     "Wavefunction1",
     "Wavefunction2",
-    "LabState1",
-    "LabState2",
+    "LabState",
     "rectangular_pulse",
     "gaussian_pulse",
     "norm1",
@@ -90,12 +85,9 @@ __all__ = [
     "evolve_one_photon",
     "evolve_two_photon",
     "excitation_trace",
-    "one_photon_initial",
-    "two_photon_initial",
-    "far_field_one_photon",
-    "far_field_two_photon",
-    "run_one_photon_rect",
-    "run_two_photon_rect",
+    "rect_initial",
+    "far_field",
+    "run_rect",
     "second_order_correlation",
     "normalized_g2",
     "g2_slice",

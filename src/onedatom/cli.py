@@ -50,18 +50,17 @@ from .model import (
     Wavefunction2,
     deviation,
     gaussian_pulse,
+    max_asymmetry,
     norm1,
     norm2,
     rectangular_pulse,
 )
 from .oracle import (
-    far_field_one_photon,
-    far_field_two_photon,
-    one_photon_initial,
+    far_field,
     rect_error_one_photon,
     rect_error_two_photon,
-    run_one_photon_rect,
-    run_two_photon_rect,
+    rect_initial,
+    run_rect,
 )
 from .propagate import apply_two_photon
 
@@ -190,7 +189,8 @@ def _read_file(path):
 def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]:
     """Two-photon input state and the output grid, which covers its support
     and has the pulse edges as nodes.  A product input is returned as the
-    pulse of its photon.  File pulses are renormalized to unit norm on load."""
+    pulse of its photon.  File pulses are renormalized to unit norm on load;
+    a two-photon file must be exactly exchange symmetric."""
     kind = cfg.pulse_kind
     breakpoints = ()
     if kind == "rectangular":
@@ -213,8 +213,9 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]
         if not np.all(np.isfinite(psi.amp)):
             raise ConfigError(f"{cfg.pulse_path}: amplitudes must be finite")
         one_photon = isinstance(psi, Wavefunction1)
-        if not one_photon:
-            psi = Wavefunction2.symmetric(psi.grid, psi.amp)
+        if not one_photon and max_asymmetry(psi) > 0:
+            raise ConfigError(
+                f"{cfg.pulse_path}: two-photon amplitudes must be exchange symmetric")
         nrm = norm1(psi) if one_photon else norm2(psi)
         if nrm <= 0:
             raise ConfigError("pulse file has zero norm")
@@ -320,26 +321,22 @@ def cmd_oracle(cfg: RunConfig, meta: dict, linear_only, check):
     params = _params(cfg)
     length = _rect_length(cfg, "the oracle command")
     # Built per call, so each name is looked up in this module when it runs.
-    modes = {
-        "one": (run_one_photon_rect, rect_error_one_photon, far_field_one_photon,
-                write_wavefunction1, cfg.check_oracle_one),
-        "two": (run_two_photon_rect, rect_error_two_photon, far_field_two_photon,
-                write_wavefunction2, cfg.check_oracle_two),
-    }
+    modes = {"one": (1, rect_error_one_photon, write_wavefunction1, cfg.check_oracle_one),
+             "two": (2, rect_error_two_photon, write_wavefunction2, cfg.check_oracle_two)}
     if cfg.oracle_mode not in modes:
         raise ConfigError("oracle.mode must be 'one' or 'two'")
-    run_rect, rect_error, far_field, write, tol = modes[cfg.oracle_mode]
+    photons, rect_error, write, tol = modes[cfg.oracle_mode]
     dx = cfg.oracle_dx
-    window = {"pad": cfg.oracle_pad, "clear": cfg.oracle_clear}
+    run_args = {"photons": photons, "pad": cfg.oracle_pad, "clear": cfg.oracle_clear}
     with _invalid_input():
         # the dx/2 run goes first and only its error is kept, so its larger
         # field is freed before the dx run, whose field is written, starts;
         # dx is checked before either, so a bad dx is named as given
-        one_photon_initial(length, dx, params, cfg.oracle_pad)
+        rect_initial(length, dx, params, cfg.oracle_pad)
         err_half = None
         if cfg.oracle_ratio:
-            err_half = rect_error(run_rect(length, dx / 2, params, **window), length, params)
-        run = run_rect(length, dx, params, record_trace=True, **window)
+            err_half = rect_error(run_rect(length, dx / 2, params, **run_args), length, params)
+        run = run_rect(length, dx, params, record_trace=True, **run_args)
         err = rect_error(run, length, params)
     entries = {"run.rel_l2": err, "run.final_norm": run.state.total_norm()}
     detail = f"mode {cfg.oracle_mode}, rel-L2 {err:.3e}"

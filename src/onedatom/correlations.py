@@ -32,12 +32,10 @@ ZERO_THRESHOLD = 1e-6
 @dataclass(frozen=True)
 class CorrelationCurve:
     """Sampled correlation curve over delays tau at a fixed detection
-    coordinate; `kind` is "raw" (units 1/time^2) or "normalized"."""
+    coordinate."""
 
     tau: np.ndarray
     values: np.ndarray
-    kind: str
-    anchor_x: float
 
     def __post_init__(self) -> None:
         t = np.asarray(self.tau, dtype=float)
@@ -138,8 +136,7 @@ def g2_slice(psi2: Wavefunction2, x_anchor: float, tau_range: tuple[float, float
     tau = np.linspace(tau_range[0], tau_range[1], n_samples)
     vals = normalized_g2(psi2, x_anchor, tau, length, params,
                          local_density=local_density)
-    return CorrelationCurve(tau=tau, values=np.asarray(vals, dtype=float),
-                            kind="normalized", anchor_x=x_anchor)
+    return CorrelationCurve(tau=tau, values=np.asarray(vals, dtype=float))
 
 
 def find_dip_zeros(curve: CorrelationCurve) -> list[float]:

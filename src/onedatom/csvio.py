@@ -248,5 +248,4 @@ def read_wavefunction2(path) -> Wavefunction2:
 
 def read_curve(path) -> CorrelationCurve:
     rows = _load_rows(path, "tau,value")
-    return CorrelationCurve(tau=rows[:, 0], values=rows[:, 1],
-                            kind="normalized", anchor_x=math.nan)
+    return CorrelationCurve(tau=rows[:, 0], values=rows[:, 1])

@@ -20,8 +20,7 @@ __all__ = [
     "PiecewiseConstant",
     "Wavefunction1",
     "Wavefunction2",
-    "LabState1",
-    "LabState2",
+    "LabState",
     "rectangular_pulse",
     "gaussian_pulse",
     "norm1",
@@ -470,29 +469,13 @@ def max_asymmetry(psi: Wavefunction2) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LabState1:
-    """One-photon lab-frame state at time t: field cell values psi(r) on a
-    uniform grid (the atom sits at r = 0) plus the excited-state amplitude."""
-
-    t: float
-    grid: Grid1D
-    field: np.ndarray
-    excited: complex = 0j
-
-    def __post_init__(self) -> None:
-        f = np.asarray(self.field, dtype=complex)
-        if f.shape != (self.grid.n,):
-            raise ValueError("field shape does not match grid")
-        object.__setattr__(self, "field", f)
-
-    def total_norm(self) -> float:
-        return lab_norm(self.field, self.excited, self.grid.dx)
-
-
-@dataclass(frozen=True)
-class LabState2:
-    """Two-photon lab-frame state: symmetric field amplitude phi(r1, r2) and
-    the (atom excited, one photon at r) amplitude e(r).
+class LabState:
+    """Lab-frame state at time t of one or two photons: the field's cell
+    values on a uniform grid (the atom sits at r = 0), psi(r) or the
+    symmetric phi(r1, r2), plus `excited`, the amplitude of the excited atom
+    and the other photons: a scalar E for one photon, e(r) for two.  The
+    photon number is `field.ndim`; `excited` has one rank less and defaults
+    to the ground state.
 
     There is no doubly-excited amplitude: a two-level atom cannot absorb both
     photons, and the state layout makes that structural.
@@ -500,19 +483,23 @@ class LabState2:
 
     t: float
     grid: Grid1D
-    field2: np.ndarray
-    excited1: np.ndarray
+    field: np.ndarray
+    excited: complex | np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        f = np.asarray(self.field2, dtype=complex)
-        e = np.asarray(self.excited1, dtype=complex)
-        if f.shape != (self.grid.n, self.grid.n) or e.shape != (self.grid.n,):
-            raise ValueError("state shapes do not match grid")
-        object.__setattr__(self, "field2", f)
-        object.__setattr__(self, "excited1", e)
+        f = np.asarray(self.field, dtype=complex)
+        if f.ndim not in (1, 2) or f.shape != (self.grid.n,) * f.ndim:
+            raise ValueError(f"field shape {f.shape} is neither n nor n x n, n={self.grid.n}")
+        shape = (self.grid.n,) * (f.ndim - 1)
+        e = np.zeros(shape, dtype=complex) if self.excited is None \
+            else np.asarray(self.excited, dtype=complex)
+        if e.shape != shape:
+            raise ValueError(f"excited shape {e.shape} is not one rank below the field's")
+        object.__setattr__(self, "field", f)
+        object.__setattr__(self, "excited", e[()])      # a scalar for one photon
 
     def total_norm(self) -> float:
-        return lab_norm(self.field2, self.excited1, self.grid.dx)
+        return lab_norm(self.field, self.excited, self.grid.dx)
 
 
 def excitation_probability(rank: int, dx: float):

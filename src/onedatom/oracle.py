@@ -11,6 +11,14 @@ provides the incoming amplitude at 0- and, after crossing, receives the
 emitted amplitude at 0+ along every axis.  Two photons add one structural
 rule: no amplitude holds two excitations, as a two-level atom cannot.
 
+The API follows the loop: one state type, `model.LabState`, whose photon
+number is its field's rank; `rect_initial` and `run_rect` take that number
+as `photons` (1 or 2), and `far_field` returns a `Wavefunction1` or a
+`Wavefunction2` by rank.  `evolve_one_photon` and `evolve_two_photon` are
+the loop's two entries, each rejecting a state of the other rank; only the
+closed-form errors, `rect_error_one_photon` and `rect_error_two_photon`,
+stay apart, one per closed form.
+
 The excitation ODE dE/dt = -gamma E - sqrt(2 gamma c) phi(0-) is integrated
 with an explicit midpoint step (the incoming amplitude is constant along the
 characteristic crossing the atom).  The emission deposited into the crossed
@@ -31,8 +39,7 @@ import numpy as np
 from .analytic import rect_one_photon_out, rect_two_photon_out
 from .model import (
     Grid1D,
-    LabState1,
-    LabState2,
+    LabState,
     PhysicalParams,
     Wavefunction1,
     Wavefunction2,
@@ -48,12 +55,9 @@ __all__ = [
     "excitation_trace",
     "ExcitationTrace",
     "LabRun",
-    "one_photon_initial",
-    "two_photon_initial",
-    "far_field_one_photon",
-    "far_field_two_photon",
-    "run_one_photon_rect",
-    "run_two_photon_rect",
+    "rect_initial",
+    "far_field",
+    "run_rect",
     "relative_l2",
     "rect_error_one_photon",
     "rect_error_two_photon",
@@ -77,7 +81,7 @@ class LabRun:
     recorded, and the total norm after every norm_stride-th step and after
     the last step if norm_stride > 0."""
 
-    state: LabState1 | LabState2
+    state: LabState
     trace: ExcitationTrace | None = None
     norm_values: np.ndarray | None = None
 
@@ -94,11 +98,14 @@ def _cell_grid(centers: np.ndarray) -> Grid1D:
     return Grid1D(float(centers[0]), float(centers[-1]), len(centers), _points=centers)
 
 
-def one_photon_initial(length: float, dx: float, params: PhysicalParams,
-                       pad: float = 5.0) -> LabState1:
-    """Lab-frame initial state: a unit rectangular pulse whose trailing edge
-    sits pad*c/gamma short of the atom, so the moving-frame input occupies
-    [0, length].  `length` and pad*c/gamma must be multiples of dx."""
+def rect_initial(length: float, dx: float, params: PhysicalParams,
+                 pad: float = 5.0, photons: int = 1) -> LabState:
+    """Lab-frame initial state of `photons` (1 or 2) photons in one unit
+    rectangular pulse (the product state for two), incoming: its trailing
+    edge sits pad*c/gamma short of the atom, so the moving-frame input
+    occupies [0, length].  `length` and pad*c/gamma must be multiples of dx."""
+    if photons not in (1, 2):
+        raise ValueError(f"photons must be 1 or 2, got {photons}")
     _validate_dx(dx)
     ell = params.relaxation_length()
     pad_len = pad * ell
@@ -115,17 +122,9 @@ def one_photon_initial(length: float, dx: float, params: PhysicalParams,
     field = np.zeros(cells + pad_cells, dtype=complex)
     # amplitude tuned for an exactly unit piecewise norm
     field[:cells] = rectangular_pulse(length).pieces.values[0]
-    r_centers = x_centers + params.c * t0
-    return LabState1(t=t0, grid=_cell_grid(r_centers), field=field, excited=0j)
-
-
-def two_photon_initial(length: float, dx: float, params: PhysicalParams,
-                       pad: float = 5.0) -> LabState2:
-    """Product of two identical rectangular pulses, both photons incoming."""
-    one = one_photon_initial(length, dx, params, pad)
-    field2 = np.outer(one.field, one.field)
-    return LabState2(t=one.t, grid=one.grid, field2=field2,
-                     excited1=np.zeros(one.grid.n, dtype=complex))
+    if photons == 2:
+        field = np.outer(field, field)
+    return LabState(t0, _cell_grid(x_centers + params.c * t0), field)
 
 
 def _validate_dx(dx: float) -> None:
@@ -158,15 +157,20 @@ def _prepare(initial_grid: Grid1D, t0: float, dx: float, t_final: float,
     return centers, steps, j_first
 
 
-def _evolve(initial: LabState1 | LabState2, field: np.ndarray, excited, dx: float,
-            t_final: float, params: PhysicalParams, record_trace: bool,
-            norm_stride: int) -> LabRun:
-    """Run the scheme on a rank-d field and its rank-(d-1) excited amplitude:
-    read the crossed line phi[j], advance E, deposit along every axis."""
+def _evolve(initial: LabState, photons: int, dx: float, t_final: float,
+            params: PhysicalParams, record_trace: bool, norm_stride: int) -> LabRun:
+    """Run the scheme on a state of `photons` photons, a rank-d field and its
+    rank-(d-1) excited amplitude: read the crossed line phi[j], advance E,
+    deposit along every axis."""
+    field, excited, rank = initial.field, initial.excited, initial.field.ndim
+    if rank != photons:
+        raise ValueError(f"expected a {photons}-photon state, got {rank} photons")
     _validate_dx(dx)
     if not np.all(np.isfinite(field)):
         raise ValueError("initial field must be finite")
-    # one axis suffices: a two-photon field is checked symmetric before this
+    if rank == 2 and not np.array_equal(field, field.T):
+        raise ValueError("initial two-photon field must be symmetric")
+    # one axis suffices: a two-photon field is symmetric
     if np.any(field[initial.grid.points >= 0]):
         raise ValueError("initial field must be supported at r_i < 0")
     if np.any(np.abs(excited) > 0):
@@ -209,13 +213,13 @@ def _evolve(initial: LabState1 | LabState2, field: np.ndarray, excited, dx: floa
             norm_vals.append(lab_norm(phi, e, dx))
 
     t_f = initial.t + steps * dt
-    state = type(initial)(t_f, _cell_grid(centers + c * t_f), phi, e)
+    state = LabState(t_f, _cell_grid(centers + c * t_f), phi, e)
     if record_trace:
         trace = ExcitationTrace(initial.t + dt * (1 + np.arange(steps)), trace)
     return LabRun(state, trace, np.asarray(norm_vals) if norm_stride else None)
 
 
-def evolve_one_photon(initial: LabState1, dx: float, t_final: float,
+def evolve_one_photon(initial: LabState, dx: float, t_final: float,
                       params: PhysicalParams, record_trace: bool = False,
                       norm_stride: int = 0) -> LabRun:
     """Integrate the one-photon lab-frame dynamics up to t_final.
@@ -224,64 +228,42 @@ def evolve_one_photon(initial: LabState1, dx: float, t_final: float,
     the ground state; dx must match the initial grid spacing and the atom must
     sit on a cell boundary.
     """
-    return _evolve(initial, initial.field, initial.excited, dx, t_final, params,
-                   record_trace, norm_stride)
+    return _evolve(initial, 1, dx, t_final, params, record_trace, norm_stride)
 
 
-def evolve_two_photon(initial: LabState2, dx: float, t_final: float,
+def evolve_two_photon(initial: LabState, dx: float, t_final: float,
                       params: PhysicalParams, record_trace: bool = False,
                       norm_stride: int = 0) -> LabRun:
     """Integrate the two-photon lab-frame dynamics up to t_final: the
     one-photon scheme run along both coordinates, with e(r) as the excited
     amplitude.  The initial field must also be exchange symmetric."""
-    field = initial.field2
-    # unlike a difference, array_equal neither warns on inf nor flags nan here
-    if not np.array_equal(field, field.T, equal_nan=True):
-        raise ValueError("initial two-photon field must be symmetric")
-    return _evolve(initial, field, initial.excited1, dx, t_final, params,
-                   record_trace, norm_stride)
+    return _evolve(initial, 2, dx, t_final, params, record_trace, norm_stride)
 
 
 # ---------------------------------------------------------------------------
 # far-field extraction and validation helpers
 # ---------------------------------------------------------------------------
 
-def far_field_one_photon(state: LabState1, params: PhysicalParams) -> Wavefunction1:
-    """Map the lab field at time t to moving-frame coordinates x = r - c t."""
-    centers = state.grid.points - params.c * state.t
-    return Wavefunction1.sampled(_cell_grid(centers), state.field)
+def far_field(state: LabState, params: PhysicalParams) -> Wavefunction1 | Wavefunction2:
+    """The lab field at time t in moving-frame coordinates x = r - c t: a
+    `Wavefunction1` for one photon, a `Wavefunction2` for two."""
+    grid = _cell_grid(state.grid.points - params.c * state.t)
+    return (Wavefunction1 if state.field.ndim == 1 else Wavefunction2)(grid, state.field)
 
 
-def _validate_clear(clear: float) -> None:
+def run_rect(length: float, dx: float, params: PhysicalParams, photons: int = 1,
+             pad: float = 5.0, clear: float = 15.0, record_trace: bool = False,
+             norm_stride: int = 0) -> LabRun:
+    """Build and evolve a rectangular-pulse run of `photons` photons until the
+    trailing edge has cleared the atom by clear*c/gamma >= 0 (residual
+    excitation ~ e^{-clear})."""
     if not clear >= 0:      # the run would stop before the pulse has crossed the atom
         raise ValueError(f"clear must be non-negative, got {clear}")
-
-
-def far_field_two_photon(state: LabState2, params: PhysicalParams) -> Wavefunction2:
-    centers = state.grid.points - params.c * state.t
-    return Wavefunction2(_cell_grid(centers), state.field2)
-
-
-def run_one_photon_rect(length: float, dx: float, params: PhysicalParams,
-                        pad: float = 5.0, clear: float = 15.0,
-                        record_trace: bool = False,
-                        norm_stride: int = 0) -> LabRun:
-    """Build and evolve a rectangular-pulse run until the trailing edge has
-    cleared the atom by clear*c/gamma >= 0 (residual excitation ~ e^{-clear})."""
-    _validate_clear(clear)
-    initial = one_photon_initial(length, dx, params, pad)
-    return evolve_one_photon(initial, dx, clear / params.gamma, params,
-                             record_trace=record_trace, norm_stride=norm_stride)
-
-
-def run_two_photon_rect(length: float, dx: float, params: PhysicalParams,
-                        pad: float = 5.0, clear: float = 15.0,
-                        record_trace: bool = False,
-                        norm_stride: int = 0) -> LabRun:
-    _validate_clear(clear)
-    initial = two_photon_initial(length, dx, params, pad)
-    return evolve_two_photon(initial, dx, clear / params.gamma, params,
-                             record_trace=record_trace, norm_stride=norm_stride)
+    initial = rect_initial(length, dx, params, pad, photons)
+    # looked up in this module at call time, so a wrapper placed there sees the run
+    evolve = evolve_one_photon if photons == 1 else evolve_two_photon
+    return evolve(initial, dx, clear / params.gamma, params,
+                  record_trace=record_trace, norm_stride=norm_stride)
 
 
 def relative_l2(values: np.ndarray, reference: np.ndarray) -> float:
@@ -300,13 +282,13 @@ def rect_error_one_photon(run: LabRun, length: float,
                           params: PhysicalParams) -> float:
     """Relative L2 deviation of the far field from the closed-form output,
     over the captured window."""
-    ff = far_field_one_photon(run.state, params)
+    ff = far_field(run.state, params)
     return relative_l2(ff.amp, rect_one_photon_out(ff.grid.points, length, params))
 
 
 def rect_error_two_photon(run: LabRun, length: float,
                           params: PhysicalParams) -> float:
-    ff = far_field_two_photon(run.state, params)
+    ff = far_field(run.state, params)
     x = ff.grid.points
     return _relative_l2(ff.rows,
                         lambda i0, i1: rect_two_photon_out(x[i0:i1, None], x, length, params),

@@ -380,57 +380,6 @@ class ScatteredState:
         return out
 
 
-def _linear_part(psi: Wavefunction1 | Wavefunction2, mapped: np.ndarray,
-                 out_grid: Grid1D, kappa: float) -> ScatteredState:
-    """The linear part from psi's axis-0 map `mapped` (`_map_axis0`)."""
-    if isinstance(psi, Wavefunction1):
-        return ScatteredState(out_grid, linear=Wavefunction1.sampled(out_grid, mapped))
-    return ScatteredState(out_grid, linear=ColumnMap.of(
-        psi.grid.points, mapped, out_grid, kappa))
-
-
-def _nonlinear_part(psi: Wavefunction1 | Wavefunction2, tail: np.ndarray,
-                    out_grid: Grid1D, kappa: float) -> ScatteredState:
-    """The nonlinear part from psi's axis-0 tail `tail` (`_map_axis0`)."""
-    if isinstance(psi, Wavefunction1):
-        tail_sq = tail * tail
-    else:
-        pts, xs = psi.grid.points, out_grid.points
-        # the outer tail along axis 1 of the inner one; the physical value
-        # needs both tails anchored at the same M, so column i of the inner
-        # tail is taken only at x_i
-        tail_sq = np.empty(out_grid.n, dtype=complex)
-        for c0, c1 in blocks(0, out_grid.n, max(len(pts), out_grid.n)):
-            tail_sq[c0:c1] = _tail(pts, tail[:-1, c0:c1], tail[1:, c0:c1],
-                                   xs[c0:c1], kappa, diagonal=True)[0]
-    return ScatteredState(out_grid, tail_sq=tail_sq, kappa=kappa)
-
-
-def apply_two_photon_linear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
-                            params: PhysicalParams) -> ScatteredState:
-    """Linear (independent-photon) part of the two-photon map: the product of
-    one-photon maps applied along each axis.  A `Wavefunction1` psi is the
-    product input psi(x1) psi(x2), whose output is the product of its
-    one-photon output and is held as that output; a general input's is held
-    as its `ColumnMap`."""
-    return _linear_part(psi, _map_axis0(psi, out_grid, params)[0], out_grid,
-                        params.gamma_over_c)
-
-
-def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
-                               params: PhysicalParams) -> ScatteredState:
-    """Nonlinear correction of the two-photon map.
-
-    The kernel factorizes once the min-constraint is rewritten as both source
-    coordinates above M = max(x1, x2), so the double integral reduces to a
-    squared tail integral from M (a `Wavefunction1` psi, the product input
-    psi(x1) psi(x2)) or a nested tail transform evaluated on the diagonal (a
-    general `Wavefunction2`).  Either way the output is held by that n-vector.
-    """
-    return _nonlinear_part(psi, _map_axis0(psi, out_grid, params)[1], out_grid,
-                           params.gamma_over_c)
-
-
 @dataclass(frozen=True)
 class TwoPhotonResult:
     """Scattered two-photon state with its linear/nonlinear split retained
@@ -450,14 +399,48 @@ def apply_two_photon(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
     both from one axis-0 pass over the input.
 
     psi is either a `Wavefunction1`, standing for the product input
-    psi(x1) psi(x2), or a general exchange-symmetric `Wavefunction2`."""
+    psi(x1) psi(x2), or a general exchange-symmetric `Wavefunction2`.  The
+    linear (independent-photon) part is the one-photon map applied along
+    each axis: held as the one-photon output of a product input, whose
+    square it is, or as a general input's `ColumnMap`.  The nonlinear
+    kernel factorizes once the min-constraint is rewritten as both source
+    coordinates above M = max(x1, x2), so its double integral reduces to a
+    squared tail integral from M (a product input) or a nested tail
+    transform evaluated on the diagonal (a general input); either way the
+    correction is held by that n-vector."""
     k = params.gamma_over_c
     mapped, tail = _map_axis0(psi, out_grid, params)
-    nonlinear = _nonlinear_part(psi, tail, out_grid, k)
-    del tail                            # freed before the linear part's node tails
-    linear = _linear_part(psi, mapped, out_grid, k)
+    if isinstance(psi, Wavefunction1):
+        tail_sq = tail * tail
+        generator = Wavefunction1.sampled(out_grid, mapped)
+    else:
+        pts, xs = psi.grid.points, out_grid.points
+        # the outer tail along axis 1 of the inner one; the physical value
+        # needs both tails anchored at the same M, so column i of the inner
+        # tail is taken only at x_i
+        tail_sq = np.empty(out_grid.n, dtype=complex)
+        for c0, c1 in blocks(0, out_grid.n, max(len(pts), out_grid.n)):
+            tail_sq[c0:c1] = _tail(pts, tail[:-1, c0:c1], tail[1:, c0:c1],
+                                   xs[c0:c1], k, diagonal=True)[0]
+        del tail                        # freed before the linear part's node tails
+        generator = ColumnMap.of(pts, mapped, out_grid, k)
+    linear = ScatteredState(out_grid, linear=generator)
+    nonlinear = ScatteredState(out_grid, tail_sq=tail_sq, kappa=k)
     total = ScatteredState(out_grid, parts=(linear, nonlinear))
     return TwoPhotonResult(total=total, linear=linear, nonlinear=nonlinear)
+
+
+def apply_two_photon_linear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
+                            params: PhysicalParams) -> ScatteredState:
+    """Linear part of the two-photon map, `apply_two_photon(...).linear`."""
+    return apply_two_photon(psi, out_grid, params).linear
+
+
+def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
+                               params: PhysicalParams) -> ScatteredState:
+    """Nonlinear correction of the two-photon map,
+    `apply_two_photon(...).nonlinear`."""
+    return apply_two_photon(psi, out_grid, params).nonlinear
 
 
 def default_output_grid(psi: Wavefunction1 | Wavefunction2, params: PhysicalParams,

@@ -24,8 +24,7 @@ from onedatom import (
     rect_one_photon_out,
     rect_nonlin_out,
     rectangular_pulse,
-    run_one_photon_rect,
-    run_two_photon_rect,
+    run_rect,
 )
 from onedatom.oracle import rect_error_one_photon, rect_error_two_photon
 
@@ -158,15 +157,15 @@ def test_criterion_6_oracle_convergence():
     start = time.perf_counter()
     length = 5.0
 
-    run = run_one_photon_rect(length, 0.005, P)
+    run = run_rect(length, 0.005, P)
     err1 = rect_error_one_photon(run, length, P)
-    run_half = run_one_photon_rect(length, 0.0025, P)
+    run_half = run_rect(length, 0.0025, P)
     err1_half = rect_error_one_photon(run_half, length, P)
     ratio = err1 / err1_half
     assert err1 <= 2e-2
     assert 1.7 <= ratio <= 2.3
 
-    run2 = run_two_photon_rect(length, 0.01, P)
+    run2 = run_rect(length, 0.01, P, photons=2)
     err2 = rect_error_two_photon(run2, length, P)
     assert err2 <= 5e-2
 
@@ -208,7 +207,7 @@ def test_criterion_7_property_suites(sim20, sim40):
     # oracle norm-conservation drift halves with dx
     drifts = {}
     for dx in (0.02, 0.01):
-        run = run_one_photon_rect(2.0, dx, P, norm_stride=5)
+        run = run_rect(2.0, dx, P, norm_stride=5)
         drifts[dx] = float(np.max(np.abs(run.norm_values - run.norm_values[0])))
     drift_ratio = drifts[0.02] / drifts[0.01]
     assert 1.7 <= drift_ratio <= 2.3

@@ -15,7 +15,7 @@ from onedatom import PhysicalParams, Wavefunction2, cli, model, rect_two_photon_
 from onedatom.cli import COMMANDS, load_config, main
 from onedatom.csvio import read_curve, read_wavefunction1, read_wavefunction2, \
     write_wavefunction1, write_wavefunction2
-from onedatom.oracle import run_two_photon_rect
+from onedatom.oracle import run_rect
 from onedatom import Grid1D, Wavefunction1
 
 P = PhysicalParams()
@@ -329,6 +329,9 @@ GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", 
     # non-finite amplitudes in a pulse file are rejected before the norm
     *([command, "--pulse.kind", "file", "--pulse.path", f"{{dir}}/{name}.csv"]
       for command in ("simulate", "g2") for name in ("nan1", "inf1", "nan2")),
+    # an asymmetric two-photon pulse file is rejected, not mirrored
+    *([command, "--pulse.kind", "file", "--pulse.path", "{dir}/asymmetric.csv"]
+      for command in ("simulate", "g2")),
 ], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
 def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
     (tmp_path / "unsorted.csv").write_text("x,re,im\n0,1,0\n0,1,0\n")
@@ -342,6 +345,7 @@ def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
     (tmp_path / "nan1.csv").write_text("x,re,im\n0,1,0\n1,nan,0\n2,1,0\n")
     (tmp_path / "inf1.csv").write_text("x,re,im\n0,1,0\n1,1,-inf\n2,1,0\n")
     (tmp_path / "nan2.csv").write_text(first + "1,0,1,0\n1,1,nan,0\n1,2,1,0\n" + last)
+    (tmp_path / "asymmetric.csv").write_text(first + "1,0,1,0\n1,1,1,0\n1,2,2,0\n" + last)
     out = tmp_path / "out"
     argv = [arg.format(dir=tmp_path) for arg in argv]
     if argv[0] != "compare":
@@ -479,7 +483,7 @@ def test_simulate_check_reads_row_blocks(tmp_path):
 def test_oracle_ratio_run_is_gone_before_the_written_run(tmp_path):
     # the dx/2 run goes first and only its error is kept: the peak is that
     # run's field and its initial product, not also the dx run's field
-    field = run_two_photon_rect(2.97, 0.015, P, pad=3.0, clear=8.0).state.field2.nbytes
+    field = run_rect(2.97, 0.015, P, photons=2, pad=3.0, clear=8.0).state.field.nbytes
     tracemalloc.start()
     try:
         assert main(["oracle", "--oracle.mode", "two", "--pulse.length", "2.97",

@@ -155,7 +155,7 @@ class TestCurve:
     def test_longpulse_curve_exactly_symmetric(self):
         half = np.linspace(0.0, 8.0, 1601)
         tau = np.concatenate([-half[:0:-1], half])     # mirror-exact delays
-        c = CorrelationCurve(tau, longpulse_g2(tau, P), "normalized", 0.0)
+        c = CorrelationCurve(tau, longpulse_g2(tau, P))
         assert np.max(np.abs(c.values - c.values[::-1])) == 0.0
 
     def test_zero_wavefunction_curve(self):
@@ -167,7 +167,7 @@ class TestCurve:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CorrelationCurve(np.zeros(3), np.zeros(4), "raw", 0.0)
+            CorrelationCurve(np.zeros(3), np.zeros(4))
 
 
 class TestFindDipZeros:
@@ -179,7 +179,7 @@ class TestFindDipZeros:
 
     def test_analytic_curve(self):
         tau = np.arange(-6.0, 6.0 + 1e-12, 0.005)
-        c = CorrelationCurve(tau, longpulse_g2(tau, P), "normalized", 0.0)
+        c = CorrelationCurve(tau, longpulse_g2(tau, P))
         zeros = sorted(find_dip_zeros(c))
         assert zeros == pytest.approx([-TWO_LN2, TWO_LN2], abs=1e-3)
 
@@ -191,7 +191,7 @@ class TestFindDipZeros:
 
     def test_constant_curve(self):
         tau = np.linspace(-1, 1, 201)
-        c = CorrelationCurve(tau, np.full(201, 0.7), "normalized", 0.0)
+        c = CorrelationCurve(tau, np.full(201, 0.7))
         assert find_dip_zeros(c) == []
 
     @pytest.mark.parametrize("undefined, zeros", [([], [0.0]),
@@ -201,11 +201,11 @@ class TestFindDipZeros:
         tau = np.linspace(-1.0, 1.0, 201)
         values = tau ** 2
         values[undefined] = np.nan
-        c = CorrelationCurve(tau, values, "normalized", 0.0)
+        c = CorrelationCurve(tau, values)
         assert find_dip_zeros(c) == zeros
 
     def test_empty_curve_rejected(self):
-        c = CorrelationCurve(np.array([]), np.array([]), "raw", 0.0)
+        c = CorrelationCurve(np.array([]), np.array([]))
         with pytest.raises(ValueError):
             find_dip_zeros(c)
 

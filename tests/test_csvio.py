@@ -107,7 +107,7 @@ def test_blank_lines_and_comments_skipped(tmp_path):
 
 def test_curve_round_trip(tmp_path):
     tau = np.linspace(-1, 1, 41)
-    c = CorrelationCurve(tau, np.cos(tau) ** 2, "normalized", 0.5)
+    c = CorrelationCurve(tau, np.cos(tau) ** 2)
     path = tmp_path / "curve.csv"
     write_curve(path, c, {"anchor": 0.5})
     back = read_curve(path)
@@ -372,7 +372,7 @@ def test_table_writers_match_savetxt(tmp_path_factory, data, n, meta):
             for _ in range(3)]
     head = "#\n" if meta is None else META_LINE
     out = tmp_path_factory.mktemp("tables")
-    write_curve(out / "curve.csv", CorrelationCurve(cols[0], cols[1], "raw", 0.0), meta)
+    write_curve(out / "curve.csv", CorrelationCurve(cols[0], cols[1]), meta)
     _savetxt(out / "curve_ref.csv", head + "tau,value\n", cols[:2])
     write_trace(out / "trace.csv", ExcitationTrace(cols[0], cols[1]))
     _savetxt(out / "trace_ref.csv", "t,value\n", cols[:2])
@@ -399,7 +399,7 @@ def test_finite_values_round_trip_bit_for_bit(tmp_path_factory, data, n):
     back2 = read_wavefunction2(out / "wf2.csv")
     write_wavefunction1(out / "wf1.csv", Wavefunction1.sampled(grid, amp[0]))
     back1 = read_wavefunction1(out / "wf1.csv")
-    write_curve(out / "curve.csv", CorrelationCurve(pts, re[0], "raw", 0.0))
+    write_curve(out / "curve.csv", CorrelationCurve(pts, re[0]))
     back_c = read_curve(out / "curve.csv")
     assert _bits_equal(back2.grid.points, pts) and _bits_equal(back2.amp, amp)
     assert _bits_equal(back1.grid.points, pts) and _bits_equal(back1.amp, amp[0])

@@ -9,8 +9,7 @@ from hypothesis import strategies as st
 
 from onedatom import (
     Grid1D,
-    LabState1,
-    LabState2,
+    LabState,
     PhysicalParams,
     PiecewiseConstant,
     Wavefunction1,
@@ -256,7 +255,7 @@ class TestLabStates:
     def test_one_photon_norm(self):
         g = Grid1D(-1.0, 1.0, 201)
         field = np.exp(-g.points**2).astype(complex)
-        st = LabState1(t=0.0, grid=g, field=field, excited=0.5 + 0j)
+        st = LabState(t=0.0, grid=g, field=field, excited=0.5 + 0j)
         expected = np.sum(np.abs(field) ** 2) * g.dx + 0.25
         assert st.total_norm() == pytest.approx(expected, rel=1e-14)
 
@@ -264,15 +263,26 @@ class TestLabStates:
         g = Grid1D(-1.0, 1.0, 51)
         field2 = np.zeros((51, 51), dtype=complex)
         e = np.full(51, 0.1 + 0j)
-        st = LabState2(t=0.0, grid=g, field2=field2, excited1=e)
+        st = LabState(t=0.0, grid=g, field=field2, excited=e)
         assert st.total_norm() == pytest.approx(2 * 51 * 0.01 * g.dx, rel=1e-12)
 
     def test_shape_validation(self):
         g = Grid1D(0.0, 1.0, 4)
         with pytest.raises(ValueError):
-            LabState1(t=0.0, grid=g, field=np.zeros(3))
+            LabState(t=0.0, grid=g, field=np.zeros(3))
         with pytest.raises(ValueError):
-            LabState2(t=0.0, grid=g, field2=np.zeros((4, 4)), excited1=np.zeros(3))
+            LabState(t=0.0, grid=g, field=np.zeros((4, 4)), excited=np.zeros(3))
+        with pytest.raises(ValueError, match="field shape"):
+            LabState(t=0.0, grid=g, field=np.zeros((4, 4, 4)))
+        # the excited amplitude has one rank less than the field
+        with pytest.raises(ValueError, match="excited shape"):
+            LabState(t=0.0, grid=g, field=np.zeros(4), excited=np.zeros(4))
+        with pytest.raises(ValueError, match="excited shape"):
+            LabState(t=0.0, grid=g, field=np.zeros((4, 4)), excited=0j)
+        # by default the atom is in its ground state, at either rank
+        assert LabState(t=0.0, grid=g, field=np.zeros(4)).excited == 0
+        assert np.array_equal(LabState(t=0.0, grid=g, field=np.zeros((4, 4))).excited,
+                              np.zeros(4))
 
 
 def test_pulse_validation():

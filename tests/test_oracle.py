@@ -8,148 +8,150 @@ from hypothesis import strategies as st
 
 from onedatom import (
     Grid1D,
-    LabState1,
-    LabState2,
+    LabState,
     PhysicalParams,
+    Wavefunction1,
+    Wavefunction2,
     evolve_one_photon,
     evolve_two_photon,
     excitation_trace,
-    far_field_one_photon,
-    far_field_two_photon,
-    one_photon_initial,
+    far_field,
+    rect_initial,
     rect_two_photon_out,
-    run_one_photon_rect,
-    run_two_photon_rect,
-    two_photon_initial,
+    run_rect,
 )
 from onedatom.oracle import rect_error_one_photon, rect_error_two_photon, relative_l2
 
 P = PhysicalParams()
+EVOLVE = {1: evolve_one_photon, 2: evolve_two_photon}
 
 
 class TestPreconditions:
     def test_rejects_outgoing_support(self):
         g = Grid1D(-0.95, 1.05, 21)
         field = np.ones(21, dtype=complex)
-        st = LabState1(t=0.0, grid=g, field=field)
+        st = LabState(t=0.0, grid=g, field=field)
         with pytest.raises(ValueError):
             evolve_one_photon(st, 0.1, 1.0, P)
 
     def test_rejects_excited_start(self):
-        initial = one_photon_initial(2.0, 0.1, P)
-        bumped = LabState1(t=initial.t, grid=initial.grid, field=initial.field,
-                           excited=0.1 + 0j)
+        initial = rect_initial(2.0, 0.1, P)
+        bumped = LabState(t=initial.t, grid=initial.grid, field=initial.field,
+                          excited=0.1 + 0j)
         with pytest.raises(ValueError):
             evolve_one_photon(bumped, 0.1, 1.0, P)
 
     def test_rejects_mismatched_dx(self):
-        initial = one_photon_initial(2.0, 0.1, P)
+        initial = rect_initial(2.0, 0.1, P)
         with pytest.raises(ValueError):
             evolve_one_photon(initial, 0.05, 1.0, P)
 
     def test_rejects_backwards_time(self):
-        initial = one_photon_initial(2.0, 0.1, P)
+        initial = rect_initial(2.0, 0.1, P)
         with pytest.raises(ValueError):
             evolve_one_photon(initial, 0.1, initial.t - 1.0, P)
 
     def test_rejects_bad_dx(self):
         with pytest.raises(ValueError):
-            one_photon_initial(2.0, -0.1, P)
+            rect_initial(2.0, -0.1, P)
 
-    @pytest.mark.parametrize("run_rect", [run_one_photon_rect, run_two_photon_rect])
+    @pytest.mark.parametrize("photons", [0, 3])
+    def test_rejects_unsupported_photon_number(self, photons):
+        with pytest.raises(ValueError, match="photons"):
+            rect_initial(2.0, 0.1, P, photons=photons)
+
+    @pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])
+    def test_each_evolution_rejects_the_other_rank(self, photons):
+        initial = rect_initial(2.0, 0.1, P, photons=photons)
+        with pytest.raises(ValueError, match=f"{photons} photons"):
+            EVOLVE[3 - photons](initial, 0.1, 1.0, P)
+
+    @pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])
     @pytest.mark.parametrize("clear", [-5.0, -1e-9, math.nan])
-    def test_rejects_negative_clear(self, run_rect, clear):
+    def test_rejects_negative_clear(self, photons, clear):
         # the run would stop before the pulse has crossed the atom
         with pytest.raises(ValueError, match="clear"):
-            run_rect(2.0, 0.1, P, clear=clear)
+            run_rect(2.0, 0.1, P, photons=photons, clear=clear)
 
     def test_rejects_asymmetric_two_photon(self):
-        initial = two_photon_initial(2.0, 0.1, P)
-        amp = initial.field2.copy()
+        initial = rect_initial(2.0, 0.1, P, photons=2)
+        amp = initial.field.copy()
         amp[0, 1] += 1.0
-        st = LabState2(t=initial.t, grid=initial.grid, field2=amp,
-                       excited1=initial.excited1)
+        st = LabState(t=initial.t, grid=initial.grid, field=amp)
         with pytest.raises(ValueError):
             evolve_two_photon(st, 0.1, 1.0, P)
 
     def test_rejects_infinite_two_photon_without_a_warning(self):
-        initial = two_photon_initial(2.0, 0.1, P)
-        amp = initial.field2.copy()
+        initial = rect_initial(2.0, 0.1, P, photons=2)
+        amp = initial.field.copy()
         amp[0, 0] = math.inf
-        state = LabState2(t=initial.t, grid=initial.grid, field2=amp,
-                          excited1=initial.excited1)
+        state = LabState(t=initial.t, grid=initial.grid, field=amp)
         with pytest.raises(ValueError, match="finite"):
             evolve_two_photon(state, 0.1, 1.0, P)
 
     def test_memory_layout_is_irrelevant(self):
-        initial = two_photon_initial(2.0, 0.1, P)
-        fortran = LabState2(t=initial.t, grid=initial.grid,
-                            field2=np.asfortranarray(initial.field2),
-                            excited1=initial.excited1)
+        initial = rect_initial(2.0, 0.1, P, photons=2)
+        fortran = LabState(t=initial.t, grid=initial.grid,
+                           field=np.asfortranarray(initial.field))
         a = evolve_two_photon(fortran, 0.1, 1.0, P)
         b = evolve_two_photon(initial, 0.1, 1.0, P)
-        assert np.array_equal(a.state.field2, b.state.field2)
-        one = one_photon_initial(2.0, 0.1, P)
+        assert np.array_equal(a.state.field, b.state.field)
+        one = rect_initial(2.0, 0.1, P)
         columns = np.stack([one.field, one.field], axis=1)
-        strided = LabState1(t=one.t, grid=one.grid, field=columns[:, 0])
+        strided = LabState(t=one.t, grid=one.grid, field=columns[:, 0])
         assert np.array_equal(evolve_one_photon(strided, 0.1, 1.0, P).state.field,
                               evolve_one_photon(one, 0.1, 1.0, P).state.field)
-        bad = np.asfortranarray(initial.field2.copy())
+        bad = np.asfortranarray(initial.field.copy())
         bad[0, 0] = math.nan
         with pytest.raises(ValueError, match="finite"):
-            evolve_two_photon(LabState2(t=initial.t, grid=initial.grid, field2=bad,
-                                        excited1=initial.excited1), 0.1, 1.0, P)
+            evolve_two_photon(LabState(t=initial.t, grid=initial.grid, field=bad),
+                              0.1, 1.0, P)
 
 
 class TestZeroInput:
-    def test_one_photon_stays_zero(self):
-        base = one_photon_initial(2.0, 0.05, P)
-        zero = LabState1(t=base.t, grid=base.grid,
-                         field=np.zeros_like(base.field))
-        run = evolve_one_photon(zero, 0.05, 5.0, P, record_trace=True)
+    @staticmethod
+    def _stays_zero(photons, dx, t_final):
+        base = rect_initial(2.0, dx, P, photons=photons)
+        zero = LabState(t=base.t, grid=base.grid, field=np.zeros_like(base.field))
+        run = EVOLVE[photons](zero, dx, t_final, P, record_trace=True)
         assert np.all(run.state.field == 0)
-        assert run.state.excited == 0
+        assert np.all(run.state.excited == 0)
         assert np.all(excitation_trace(run).values == 0)
 
+    def test_one_photon_stays_zero(self):
+        self._stays_zero(1, 0.05, 5.0)
+
     def test_two_photon_stays_zero(self):
-        base = two_photon_initial(2.0, 0.1, P)
-        zero = LabState2(t=base.t, grid=base.grid,
-                         field2=np.zeros_like(base.field2),
-                         excited1=np.zeros_like(base.excited1))
-        run = evolve_two_photon(zero, 0.1, 2.0, P, record_trace=True)
-        assert np.all(run.state.field2 == 0)
-        assert np.all(excitation_trace(run).values == 0)
+        self._stays_zero(2, 0.1, 2.0)
 
 
 class TestOnePhotonConvergence:
     @pytest.mark.parametrize("length", [2.0, 5.0, 10.0])
     def test_error_and_first_order_rate(self, length):
-        run = run_one_photon_rect(length, 0.01, P)
+        run = run_rect(length, 0.01, P)
         err = rect_error_one_photon(run, length, P)
-        run_half = run_one_photon_rect(length, 0.005, P)
+        run_half = run_rect(length, 0.005, P)
         err_half = rect_error_one_photon(run_half, length, P)
         assert err <= 2e-2
         assert 1.7 <= err / err_half <= 2.3
 
     def test_norm_drift_bound_and_halving(self):
         length = 5.0
-        run = run_one_photon_rect(length, 0.005, P, norm_stride=5)
+        run = run_rect(length, 0.005, P, norm_stride=5)
         drift = np.max(np.abs(run.norm_values - run.norm_values[0]))
         assert drift <= 1e-3
-        run_half = run_one_photon_rect(length, 0.0025, P, norm_stride=10)
+        run_half = run_rect(length, 0.0025, P, norm_stride=10)
         drift_half = np.max(np.abs(run_half.norm_values - run_half.norm_values[0]))
         assert 1.7 <= drift / drift_half <= 2.3
 
 
-@pytest.mark.parametrize("run_rect, far_field, dx", [
-    (run_one_photon_rect, far_field_one_photon, 0.02),
-    (run_two_photon_rect, far_field_two_photon, 0.04),
-], ids=["one", "two"])
-def test_causality_upstream_cells_untouched(run_rect, far_field, dx):
+@pytest.mark.parametrize("photons, dx", [(1, 0.02), (2, 0.04)], ids=["one", "two"])
+def test_causality_upstream_cells_untouched(photons, dx):
     """The far field is exactly 0 wherever any coordinate lies upstream of
     the pulse (x_i > L): nothing reaches a cell the atom crossed before the
     pulse arrived."""
-    ff = far_field(run_rect(2.0, dx, P).state, P)
+    ff = far_field(run_rect(2.0, dx, P, photons=photons).state, P)
+    assert isinstance(ff, (Wavefunction1, Wavefunction2)[photons - 1])
     upstream = ff.grid.points > 2.0
     assert np.any(upstream)
     for axis in range(ff.amp.ndim):
@@ -157,12 +159,10 @@ def test_causality_upstream_cells_untouched(run_rect, far_field, dx):
 
 
 @pytest.mark.parametrize("stride", [1, 7, 10])
-@pytest.mark.parametrize("initial, evolve, dx", [
-    (one_photon_initial, evolve_one_photon, 0.05),
-    (two_photon_initial, evolve_two_photon, 0.1),
-], ids=["one", "two"])
-def test_norm_sampled_every_stride_and_at_the_last_step(initial, evolve, dx, stride):
-    start = initial(2.0, dx, P)
+@pytest.mark.parametrize("photons, dx", [(1, 0.05), (2, 0.1)], ids=["one", "two"])
+def test_norm_sampled_every_stride_and_at_the_last_step(photons, dx, stride):
+    start = rect_initial(2.0, dx, P, photons=photons)
+    evolve = EVOLVE[photons]
     run = evolve(start, dx, 15.0, P, record_trace=True, norm_stride=stride)
     steps = len(run.trace.values)
     sampled = sorted(set(range(0, steps, stride)) | {steps - 1})
@@ -177,7 +177,7 @@ def test_norm_sampled_every_stride_and_at_the_last_step(initial, evolve, dx, str
 
 class TestExcitationTrace:
     def test_saturation_then_decay_at_2_gamma(self):
-        run = run_one_photon_rect(10.0, 0.01, P, record_trace=True)
+        run = run_rect(10.0, 0.01, P, record_trace=True)
         tr = excitation_trace(run)
         assert np.all(tr.values >= 0) and np.all(tr.values <= 1)
         # rises toward saturation while the pulse drives the atom
@@ -191,7 +191,7 @@ class TestExcitationTrace:
         assert slope == pytest.approx(-2.0 * P.gamma, rel=0.05)
 
     def test_trace_disabled_raises(self):
-        run = run_one_photon_rect(2.0, 0.05, P)
+        run = run_rect(2.0, 0.05, P)
         with pytest.raises(ValueError):
             excitation_trace(run)
 
@@ -199,25 +199,25 @@ class TestExcitationTrace:
 class TestTwoPhoton:
     def test_error_against_closed_form(self):
         length = 2.0
-        run = run_two_photon_rect(length, 0.02, P)
+        run = run_rect(length, 0.02, P, photons=2)
         assert rect_error_two_photon(run, length, P) <= 3e-2
 
     @settings(max_examples=20, deadline=None)
     @given(length=st.sampled_from([0.4, 1.0, 2.0, 3.0]),
            dx=st.sampled_from([0.04, 0.05, 0.1]))
     def test_field_exactly_symmetric(self, length, dx):
-        run = run_two_photon_rect(length, dx, P)
-        assert np.max(np.abs(run.state.field2 - run.state.field2.T)) == 0.0
+        run = run_rect(length, dx, P, photons=2)
+        assert np.max(np.abs(run.state.field - run.state.field.T)) == 0.0
 
     def test_norm_drift_halves(self):
         drifts = {}
         for dx in (0.04, 0.02):
-            run = run_two_photon_rect(2.0, dx, P, norm_stride=10)
+            run = run_rect(2.0, dx, P, photons=2, norm_stride=10)
             drifts[dx] = np.max(np.abs(run.norm_values - run.norm_values[0]))
         assert 1.7 <= drifts[0.04] / drifts[0.02] <= 2.3
 
     def test_trace_bounded(self):
-        run = run_two_photon_rect(2.0, 0.04, P, record_trace=True)
+        run = run_rect(2.0, 0.04, P, photons=2, record_trace=True)
         tr = excitation_trace(run)
         assert np.all(tr.values >= 0) and np.all(tr.values <= 1)
 
@@ -233,7 +233,7 @@ def test_two_photon_error_reads_row_blocks():
     # the benchmark's two-photon run at dx/2: the closed form is built one
     # block of rows at a time, never as an m x m grid beside the far field
     length = 2.94
-    run = run_two_photon_rect(length, 0.015, P, pad=3.0, clear=8.0)
+    run = run_rect(length, 0.015, P, photons=2, pad=3.0, clear=8.0)
     m = run.state.grid.n
     tracemalloc.start()
     try:
@@ -242,7 +242,7 @@ def test_two_photon_error_reads_row_blocks():
     finally:
         tracemalloc.stop()
     assert peak < 0.5 * 16 * m * m
-    ff = far_field_two_photon(run.state, P)
+    ff = far_field(run.state, P)
     x = ff.grid.points
     ref = rect_two_photon_out(x[:, None], x[None, :], length, P)
     dense = math.sqrt(np.sum(np.abs(ff.amp - ref) ** 2) / np.sum(ref ** 2))
@@ -250,7 +250,7 @@ def test_two_photon_error_reads_row_blocks():
 
 
 def test_far_field_coordinates():
-    run = run_one_photon_rect(2.0, 0.05, P)
-    ff = far_field_one_photon(run.state, P)
+    run = run_rect(2.0, 0.05, P)
+    ff = far_field(run.state, P)
     assert np.allclose(ff.grid.points,
                        run.state.grid.points - P.c * run.state.t)
