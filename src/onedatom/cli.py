@@ -21,7 +21,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -62,7 +61,7 @@ from .oracle import (
     rect_initial,
     run_rect,
 )
-from .propagate import apply_two_photon
+from .propagate import ScatteredState, apply_two_photon
 
 __all__ = ["main", "RunConfig", "ConfigError", "ToleranceError"]
 
@@ -241,8 +240,9 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]
 # validates its inputs, computes and runs its check, and touches no file.  It
 # returns (files, manifest entries, summary detail, failure message or None);
 # `files` holds (name, writer, *writer args after the path) in write order.
-# A two-photon grid is passed as a state that the writer reads in row blocks
-# (`csvio.write_wavefunction2`), so no command builds one to write it.
+# A two-photon grid is passed as a `ScatteredState`, of the map or of a closed
+# form, that the writer reads in row blocks (`csvio.write_wavefunction2`), so
+# no command builds one to write it.
 
 def cmd_simulate(cfg: RunConfig, meta: dict, linear_only, check):
     if check:
@@ -292,9 +292,8 @@ def cmd_g2(cfg: RunConfig, meta: dict, linear_only, check):
     psi = result.linear if linear_only else result.total
 
     rectangular = cfg.pulse_kind == "rectangular"
-    length = cfg.pulse_length if rectangular else 1.0
     curve = g2_slice(psi, cfg.anchor_x, (cfg.tau_min, cfg.tau_max), cfg.tau_n,
-                     length, params, local_density=not rectangular)
+                     cfg.pulse_length if rectangular else None, params)
     zeros = find_dip_zeros(curve)
     undefined = int(np.count_nonzero(np.isnan(curve.values)))
     # the rows g2_slice's local density read: those around anchor + c tau
@@ -361,18 +360,15 @@ def cmd_decompose(cfg: RunConfig, meta: dict, linear_only, check):
     grid = Grid1D(0.0, length, n)
     x = grid.points
 
-    def process_rows(name):
-        """Row reader (i0, i1) -> rows i0:i1 of the process `name`."""
-        return lambda i0, i1: getattr(
-            rect_process_amplitudes(x[i0:i1, None], x, length, params), name)
-
-    sum_dev = deviation(process_rows("total"), lambda i0, i1: rect_two_photon_out(
+    processes = {name: ScatteredState(grid, lambda i, j, name=name: getattr(
+        rect_process_amplitudes(x[i], x[j], length, params), name))
+        for name in ("total", "p_i", "p_ii", "p_iii")}
+    sum_dev = deviation(processes["total"].rows, lambda i0, i1: rect_two_photon_out(
         x[i0:i1, None], x, length, params), n)[0]
     failure = None
     if check and not sum_dev <= cfg.check_max_abs:
         failure = f"sum identity {sum_dev:.3e} exceeds {cfg.check_max_abs:.3e}"
-    files = [(f"{name}.csv", write_wavefunction2,
-              SimpleNamespace(grid=grid, rows=process_rows(name)), meta)
+    files = [(f"{name}.csv", write_wavefunction2, processes[name], meta)
              for name in ("p_i", "p_ii", "p_iii")]
     return files, {"run.sum_identity_max_abs": sum_dev}, f"sum identity {sum_dev:.2e}", failure
 

@@ -5,7 +5,7 @@ statistics at delay tau probe the amplitude at (x + c tau, x).  Off-node
 points are evaluated by bilinear interpolation (error O(dx^2)).
 
 A two-photon state is read only through its `grid`, `at` (node pairs) and
-`rows` (row blocks), which a `Wavefunction2` and a structured
+`rows` (row blocks), which a `Wavefunction2` and a
 `propagate.ScatteredState` both offer; a curve never needs the dense grid.
 """
 
@@ -103,20 +103,20 @@ def marginal_density(psi2: Wavefunction2, x, params: PhysicalParams):
     return float(out) if out.ndim == 0 else out
 
 
-def normalized_g2(psi2: Wavefunction2, x: float, tau, length: float,
-                  params: PhysicalParams, local_density: bool = False):
+def normalized_g2(psi2: Wavefunction2, x: float, tau, length: float | None,
+                  params: PhysicalParams):
     """Normalized second-order correlation.
 
-    By default G2 is divided by the squared long-pulse average density 2c/L,
-    giving (L^2/2)|psi(x+c tau, x)|^2.  With local_density=True it is divided
-    by the actual single-photon densities at the two detection coordinates
-    instead (for anchors outside the plateau); g2 is nan where their product
-    is 0, beyond the pulse's reach or where it underflows.
+    With a pulse length L, G2 is divided by the squared long-pulse average
+    density 2c/L, giving (L^2/2)|psi(x+c tau, x)|^2.  With length=None it is
+    divided by the actual single-photon densities at the two detection
+    coordinates (for anchors outside the plateau); g2 is nan where their
+    product is 0, beyond the pulse's reach or where it underflows.
     """
-    if not (length > 0 and math.isfinite(length)):
+    if length is not None and not (length > 0 and math.isfinite(length)):
         raise ValueError(f"pulse length must be positive, got {length}")
     g2 = second_order_correlation(psi2, x, tau, params)
-    if not local_density:
+    if length is not None:
         return g2 / (2.0 * params.c / length) ** 2
     tau = np.asarray(tau, dtype=float)
     # one pass over the rows for both coordinates; the anchor's density last
@@ -128,14 +128,13 @@ def normalized_g2(psi2: Wavefunction2, x: float, tau, length: float,
 
 
 def g2_slice(psi2: Wavefunction2, x_anchor: float, tau_range: tuple[float, float],
-             n_samples: int, length: float, params: PhysicalParams,
-             local_density: bool = False) -> CorrelationCurve:
+             n_samples: int, length: float | None,
+             params: PhysicalParams) -> CorrelationCurve:
     """Uniformly sampled normalized g2 curve at a fixed anchor coordinate."""
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     tau = np.linspace(tau_range[0], tau_range[1], n_samples)
-    vals = normalized_g2(psi2, x_anchor, tau, length, params,
-                         local_density=local_density)
+    vals = normalized_g2(psi2, x_anchor, tau, length, params)
     return CorrelationCurve(tau=tau, values=np.asarray(vals, dtype=float))
 
 

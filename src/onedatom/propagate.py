@@ -16,17 +16,18 @@ rounding.  The one-photon kernel, the value minus 2 kappa times the tail, is
 applied along each coordinate; its delta part is never discretized.
 
 Each input is mapped along axis 0 once (`_map_axis0`), and both parts are
-taken from that pass.  The output is a `ScatteredState`, held by its
-generators: the one-photon output phi_out (rank-1 linear part) of a product
-input, or the `ColumnMap` of a general input (its axis-0 map and that map's
-node tails, O(n_in n)), and the n-vector of squared tails that sets the
-semiseparable nonlinear part.  Node pairs and row blocks are evaluated from
-them on every read; `amp`, a dense grid filled from row blocks, is for tests.
+taken from that pass.  Each part is a `ScatteredState`, its grid and two
+reads that evaluate the part's formula on every call: the product of the
+one-photon outputs phi_out for a product input, the `ColumnMap` of a general
+input (its axis-0 map and that map's node tails, O(n_in n)), or the n-vector
+of squared tails that sets the semiseparable nonlinear part.  `amp`, a
+dense grid filled from row blocks, is for tests.
 """
 
 from __future__ import annotations
 
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,47 +329,25 @@ class ColumnMap:
 
 @dataclass(frozen=True, eq=False)
 class ScatteredState:
-    """Scattered two-photon amplitude on `grid`, held by its generators.
+    """Scattered two-photon amplitude on `grid`, held by its two reads.
 
-    A state has one generator, or is the sum of its two `parts`:
-    - `linear`, a linear part: the one-photon output phi_out of a product
-      input (the part is phi_out(x1) phi_out(x2)), or the `ColumnMap` of a
-      general input;
-    - `tail_sq`, a nonlinear part: the squared tail T^2 at each node, which
-      with `kappa` gives -4 kappa^2 e^{-kappa(M-x1)} e^{-kappa(M-x2)} T(M)^2,
-      M = max(x1, x2).
-
-    `at` and `rows` evaluate the generators, and every read goes through
-    them; `amp` is a dense n x n read in row blocks, which only tests use.
+    `at(i, j)` gives the amplitudes at the node pairs (i, j), index arrays
+    broadcast; `rows(i0, i1)` gives rows i0:i1 of the amplitude grid, and
+    defaults to `at` on the row block's index slices, so it clips like a
+    slice.  Each part is built with the reads of its own formula (see
+    `apply_two_photon`), which evaluate it on every call; `amp` is a dense
+    n x n read in row blocks, which only tests use.
     """
 
     grid: Grid1D
-    linear: Wavefunction1 | ColumnMap | None = None
-    tail_sq: np.ndarray | None = None
-    kappa: float = 0.0
-    parts: tuple[ScatteredState, ...] = ()
+    at: Callable[..., np.ndarray]
+    rows: Callable[[int, int], np.ndarray] | None = None
 
-    def at(self, i, j) -> np.ndarray:
-        """Amplitudes at the node pairs (i, j); index arrays broadcast."""
-        if self.parts:
-            first, second = self.parts
-            return first.at(i, j) + second.at(i, j)
-        if self.tail_sq is not None:
-            return _nonlinear_at(self.grid.points, self.tail_sq, self.kappa, i, j)
-        if isinstance(self.linear, ColumnMap):
-            return self.linear.at(i, j)
-        a = self.linear.amp
-        return a[i] * a[j]
-
-    def rows(self, i0: int, i1: int) -> np.ndarray:
-        """Rows i0:i1 of the amplitude grid (clipped like a slice)."""
-        if self.parts:
-            first, second = self.parts
-            return first.rows(i0, i1) + second.rows(i0, i1)
-        if isinstance(self.linear, ColumnMap):
-            return self.linear.rows(i0, i1)
-        idx = np.arange(self.grid.n)
-        return self.at(idx[i0:i1, None], idx[None, :])
+    def __post_init__(self) -> None:
+        if self.rows is None:
+            at, idx = self.at, np.arange(self.grid.n)
+            object.__setattr__(self, "rows",
+                               lambda i0, i1: at(idx[i0:i1, None], idx[None, :]))
 
     @property
     def amp(self) -> np.ndarray:
@@ -401,20 +380,20 @@ def apply_two_photon(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
     psi is either a `Wavefunction1`, standing for the product input
     psi(x1) psi(x2), or a general exchange-symmetric `Wavefunction2`.  The
     linear (independent-photon) part is the one-photon map applied along
-    each axis: held as the one-photon output of a product input, whose
-    square it is, or as a general input's `ColumnMap`.  The nonlinear
-    kernel factorizes once the min-constraint is rewritten as both source
+    each axis: read as the product of a product input's one-photon outputs,
+    or through a general input's `ColumnMap`.  The nonlinear kernel
+    factorizes once the min-constraint is rewritten as both source
     coordinates above M = max(x1, x2), so its double integral reduces to a
     squared tail integral from M (a product input) or a nested tail
     transform evaluated on the diagonal (a general input); either way the
-    correction is held by that n-vector."""
-    k = params.gamma_over_c
+    correction is read from that n-vector.  `total` reads the sum of both."""
+    k, xs = params.gamma_over_c, out_grid.points
     mapped, tail = _map_axis0(psi, out_grid, params)
     if isinstance(psi, Wavefunction1):
         tail_sq = tail * tail
-        generator = Wavefunction1.sampled(out_grid, mapped)
+        linear = ScatteredState(out_grid, lambda i, j: mapped[i] * mapped[j])
     else:
-        pts, xs = psi.grid.points, out_grid.points
+        pts = psi.grid.points
         # the outer tail along axis 1 of the inner one; the physical value
         # needs both tails anchored at the same M, so column i of the inner
         # tail is taken only at x_i
@@ -423,10 +402,11 @@ def apply_two_photon(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
             tail_sq[c0:c1] = _tail(pts, tail[:-1, c0:c1], tail[1:, c0:c1],
                                    xs[c0:c1], k, diagonal=True)[0]
         del tail                        # freed before the linear part's node tails
-        generator = ColumnMap.of(pts, mapped, out_grid, k)
-    linear = ScatteredState(out_grid, linear=generator)
-    nonlinear = ScatteredState(out_grid, tail_sq=tail_sq, kappa=k)
-    total = ScatteredState(out_grid, parts=(linear, nonlinear))
+        columns = ColumnMap.of(pts, mapped, out_grid, k)
+        linear = ScatteredState(out_grid, columns.at, columns.rows)
+    nonlinear = ScatteredState(out_grid, lambda i, j: _nonlinear_at(xs, tail_sq, k, i, j))
+    total = ScatteredState(out_grid, lambda i, j: linear.at(i, j) + nonlinear.at(i, j),
+                           lambda i0, i1: linear.rows(i0, i1) + nonlinear.rows(i0, i1))
     return TwoPhotonResult(total=total, linear=linear, nonlinear=nonlinear)
 
 

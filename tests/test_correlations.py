@@ -94,7 +94,7 @@ class TestNormalizedG2:
         assert np.mean(curve.values[sel]) == pytest.approx(0.5, abs=1e-2)
 
     def test_local_density_normalization_near_plateau(self, scattered):
-        loc = normalized_g2(scattered.total, 20.0, 0.0, L, P, local_density=True)
+        loc = normalized_g2(scattered.total, 20.0, 0.0, None, P)
         assert loc == pytest.approx(4.5, rel=0.05)
 
     def test_rejects_bad_length(self, scattered):

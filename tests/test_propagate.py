@@ -29,7 +29,13 @@ from onedatom import (
     rectangular_pulse,
 )
 from onedatom import model
-from onedatom.propagate import ResolutionWarning, ScatteredState, _cell_weights, _tail
+from onedatom.propagate import (
+    ResolutionWarning,
+    ScatteredState,
+    _cell_weights,
+    _map_axis0,
+    _tail,
+)
 
 P = PhysicalParams()
 L = 20.0
@@ -427,36 +433,42 @@ class TestScatteredState:
         lazy = apply_two_photon(psi, grid, P)
         # the dense grids of the product of one-photon outputs, of both axes
         # mapped column by column and mirrored, and of the nonlinear formula
+        # on the squared tails T^2: the square of the one-photon tail, or the
+        # nested tail of a general input taken on the diagonal
         kappa, xs = P.gamma_over_c, grid.points
+        tail = _map_axis0(psi, grid, P)[1]
         if kind == "general":
             cols = _map_columns_reference(psi.grid.points, psi.amp, xs, kappa)
             linear = model._mirror(_map_columns_reference(psi.grid.points, cols, xs,
                                                           kappa, upper=True))
+            tail_sq = _tail(psi.grid.points, tail[:-1], tail[1:], xs, kappa,
+                            diagonal=True)[0]
         else:
-            linear = Wavefunction2.from_product(lazy.linear.linear).amp
+            linear = Wavefunction2.from_product(apply_one_photon(psi, grid, P)).amp
+            tail_sq = tail * tail
         idx = np.arange(grid.n)
         nonlinear = (-4.0 * kappa * kappa) * np.exp(-kappa * np.abs(xs[:, None] - xs)) \
-            * lazy.nonlinear.tail_sq[np.maximum(idx[:, None], idx)]
+            * tail_sq[np.maximum(idx[:, None], idx)]
         refs = {"total": linear + nonlinear, "linear": linear, "nonlinear": nonlinear}
         rng = np.random.default_rng(seed)
         m = grid.n
         i, j = rng.integers(0, m, (3, 1)), rng.integers(0, m, (1, 5))
         i0 = int(rng.integers(0, m))
-        i1 = int(rng.integers(i0 + 1, m + 1))
+        i1 = int(rng.integers(i0, m + 2))       # empty and clipped blocks too
         for name, amp in refs.items():
             part = getattr(lazy, name)
             assert np.array_equal(part.at(i, j), amp[i, j])
             assert np.array_equal(part.rows(i0, i1), amp[i0:i1])
             assert np.array_equal(part.amp, amp)
+            assert max_asymmetry(part) == 0.0
         anchor = rng.uniform(grid.x_min, grid.x_max)
         window = (0.999 * (grid.x_min - anchor), 0.999 * (grid.x_max - anchor))
         on_grid = Wavefunction2(grid, refs["total"])
-        for local in (False, True):
+        for length in (size, None):
             with np.errstate(divide="ignore", invalid="ignore"):
                 with _no_dense_read():
-                    a = g2_slice(lazy.total, anchor, window, 33, size, P,
-                                 local_density=local)
-                b = g2_slice(on_grid, anchor, window, 33, size, P, local_density=local)
+                    a = g2_slice(lazy.total, anchor, window, 33, length, P)
+                b = g2_slice(on_grid, anchor, window, 33, length, P)
             assert np.array_equal(a.values, b.values, equal_nan=True)
 
 
@@ -507,8 +519,7 @@ class TestGeneral2DPath:
         try:
             result = apply_two_photon(psi, Grid1D(-10.0, 12.0, n), P)
             with _no_dense_read():
-                g2_slice(result.total, 6.0, (-3.0, 3.0), 2001, 1.0, P,
-                         local_density=True)
+                g2_slice(result.total, 6.0, (-3.0, 3.0), 2001, None, P)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
