@@ -280,6 +280,8 @@ def cmd_g2(cfg: RunConfig, meta: dict, linear_only, check):
         _rect_length(cfg, "--check for g2")
     if cfg.tau_n < 2:
         raise ConfigError("tau.n must be at least 2")
+    if not cfg.tau_min < cfg.tau_max:
+        raise ConfigError(f"need tau.min < tau.max, got [{cfg.tau_min}, {cfg.tau_max}]")
     params = _params(cfg)
     psi_in, grid = _build_input(cfg)
     reach = [cfg.anchor_x + params.c * t for t in (0.0, cfg.tau_min, cfg.tau_max)]
@@ -360,8 +362,8 @@ def cmd_decompose(cfg: RunConfig, meta: dict, linear_only, check):
     grid = Grid1D(0.0, length, n)
     x = grid.points
 
-    processes = {name: ScatteredState(grid, lambda i, j, name=name: getattr(
-        rect_process_amplitudes(x[i], x[j], length, params), name))
+    processes = {name: ScatteredState(grid, lambda i0, i1, name=name: getattr(
+        rect_process_amplitudes(x[i0:i1, None], x, length, params), name))
         for name in ("total", "p_i", "p_ii", "p_iii")}
     sum_dev = deviation(processes["total"].rows, lambda i0, i1: rect_two_photon_out(
         x[i0:i1, None], x, length, params), n)[0]

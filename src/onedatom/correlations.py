@@ -4,9 +4,12 @@ Detection times map to positions through t = -x/c, so the joint detection
 statistics at delay tau probe the amplitude at (x + c tau, x).  Off-node
 points are evaluated by bilinear interpolation (error O(dx^2)).
 
-A two-photon state is read only through its `grid`, `at` (node pairs) and
-`rows` (row blocks), which a `Wavefunction2` and a
-`propagate.ScatteredState` both offer; a curve never needs the dense grid.
+A two-photon state is read only through its `grid` and `rows` (row blocks),
+which a `Wavefunction2` and a `propagate.ScatteredState` both offer.  By
+exchange symmetry the line (x + c tau, x) is read as psi(x, x + c tau),
+along the rows at the anchor x: a curve reads two rows for its amplitude,
+plus the rows of its density window when it is normalised by the local
+density, and never needs the dense grid.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalParams, Wavefunction2, _row_density, grid_weights
+from .model import PhysicalParams, Wavefunction2, _row_density, blocks, grid_weights
 
 __all__ = [
     "CorrelationCurve",
@@ -48,10 +51,11 @@ class CorrelationCurve:
 
 def _interp2(psi2: Wavefunction2, x1, x2) -> np.ndarray:
     """Bilinear interpolation of the two-photon amplitude; points outside the
-    grid are rejected."""
+    grid are rejected.  The corners at x2's nodes j and j + 1 are entries i
+    and i + 1 of rows j and j + 1, psi(x1, x2) = psi(x2, x1), read in row
+    blocks over the span of j: two rows for a scalar x2."""
     pts = psi2.grid.points
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
+    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     if np.any(x1 < pts[0]) or np.any(x1 > pts[-1]) \
             or np.any(x2 < pts[0]) or np.any(x2 > pts[-1]):
         raise ValueError("evaluation point outside the wavefunction grid")
@@ -60,9 +64,21 @@ def _interp2(psi2: Wavefunction2, x1, x2) -> np.ndarray:
     j = np.clip(np.searchsorted(pts, x2, side="right") - 1, 0, n - 2)
     u = (x1 - pts[i]) / (pts[i + 1] - pts[i])
     v = (x2 - pts[j]) / (pts[j + 1] - pts[j])
-    at = psi2.at
-    return ((1 - u) * (1 - v) * at(i, j) + u * (1 - v) * at(i + 1, j)
-            + (1 - u) * v * at(i, j + 1) + u * v * at(i + 1, j + 1))
+    # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1), one per point
+    corners = np.empty((4, j.size), dtype=complex)
+    i, j = i.ravel(), j.ravel()
+    span = (int(j.min()), int(j.max()) + 2) if j.size else (0, 0)
+    for r0, r1 in blocks(*span, n):
+        block = psi2.rows(r0, r1)
+        for d in (0, 1):
+            sel = (j + d >= r0) & (j + d < r1)
+            row, col = j[sel] + (d - r0), i[sel]
+            corners[2 * d, sel] = block[row, col]
+            corners[2 * d + 1, sel] = block[row, col + 1]
+        del block                       # freed before the next block is read
+    a00, a10, a01, a11 = corners.reshape((4,) + u.shape)
+    return ((1 - u) * (1 - v) * a00 + u * (1 - v) * a10
+            + (1 - u) * v * a01 + u * v * a11)
 
 
 def second_order_correlation(psi2: Wavefunction2, x: float, tau,
@@ -71,7 +87,7 @@ def second_order_correlation(psi2: Wavefunction2, x: float, tau,
     |psi(x + c tau, x)|^2 at detection coordinate x (t = -x/c).  Both photon
     orderings contribute equally by bosonic symmetry."""
     tau = np.asarray(tau, dtype=float)
-    amp = _interp2(psi2, x + params.c * tau, np.broadcast_to(x, tau.shape))
+    amp = _interp2(psi2, x + params.c * tau, x)
     out = 2.0 * params.c ** 2 * np.abs(amp) ** 2
     return float(out) if out.ndim == 0 else out
 

@@ -16,9 +16,10 @@ with one `str.replace`; it holds one row of text at a time, never the file.
 That `%.17g` conversion is nearly all of a grid's write time, so a grid is
 formatted by one process per usable CPU (`os.sched_getaffinity`), each
 taking a contiguous range of rows of at least `SPLIT_CELLS` values.  A grid
-is any two-photon state that offers `grid` and `rows(i0, i1)`: a dense
-`Wavefunction2`, or a `propagate.ScatteredState`, whether a part of the
-scattering map or a closed form a command reads.  Every process, the parent and each forked child, reads only
+is any two-photon state that offers `grid` and `rows(i0, i1)`, the one read
+of a state: a dense `Wavefunction2`, or a `propagate.ScatteredState`,
+whether a part of the scattering map or a closed form a command reads.
+Every process, the parent and each forked child, reads only
 the rows of its own range, through `rows` in blocks of `model.BLOCK_CELLS`
 cells, and formats each block before it reads the next, so no process
 builds the whole grid.  A child may evaluate a structured state because

@@ -381,9 +381,9 @@ class Wavefunction2:
     """Bosonic two-photon amplitude over a shared 1D grid (units 1/length).
 
     Construct through `from_product` or `symmetric` so that exchange symmetry
-    holds exactly; the plain constructor stores `amp` as given.  `at` and
-    `rows` are the reads every two-photon state offers (see
-    `propagate.ScatteredState`), here plain indexing.
+    holds exactly; the plain constructor stores `amp` as given.  `rows` is
+    the read every two-photon state offers (see `propagate.ScatteredState`),
+    here plain slicing; a point off the rows is read by exchange symmetry.
     """
 
     grid: Grid1D
@@ -398,17 +398,15 @@ class Wavefunction2:
 
     @classmethod
     def from_product(cls, psi: Wavefunction1) -> "Wavefunction2":
-        """Dense product state psi(x1) psi(x2); symmetric to the last bit.
-        The scattering map takes psi itself for this state."""
-        return cls(psi.grid, np.outer(psi.amp, psi.amp))
+        """Dense product state psi(x1) psi(x2); symmetric to the last bit,
+        since a complex product is not bitwise commutative and the lower
+        triangle is mirrored from the upper one.  The scattering map takes psi
+        itself for this state."""
+        return cls(psi.grid, _mirror(np.outer(psi.amp, psi.amp)))
 
     @classmethod
     def symmetric(cls, grid: Grid1D, amp) -> "Wavefunction2":
         return cls(grid, _mirror(np.array(amp, dtype=complex, order="C")))
-
-    def at(self, i, j) -> np.ndarray:
-        """Amplitudes at the node pairs (i, j); index arrays broadcast."""
-        return self.amp[i, j]
 
     def rows(self, i0: int, i1: int) -> np.ndarray:
         """Rows i0:i1 of the amplitude grid (clipped like a slice)."""

@@ -16,12 +16,14 @@ rounding.  The one-photon kernel, the value minus 2 kappa times the tail, is
 applied along each coordinate; its delta part is never discretized.
 
 Each input is mapped along axis 0 once (`_map_axis0`), and both parts are
-taken from that pass.  Each part is a `ScatteredState`, its grid and two
-reads that evaluate the part's formula on every call: the product of the
-one-photon outputs phi_out for a product input, the `ColumnMap` of a general
-input (its axis-0 map and that map's node tails, O(n_in n)), or the n-vector
-of squared tails that sets the semiseparable nonlinear part.  `amp`, a
-dense grid filled from row blocks, is for tests.
+taken from that pass.  Each part is a `ScatteredState`, its grid and its
+one read, `rows`, which evaluates the part's formula on a row block on
+every call: the product of the one-photon outputs phi_out for a product
+input, a general input's axis-0 map and that map's node tails (O(n_in n)),
+or the n-vector of squared tails that sets the semiseparable nonlinear
+part.  Every part is exchange symmetric to the last bit, so a point off the
+rows is read from the rows by symmetry.  `amp`, a dense grid filled from
+row blocks, is for tests.
 """
 
 from __future__ import annotations
@@ -261,93 +263,69 @@ def _nonlinear_at(xs: np.ndarray, tail_sq: np.ndarray, kappa: float,
         * np.exp(-kappa * np.abs(xs[i] - xs[j])) * tail_sq[np.maximum(i, j)]
 
 
-@dataclass(frozen=True, eq=False)
-class ColumnMap:
-    """Linear output of a general input on `grid`, held by its generators.
+def _pair_rows(n: int, pair: Callable[[np.ndarray, np.ndarray], np.ndarray]
+               ) -> Callable[[int, int], np.ndarray]:
+    """rows(i0, i1) of the n x n grid whose entry (i, j) is pair(i, j), the
+    formula evaluated on the row block's index slices, so it clips like a
+    slice."""
+    idx = np.arange(n)
+    return lambda i0, i1: pair(idx[i0:i1, None], idx[None, :])
+
+
+def _column_rows(edges: np.ndarray, columns: np.ndarray, xs: np.ndarray,
+                 kappa: float) -> Callable[[int, int], np.ndarray]:
+    """rows(i0, i1) of the linear output of a general input at the points xs,
+    held by its generators.
 
     `columns` is the input mapped along axis 0 (n_in x n): its column c is
     the input's first axis mapped to output point c.  The amplitude at the
     pair (c, e) with c <= e is column c mapped along the second axis at
-    output point e, which `_tail`'s partial cell reads from the column's
-    node tails `node_tails`, plus 0.0, which turns a -0.0 into +0.0; (e, c)
-    reads the same, so the amplitude is exactly symmetric by construction.
-    `look` is the `_lookup` of the output points among the input's nodes,
-    shared by every read.  `at` and `rows` evaluate these O(n_in n) arrays.
-    """
+    output point e, which `_tail`'s partial cell reads from the columns'
+    node tails, plus 0.0, which turns a -0.0 into +0.0; (e, c) reads the
+    same, so the amplitude is exactly symmetric by construction.  The
+    closure holds these O(n_in n) arrays and the `_lookup` of xs among the
+    input's nodes, shared by every read."""
+    n = len(xs)
+    look = _lookup(edges, xs, kappa)
+    node_tails = _node_tails(edges, columns[:-1], columns[1:], kappa, int(look[1].min()))
 
-    grid: Grid1D
-    columns: np.ndarray
-    node_tails: np.ndarray
-    look: tuple[np.ndarray, ...]
-    kappa: float
+    def mapped(e0: int, e1: int, c0: int, c1: int) -> np.ndarray:
+        # columns c0:c1 at the output points e0:e1, shape (e1 - e0, c1 - c0)
+        tail, value = _partial_cell(columns[:-1, c0:c1], columns[1:, c0:c1],
+                                    node_tails[:, c0:c1], tuple(a[e0:e1] for a in look))
+        return _one_photon(value, tail, kappa)
 
-    @classmethod
-    def of(cls, edges: np.ndarray, columns: np.ndarray, grid: Grid1D,
-           kappa: float) -> "ColumnMap":
-        """The map of `columns`, linear between the input nodes `edges`."""
-        look = _lookup(edges, grid.points, kappa)
-        node_tails = _node_tails(edges, columns[:-1], columns[1:], kappa,
-                                 int(look[1].min()))
-        return cls(grid, columns, node_tails, look, kappa)
-
-    def _mapped(self, e0: int, e1: int, c0: int, c1: int) -> np.ndarray:
-        """Columns c0:c1 mapped at the output points e0:e1, shape
-        (e1 - e0, c1 - c0): the amplitude wherever c <= e, before the +0.0."""
-        cols, K = self.columns, self.node_tails
-        tail, value = _partial_cell(cols[:-1, c0:c1], cols[1:, c0:c1], K[:, c0:c1],
-                                    tuple(a[e0:e1] for a in self.look))
-        return _one_photon(value, tail, self.kappa)
-
-    def at(self, i, j) -> np.ndarray:
-        """Amplitudes at the node pairs (i, j); index arrays broadcast."""
-        e, c = np.maximum(i, j), np.minimum(i, j)
-        shape = np.shape(e)
-        e, c = np.ravel(e), np.ravel(c)
-        cols, K = self.columns, self.node_tails
-        tail, value = _partial_cell(cols[:-1], cols[1:], K,
-                                    tuple(a[e] for a in self.look), c)
-        out = _one_photon(value, tail, self.kappa)
-        out += 0.0
-        return out.reshape(shape)
-
-    def rows(self, i0: int, i1: int) -> np.ndarray:
-        """Rows i0:i1 of the amplitude grid (clipped like a slice): the pairs
-        left of the diagonal block as mapped columns, the block mirrored, and
-        those right of it as mapped columns transposed."""
-        n = self.grid.n
+    def rows(i0: int, i1: int) -> np.ndarray:
+        # the pairs left of the diagonal block as mapped columns, the block
+        # mirrored, and those right of it as mapped columns transposed
         span = range(n)[i0:i1]
         i0, i1 = span.start, max(span.start, span.stop)
         out = np.empty((i1 - i0, n), dtype=complex)
-        out[:, :i0] = self._mapped(i0, i1, 0, i0)
-        block = self._mapped(i0, i1, i0, i1)
+        out[:, :i0] = mapped(i0, i1, 0, i0)
+        block = mapped(i0, i1, i0, i1)
         out[:, i0:i1] = np.where(np.tri(i1 - i0, dtype=bool), block, block.T)
         del block
-        out[:, i1:] = self._mapped(i1, n, i0, i1).T
+        out[:, i1:] = mapped(i1, n, i0, i1).T
         out += 0.0
         return out
+
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
 class ScatteredState:
-    """Scattered two-photon amplitude on `grid`, held by its two reads.
+    """Scattered two-photon amplitude on `grid`, held by its one read.
 
-    `at(i, j)` gives the amplitudes at the node pairs (i, j), index arrays
-    broadcast; `rows(i0, i1)` gives rows i0:i1 of the amplitude grid, and
-    defaults to `at` on the row block's index slices, so it clips like a
-    slice.  Each part is built with the reads of its own formula (see
-    `apply_two_photon`), which evaluate it on every call; `amp` is a dense
-    n x n read in row blocks, which only tests use.
+    `rows(i0, i1)` gives rows i0:i1 of the amplitude grid, clipped like a
+    slice; it is the only read of a state.  Each part is built with the
+    rows formula of its own generators (see `apply_two_photon`), which
+    evaluates it on every call; a point off the rows is read by exchange
+    symmetry, psi(x1, x2) = psi(x2, x1), which every part holds to the last
+    bit.  `amp` is a dense n x n read in row blocks, which only tests use.
     """
 
     grid: Grid1D
-    at: Callable[..., np.ndarray]
-    rows: Callable[[int, int], np.ndarray] | None = None
-
-    def __post_init__(self) -> None:
-        if self.rows is None:
-            at, idx = self.at, np.arange(self.grid.n)
-            object.__setattr__(self, "rows",
-                               lambda i0, i1: at(idx[i0:i1, None], idx[None, :]))
+    rows: Callable[[int, int], np.ndarray]
 
     @property
     def amp(self) -> np.ndarray:
@@ -364,8 +342,8 @@ class TwoPhotonResult:
     """Scattered two-photon state with its linear/nonlinear split retained
     for decomposition and interference queries.
 
-    Each field is a `ScatteredState` on the output grid, read through `at`
-    and `rows`; `total` is the sum of the other two."""
+    Each field is a `ScatteredState` on the output grid, read through its
+    `rows`; `total` is the sum of the other two."""
 
     total: ScatteredState
     linear: ScatteredState
@@ -381,31 +359,34 @@ def apply_two_photon(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
     psi(x1) psi(x2), or a general exchange-symmetric `Wavefunction2`.  The
     linear (independent-photon) part is the one-photon map applied along
     each axis: read as the product of a product input's one-photon outputs,
-    or through a general input's `ColumnMap`.  The nonlinear kernel
-    factorizes once the min-constraint is rewritten as both source
-    coordinates above M = max(x1, x2), so its double integral reduces to a
-    squared tail integral from M (a product input) or a nested tail
+    or from a general input's mapped columns and their node tails.  The
+    nonlinear kernel factorizes once the min-constraint is rewritten as both
+    source coordinates above M = max(x1, x2), so its double integral reduces
+    to a squared tail integral from M (a product input) or a nested tail
     transform evaluated on the diagonal (a general input); either way the
     correction is read from that n-vector.  `total` reads the sum of both."""
-    k, xs = params.gamma_over_c, out_grid.points
+    k, xs, n = params.gamma_over_c, out_grid.points, out_grid.n
     mapped, tail = _map_axis0(psi, out_grid, params)
     if isinstance(psi, Wavefunction1):
         tail_sq = tail * tail
-        linear = ScatteredState(out_grid, lambda i, j: mapped[i] * mapped[j])
+        # complex products are not bitwise commutative, so the operands are
+        # taken in one order, which makes the part exactly symmetric
+        linear = ScatteredState(out_grid, _pair_rows(
+            n, lambda i, j: mapped[np.minimum(i, j)] * mapped[np.maximum(i, j)]))
     else:
         pts = psi.grid.points
         # the outer tail along axis 1 of the inner one; the physical value
         # needs both tails anchored at the same M, so column i of the inner
         # tail is taken only at x_i
-        tail_sq = np.empty(out_grid.n, dtype=complex)
-        for c0, c1 in blocks(0, out_grid.n, max(len(pts), out_grid.n)):
+        tail_sq = np.empty(n, dtype=complex)
+        for c0, c1 in blocks(0, n, max(len(pts), n)):
             tail_sq[c0:c1] = _tail(pts, tail[:-1, c0:c1], tail[1:, c0:c1],
                                    xs[c0:c1], k, diagonal=True)[0]
         del tail                        # freed before the linear part's node tails
-        columns = ColumnMap.of(pts, mapped, out_grid, k)
-        linear = ScatteredState(out_grid, columns.at, columns.rows)
-    nonlinear = ScatteredState(out_grid, lambda i, j: _nonlinear_at(xs, tail_sq, k, i, j))
-    total = ScatteredState(out_grid, lambda i, j: linear.at(i, j) + nonlinear.at(i, j),
+        linear = ScatteredState(out_grid, _column_rows(pts, mapped, xs, k))
+    nonlinear = ScatteredState(out_grid, _pair_rows(
+        n, lambda i, j: _nonlinear_at(xs, tail_sq, k, i, j)))
+    total = ScatteredState(out_grid,
                            lambda i0, i1: linear.rows(i0, i1) + nonlinear.rows(i0, i1))
     return TwoPhotonResult(total=total, linear=linear, nonlinear=nonlinear)
 

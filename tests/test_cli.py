@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import onedatom
-from onedatom import PhysicalParams, Wavefunction2, cli, model, rect_two_photon_out
+from onedatom import PhysicalParams, Wavefunction2, cli, max_asymmetry, model, \
+    rect_two_photon_out
 from onedatom.cli import COMMANDS, load_config, main
 from onedatom.csvio import read_curve, read_wavefunction1, read_wavefunction2, \
     write_wavefunction1, write_wavefunction2
@@ -302,6 +303,9 @@ GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", 
 
 @pytest.mark.parametrize("argv", [
     ["g2", "--tau.n", "1"],
+    # a reversed or empty tau window
+    ["g2", "--tau.min", "2", "--tau.max", "-2"],
+    ["g2", "--tau.min", "1", "--tau.max", "1"],
     ["g2", "--anchor.x", "nan"],
     ["simulate", "--pulse.length", "inf"],
     ["decompose", "--pulse.length", "nan"],
@@ -354,6 +358,24 @@ def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_complex_pulse_output_reads_back_as_input(tmp_path):
+    # a chirped pulse's scattered pair is exactly exchange symmetric, so the
+    # psi_out.csv that simulate writes passes g2's symmetry check as input
+    g = Grid1D(-2.0, 2.0, 81)
+    x = g.points
+    amp = np.exp(-x ** 2 + 0.7j * x ** 2)
+    write_wavefunction1(tmp_path / "chirp.csv", Wavefunction1.sampled(g, amp), {})
+    cfg = write_config(tmp_path / "run.cfg", **{"grid.n": 61, "anchor.x": 0.0})
+    pulse = ["--pulse.kind", "file"]
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--config", cfg, "--out", str(sim), *pulse,
+                 "--pulse.path", str(tmp_path / "chirp.csv")]) == 0
+    psi = read_wavefunction2(sim / "psi_out.csv")
+    assert np.any(psi.amp.imag != 0) and max_asymmetry(psi) == 0.0
+    assert main(["g2", "--config", cfg, "--out", str(tmp_path / "g2"), *pulse,
+                 "--pulse.path", str(sim / "psi_out.csv")]) == 0
 
 
 def test_check_failure_prints_summary(tmp_path, capsys):

@@ -15,6 +15,7 @@ from onedatom import (
     CorrelationCurve,
     Grid1D,
     PhysicalParams,
+    Wavefunction1,
     Wavefunction2,
     apply_two_photon,
     find_dip_zeros,
@@ -27,7 +28,7 @@ from onedatom import (
     second_order_correlation,
 )
 from onedatom import model
-from onedatom.correlations import marginal_density
+from onedatom.correlations import _density_window, _interp2, marginal_density
 from onedatom.model import _row_density, grid_weights
 
 P = PhysicalParams()
@@ -63,6 +64,12 @@ class TestSecondOrderCorrelation:
         a = second_order_correlation(scattered.total, 20.0, taus, P)
         b = second_order_correlation(scattered.total, 20.0 + P.c * taus, -taus, P)
         assert np.max(np.abs(a - b)) <= 1e-10
+
+    def test_array_anchor_with_scalar_delay(self, scattered):
+        x = np.array([18.0, 20.0, 22.5])
+        got = second_order_correlation(scattered.total, x, 1.5, P)
+        want = [second_order_correlation(scattered.total, float(a), 1.5, P) for a in x]
+        assert np.array_equal(got, want)
 
     def test_rejects_points_outside_grid(self, scattered):
         with pytest.raises(ValueError):
@@ -145,6 +152,66 @@ class TestMarginalDensity:
         with mock.patch.object(model, "BLOCK_CELLS", block_cells):
             assert np.array_equal(marginal_density(psi, x, P), full)
             assert norm2(psi).hex() == norm
+
+
+class _RowRecorder:
+    """A two-photon state that reads through another and records every row
+    it is asked for."""
+
+    def __init__(self, psi):
+        self.psi, self.grid, self.read = psi, psi.grid, set()
+
+    def rows(self, i0, i1):
+        self.read.update(range(self.grid.n)[i0:i1])
+        return self.psi.rows(i0, i1)
+
+
+class TestCornerRead:
+    """The bilinear corners come from the rows at x2's nodes, by exchange
+    symmetry, bit for bit as a dense read of the four corners."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(kind=st.sampled_from(["dense", "chirped"]), n=st.integers(2, 40),
+           block_cells=st.integers(1, 200), scalar=st.booleans(),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_matches_dense_bilinear(self, kind, n, block_cells, scalar, seed):
+        rng = np.random.default_rng(seed)
+        grid = Grid1D(-4.0, 6.0, n)
+        if kind == "dense":
+            psi = Wavefunction2.symmetric(
+                grid, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+        else:
+            f = gaussian_pulse(1.0, 0.8, Grid1D(-2.0, 4.0, 31))
+            f = Wavefunction1.sampled(f.grid, f.amp * np.exp(0.5j * f.grid.points ** 2))
+            psi = apply_two_photon(f, grid, P).total
+        amp, pts = psi.amp, grid.points
+        x1 = rng.uniform(pts[0], pts[-1], (3, 7))
+        x2 = rng.uniform(pts[0], pts[-1], () if scalar else (3, 7))
+        x1[0, 0], x2.flat[-1] = pts[-1], pts[0]         # both grid edges
+        i = np.clip(np.searchsorted(pts, x1, side="right") - 1, 0, n - 2)
+        j = np.clip(np.searchsorted(pts, x2, side="right") - 1, 0, n - 2)
+        u = (x1 - pts[i]) / (pts[i + 1] - pts[i])
+        v = (x2 - pts[j]) / (pts[j + 1] - pts[j])
+        ref = ((1 - u) * (1 - v) * amp[i, j] + u * (1 - v) * amp[i + 1, j]
+               + (1 - u) * v * amp[i, j + 1] + u * v * amp[i + 1, j + 1])
+        with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+            assert np.array_equal(_interp2(psi, x1, x2), ref)
+
+    @pytest.mark.parametrize("length", [L, None], ids=["length", "local"])
+    def test_scalar_anchor_reads_two_rows(self, scattered, length):
+        # the amplitude needs rows j and j + 1 around the anchor; the local
+        # density adds only its window of rows
+        pts, anchor = scattered.total.grid.points, 20.3
+        tau = np.linspace(-10.0, 10.0, 301)
+        recorder = _RowRecorder(scattered.total)
+        got = g2_slice(recorder, anchor, (-10.0, 10.0), 301, length, P)
+        j = int(np.searchsorted(pts, anchor, side="right")) - 1
+        read = {j, j + 1}
+        if length is None:
+            read |= set(range(*_density_window(pts, np.append(anchor + P.c * tau, anchor))))
+        assert recorder.read == read
+        want = g2_slice(scattered.total, anchor, (-10.0, 10.0), 301, length, P)
+        assert np.array_equal(got.values, want.values)
 
 
 class TestCurve:
