@@ -42,6 +42,7 @@ from .oracle import (
     far_field,
     rect_initial,
     run_rect,
+    run_rect_error,
 )
 from .propagate import (
     ScatteredState,
@@ -88,6 +89,7 @@ __all__ = [
     "rect_initial",
     "far_field",
     "run_rect",
+    "run_rect_error",
     "second_order_correlation",
     "normalized_g2",
     "g2_slice",

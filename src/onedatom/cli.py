@@ -60,6 +60,7 @@ from .oracle import (
     rect_error_two_photon,
     rect_initial,
     run_rect,
+    run_rect_error,
 )
 from .propagate import ScatteredState, apply_two_photon
 
@@ -330,13 +331,14 @@ def cmd_oracle(cfg: RunConfig, meta: dict, linear_only, check):
     dx = cfg.oracle_dx
     run_args = {"photons": photons, "pad": cfg.oracle_pad, "clear": cfg.oracle_clear}
     with _invalid_input():
-        # the dx/2 run goes first and only its error is kept, so its larger
-        # field is freed before the dx run, whose field is written, starts;
-        # dx is checked before either, so a bad dx is named as given
+        # the dx/2 run keeps only its error and holds no field; it goes
+        # first, so its rows are freed before the dx run, whose field is
+        # written, starts; dx is checked before either, so a bad dx is named
+        # as given
         rect_initial(length, dx, params, cfg.oracle_pad)
         err_half = None
         if cfg.oracle_ratio:
-            err_half = rect_error(run_rect(length, dx / 2, params, **run_args), length, params)
+            err_half = run_rect_error(length, dx / 2, params, **run_args)
         run = run_rect(length, dx, params, record_trace=True, **run_args)
         err = rect_error(run, length, params)
     entries = {"run.rel_l2": err, "run.final_norm": run.state.total_norm()}

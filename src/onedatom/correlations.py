@@ -53,7 +53,8 @@ def _interp2(psi2: Wavefunction2, x1, x2) -> np.ndarray:
     """Bilinear interpolation of the two-photon amplitude; points outside the
     grid are rejected.  The corners at x2's nodes j and j + 1 are entries i
     and i + 1 of rows j and j + 1, psi(x1, x2) = psi(x2, x1), read in row
-    blocks over the span of j: two rows for a scalar x2."""
+    blocks over each run of consecutive rows needed: two rows for a scalar
+    x2, at most two per distinct j."""
     pts = psi2.grid.points
     x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
     if np.any(x1 < pts[0]) or np.any(x1 > pts[-1]) \
@@ -67,15 +68,19 @@ def _interp2(psi2: Wavefunction2, x1, x2) -> np.ndarray:
     # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1), one per point
     corners = np.empty((4, j.size), dtype=complex)
     i, j = i.ravel(), j.ravel()
-    span = (int(j.min()), int(j.max()) + 2) if j.size else (0, 0)
-    for r0, r1 in blocks(*span, n):
-        block = psi2.rows(r0, r1)
-        for d in (0, 1):
-            sel = (j + d >= r0) & (j + d < r1)
-            row, col = j[sel] + (d - r0), i[sel]
-            corners[2 * d, sel] = block[row, col]
-            corners[2 * d + 1, sel] = block[row, col + 1]
-        del block                       # freed before the next block is read
+    needed = np.zeros(n, dtype=np.int8)
+    needed[j] = needed[j + 1] = 1
+    # the runs of consecutive needed rows, from where the mask rises to where it falls
+    edges = np.flatnonzero(np.diff(needed, prepend=0, append=0))
+    for run0, run1 in zip(edges[::2], edges[1::2]):
+        for r0, r1 in blocks(int(run0), int(run1), n):
+            block = psi2.rows(r0, r1)
+            for d in (0, 1):
+                sel = (j + d >= r0) & (j + d < r1)
+                row, col = j[sel] + (d - r0), i[sel]
+                corners[2 * d, sel] = block[row, col]
+                corners[2 * d + 1, sel] = block[row, col + 1]
+            del block                   # freed before the next block is read
     a00, a10, a01, a11 = corners.reshape((4,) + u.shape)
     return ((1 - u) * (1 - v) * a00 + u * (1 - v) * a10
             + (1 - u) * v * a01 + u * v * a11)

@@ -36,10 +36,15 @@ __all__ = [
 BLOCK_CELLS = 1 << 16
 
 
+def block_rows(width: int) -> int:
+    """Indices per block of at most BLOCK_CELLS cells, each index standing
+    for `width` cells (one index at least)."""
+    return max(1, BLOCK_CELLS // width)
+
+
 def blocks(lo: int, hi: int, width: int):
-    """(i0, i1) ranges splitting lo:hi into blocks of at most BLOCK_CELLS
-    cells, each index standing for `width` cells (one index at least)."""
-    step = max(1, BLOCK_CELLS // width)
+    """(i0, i1) ranges splitting lo:hi into blocks of `block_rows(width)`."""
+    step = block_rows(width)
     return ((i0, min(i0 + step, hi)) for i0 in range(lo, hi, step))
 
 

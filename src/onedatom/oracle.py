@@ -11,13 +11,27 @@ provides the incoming amplitude at 0- and, after crossing, receives the
 emitted amplitude at 0+ along every axis.  Two photons add one structural
 rule: no amplitude holds two excitations, as a two-level atom cannot.
 
+The loop holds only the rows (lines along the first axis, full width) of the
+pulse that the atom has not yet passed, plus E.  Every other row it has not
+reached holds only +0.0 and stays so, and is rebuilt as zeros when the atom
+reaches it.  Once the atom has passed row j, the cells of row j from column j
+on never change again (both coordinates are passed), and by exchange symmetry
+neither does their mirror column: row j is finished.  The loop hands finished
+rows, in blocks under the cell budget (`model.BLOCK_CELLS`), to a sink, which
+either fills the dense far field (`evolve_one_photon`, `evolve_two_photon`,
+`run_rect`) or folds them into the error against the closed form
+(`run_rect_error`, which holds no field).  Every cell takes the same
+operations on the same values as in a loop over the dense field, so the far
+field is the same to the bit.
+
 The API follows the loop: one state type, `model.LabState`, whose photon
-number is its field's rank; `rect_initial` and `run_rect` take that number
-as `photons` (1 or 2), and `far_field` returns a `Wavefunction1` or a
-`Wavefunction2` by rank.  `evolve_one_photon` and `evolve_two_photon` are
-the loop's two entries, each rejecting a state of the other rank; only the
-closed-form errors, `rect_error_one_photon` and `rect_error_two_photon`,
-stay apart, one per closed form.
+number is its field's rank; `rect_initial`, `run_rect` and `run_rect_error`
+take that number as `photons` (1 or 2), and `far_field` returns a
+`Wavefunction1` or a `Wavefunction2` by rank.  `evolve_one_photon` and
+`evolve_two_photon` are the loop's two entries from a state, each rejecting a
+state of the other rank; only the closed-form errors of a completed run,
+`rect_error_one_photon` and `rect_error_two_photon`, stay apart, one per
+closed form.
 
 The excitation ODE dE/dt = -gamma E - sqrt(2 gamma c) phi(0-) is integrated
 with an explicit midpoint step (the incoming amplitude is constant along the
@@ -43,6 +57,8 @@ from .model import (
     PhysicalParams,
     Wavefunction1,
     Wavefunction2,
+    block_rows,
+    blocks,
     deviation,
     excitation_probability,
     lab_norm,
@@ -58,6 +74,7 @@ __all__ = [
     "rect_initial",
     "far_field",
     "run_rect",
+    "run_rect_error",
     "relative_l2",
     "rect_error_one_photon",
     "rect_error_two_photon",
@@ -98,19 +115,24 @@ def _cell_grid(centers: np.ndarray) -> Grid1D:
     return Grid1D(float(centers[0]), float(centers[-1]), len(centers), _points=centers)
 
 
-def rect_initial(length: float, dx: float, params: PhysicalParams,
-                 pad: float = 5.0, photons: int = 1) -> LabState:
-    """Lab-frame initial state of `photons` (1 or 2) photons in one unit
-    rectangular pulse (the product state for two), incoming: its trailing
-    edge sits pad*c/gamma short of the atom, so the moving-frame input
-    occupies [0, length].  `length` and pad*c/gamma must be multiples of dx."""
+def _count(span: float, dx: float, what: str) -> int:
+    """The nearest whole number of cells (or steps) of dx in span."""
+    count = span / dx
+    if not math.isfinite(count):
+        raise ValueError(f"{what} = {span} is not a finite number of cells of dx={dx}")
+    return round(count)
+
+
+def _rect_line(length: float, dx: float, params: PhysicalParams, pad: float,
+               photons: int) -> tuple[float, Grid1D, np.ndarray, int]:
+    """Start time, cell grid, one-photon field and pulse cell count of
+    `rect_initial`."""
     if photons not in (1, 2):
         raise ValueError(f"photons must be 1 or 2, got {photons}")
     _validate_dx(dx)
-    ell = params.relaxation_length()
-    pad_len = pad * ell
-    cells = round(length / dx)
-    pad_cells = round(pad_len / dx)
+    pad_len = pad * params.relaxation_length()
+    cells = _count(length, dx, "pulse length")
+    pad_cells = _count(pad_len, dx, "pad*c/gamma")
     if abs(cells * dx - length) > 1e-9 * dx or cells < 1:
         raise ValueError("pulse length must be a positive multiple of dx")
     if abs(pad_cells * dx - pad_len) > 1e-9 * dx or pad_cells < 1:
@@ -119,12 +141,20 @@ def rect_initial(length: float, dx: float, params: PhysicalParams,
     # pulse cells plus the empty gap up to the atom, which sits exactly at the
     # right edge of the window at t0
     x_centers = (np.arange(cells + pad_cells) + 0.5) * dx
-    field = np.zeros(cells + pad_cells, dtype=complex)
+    line = np.zeros(cells + pad_cells, dtype=complex)
     # amplitude tuned for an exactly unit piecewise norm
-    field[:cells] = rectangular_pulse(length).pieces.values[0]
-    if photons == 2:
-        field = np.outer(field, field)
-    return LabState(t0, _cell_grid(x_centers + params.c * t0), field)
+    line[:cells] = rectangular_pulse(length).pieces.values[0]
+    return t0, _cell_grid(x_centers + params.c * t0), line, cells
+
+
+def rect_initial(length: float, dx: float, params: PhysicalParams,
+                 pad: float = 5.0, photons: int = 1) -> LabState:
+    """Lab-frame initial state of `photons` (1 or 2) photons in one unit
+    rectangular pulse (the product state for two), incoming: its trailing
+    edge sits pad*c/gamma short of the atom, so the moving-frame input
+    occupies [0, length].  `length` and pad*c/gamma must be multiples of dx."""
+    t0, grid, line, _ = _rect_line(length, dx, params, pad, photons)
+    return LabState(t0, grid, line if photons == 1 else np.outer(line, line))
 
 
 def _validate_dx(dx: float) -> None:
@@ -143,7 +173,7 @@ def _prepare(initial_grid: Grid1D, t0: float, dx: float, t_final: float,
             f"dx={dx} does not match the initial state's spacing {initial_grid.dx}")
     c = params.c
     centers = initial_grid.points - c * t0      # moving frame x = r - c t
-    steps = int(round((t_final - t0) * c / dx))
+    steps = _count((t_final - t0) * c, dx, "the time to t_final")
     left_bound = centers[0] - dx / 2
     a_start = -c * t0                           # atom position x_atom = -c t
     offset = (a_start - left_bound) / dx
@@ -157,11 +187,147 @@ def _prepare(initial_grid: Grid1D, t0: float, dx: float, t_final: float,
     return centers, steps, j_first
 
 
+class _Finished:
+    """Rows the atom has finished, gathered in the blocks of `model.blocks`
+    and handed to sink(i0, rows) as rows i0:i0 + len(rows).  Rows arrive one
+    at a time in descending order."""
+
+    def __init__(self, sink, n: int, rank: int):
+        self.sink, self.top, self.low = sink, n, n
+        per = min(n, block_rows(n ** (rank - 1)))
+        self.rows = np.empty((per,) + (n,) * (rank - 1), dtype=complex)
+
+    def add(self, i: int, row) -> None:
+        per = len(self.rows)
+        self.rows[i % per] = row
+        self.low = i
+        if i % per == 0:
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand over the rows gathered so far."""
+        if self.low < self.top:
+            at = self.low % len(self.rows)
+            self.sink(self.low, self.rows[at:at + self.top - self.low])
+            self.top = self.low
+
+
+class _Field:
+    """Sink that fills the dense field: a finished row from its own column on,
+    and the mirror column."""
+
+    def __init__(self, n: int, rank: int):
+        self.field = np.zeros((n,) * rank, dtype=complex)
+
+    def __call__(self, i0: int, rows: np.ndarray) -> None:
+        i1 = i0 + len(rows)
+        if rows.ndim == 1:
+            self.field[i0:i1] = rows
+            return
+        self.field[i0:i1, i1:] = rows[:, i1:]
+        self.field[i1:, i0:i1] = rows[:, i1:].T
+        # within the block's own columns, a row is final from the diagonal on
+        for i, row in zip(range(i0, i1), rows):
+            self.field[i, i:i1] = row[i:i1]
+            self.field[i:i1, i] = row[i:i1]
+
+
+class _Deviation:
+    """Sink that folds finished rows into the sums of `model.deviation`,
+    sum |a - b|^2 and sum |b|^2, against reference(i0, i1), the closed form
+    (real) on rows i0:i1, from column i0 on for two photons."""
+
+    def __init__(self, reference):
+        self.reference, self.num, self.den = reference, 0.0, 0.0
+
+    def __call__(self, i0: int, rows: np.ndarray) -> None:
+        ref = self.reference(i0, i0 + len(rows))
+        dev = np.abs((rows if rows.ndim == 1 else rows[:, i0:]) - ref)
+        dev *= dev
+        ref *= ref
+        if rows.ndim == 2:
+            # weight 0 before the diagonal (not final yet), 1 on it, and 2
+            # past it, where a cell stands for its mirror too
+            k = len(rows)
+            square = np.sign(np.arange(k) - np.arange(k)[:, None]) + 1.0
+            for sq in (dev, ref):
+                sq[:, :k] *= square
+                sq[:, k:] *= 2.0
+        self.num += float(np.sum(dev))
+        self.den += float(np.sum(ref))
+
+
+def _sweep(band: np.ndarray, lo: int, e, n: int, steps: int, j_first: int, dx: float,
+           params: PhysicalParams, sink, record_trace: bool = False, norm_stride: int = 0):
+    """The step loop on the held rows lo:lo + len(band) of an n-cell field
+    (rank band.ndim) and its excited amplitude e: read the crossed row j,
+    advance E, deposit along every axis, finish row j.  Every row reaches
+    `sink` once; the norm needs the dense field of a `_Field` sink.
+    Returns the final e, the trace values (or None) and the norms."""
+    rank = band.ndim
+    hi = lo + len(band)
+    zero = np.zeros((n,) * (rank - 1), dtype=complex)[()]
+
+    def line(i):                                # row i, before the atom reaches it
+        return band[i - lo] if lo <= i < hi else zero
+
+    finished = _Finished(sink, n, rank)
+    for i in range(n - 1, j_first, -1):         # rows the atom passed before the start
+        finished.add(i, line(i))
+
+    gamma, c = params.gamma, params.c
+    dt = dx / c
+    s_abs = -math.sqrt(2.0 * gamma * c)         # absorption, sign included
+    s_em = math.sqrt(2.0 * gamma / c)
+    gdt = gamma * dt                    # midpoint step E_new = a E + b F, F held
+    a_coef, b_coef = 1.0 - gdt + 0.5 * gdt * gdt, dt * (1.0 - 0.5 * gdt)
+    w_start, w_end = 1.0 - DEPOSIT_END_WEIGHT, DEPOSIT_END_WEIGHT
+    excitation = excitation_probability(rank, dx)
+    trace = np.empty(steps) if record_trace else None
+    norm_vals = []
+    for m in range(steps):
+        j = j_first - m
+        if 0 <= j < n:
+            row = line(j)
+            forcing = s_abs * row               # phi(0-, ...), before this step's emission
+            e_new = a_coef * e + b_coef * forcing
+            deposit = s_em * (w_start * e + w_end * e_new)
+            row = row + deposit                 # the crossed line along the first axis
+            if rank == 2:                       # and along the second: held rows, then row j's own cell
+                top = min(max(j, lo), hi)
+                band[:top - lo, j] += deposit[lo:top]
+                row[j] += deposit[j]
+            finished.add(j, row)
+        else:
+            e_new = a_coef * e
+        e = e_new
+        if record_trace:
+            trace[m] = excitation(e)
+        if norm_stride and (m % norm_stride == 0 or m == steps - 1):
+            # the rows not yet reached, as they stand, complete the dense field
+            finished.flush()
+            for i0, i1 in blocks(lo, min(j, hi), n ** (rank - 1)):
+                sink(i0, band[i0 - lo:i1 - lo])
+            norm_vals.append(lab_norm(sink.field, e, dx))
+    for i in range(min(j_first - steps, n - 1), -1, -1):    # rows the atom has not reached
+        finished.add(i, line(i))
+    finished.flush()
+    return e, trace, norm_vals
+
+
+def _held_rows(field: np.ndarray) -> tuple[int, int]:
+    """The span lo:hi of rows with a cell other than +0.0 (-0.0 included):
+    the sweep rebuilds every other row as zeros."""
+    other = (field != 0) | np.signbit(field.real) | np.signbit(field.imag)
+    rows = np.flatnonzero(np.any(other.reshape(len(field), -1), axis=1))
+    return (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
+
+
 def _evolve(initial: LabState, photons: int, dx: float, t_final: float,
             params: PhysicalParams, record_trace: bool, norm_stride: int) -> LabRun:
     """Run the scheme on a state of `photons` photons, a rank-d field and its
-    rank-(d-1) excited amplitude: read the crossed line phi[j], advance E,
-    deposit along every axis."""
+    rank-(d-1) excited amplitude, holding the rows of its pulse and filling
+    the dense far field."""
     field, excited, rank = initial.field, initial.excited, initial.field.ndim
     if rank != photons:
         raise ValueError(f"expected a {photons}-photon state, got {rank} photons")
@@ -177,43 +343,19 @@ def _evolve(initial: LabState, photons: int, dx: float, t_final: float,
         raise ValueError("the atom must start in the ground state")
 
     centers, steps, j_first = _prepare(initial.grid, initial.t, dx, t_final, params)
-    n, rank = len(centers), field.ndim
-    window = (slice(n - initial.grid.n, None),) * rank
-    phi = np.zeros((n,) * rank, dtype=complex)
-    phi[window] = field
+    n = len(centers)
+    extra = n - initial.grid.n
+    lo, hi = _held_rows(field)
+    band = np.zeros((hi - lo,) + (n,) * (rank - 1), dtype=complex)
+    band[(slice(None),) + (slice(extra, None),) * (rank - 1)] = field[lo:hi]
     e = np.zeros((n,) * (rank - 1), dtype=complex)
-    e[window[1:]] = excited
-    e = e[()]                                   # a scalar for one photon
-
-    gamma, c = params.gamma, params.c
-    dt = dx / c
-    s_abs = -math.sqrt(2.0 * gamma * c)         # absorption, sign included
-    s_em = math.sqrt(2.0 * gamma / c)
-    gdt = gamma * dt                    # midpoint step E_new = a E + b F, F held
-    a_coef, b_coef = 1.0 - gdt + 0.5 * gdt * gdt, dt * (1.0 - 0.5 * gdt)
-    w_start, w_end = 1.0 - DEPOSIT_END_WEIGHT, DEPOSIT_END_WEIGHT
-    lines = [np.moveaxis(phi, axis, 0) for axis in range(rank)]  # [j]: line j
-    excitation = excitation_probability(rank, dx)
-    trace = np.empty(steps) if record_trace else None
-    norm_vals = []
-    for m in range(steps):
-        j = j_first - m
-        if 0 <= j < n:
-            forcing = s_abs * phi[j]            # phi(0-, ...), before this step's emission
-            e_new = a_coef * e + b_coef * forcing
-            deposit = s_em * (w_start * e + w_end * e_new)
-            for line in lines:
-                line[j] += deposit
-        else:
-            e_new = a_coef * e
-        e = e_new
-        if record_trace:
-            trace[m] = excitation(e)
-        if norm_stride and (m % norm_stride == 0 or m == steps - 1):
-            norm_vals.append(lab_norm(phi, e, dx))
-
+    e[(slice(extra, None),) * (rank - 1)] = excited
+    sink = _Field(n, rank)
+    e, trace, norm_vals = _sweep(band, lo + extra, e[()], n, steps, j_first, dx, params,
+                                 sink, record_trace, norm_stride)
+    dt = dx / params.c
     t_f = initial.t + steps * dt
-    state = LabState(t_f, _cell_grid(centers + c * t_f), phi, e)
+    state = LabState(t_f, _cell_grid(centers + params.c * t_f), sink.field, e)
     if record_trace:
         trace = ExcitationTrace(initial.t + dt * (1 + np.arange(steps)), trace)
     return LabRun(state, trace, np.asarray(norm_vals) if norm_stride else None)
@@ -251,19 +393,53 @@ def far_field(state: LabState, params: PhysicalParams) -> Wavefunction1 | Wavefu
     return (Wavefunction1 if state.field.ndim == 1 else Wavefunction2)(grid, state.field)
 
 
+def _clear_time(clear: float, dx: float, params: PhysicalParams) -> float:
+    """t_final of a rectangular run: its trailing edge has cleared the atom
+    by clear*c/gamma >= 0 (residual excitation ~ e^{-clear})."""
+    if not clear >= 0:      # the run would stop before the pulse has crossed the atom
+        raise ValueError(f"clear must be non-negative, got {clear}")
+    _validate_dx(dx)
+    _count(clear * params.relaxation_length(), dx, "clear*c/gamma")
+    return clear / params.gamma
+
+
 def run_rect(length: float, dx: float, params: PhysicalParams, photons: int = 1,
              pad: float = 5.0, clear: float = 15.0, record_trace: bool = False,
              norm_stride: int = 0) -> LabRun:
     """Build and evolve a rectangular-pulse run of `photons` photons until the
     trailing edge has cleared the atom by clear*c/gamma >= 0 (residual
     excitation ~ e^{-clear})."""
-    if not clear >= 0:      # the run would stop before the pulse has crossed the atom
-        raise ValueError(f"clear must be non-negative, got {clear}")
+    t_final = _clear_time(clear, dx, params)
     initial = rect_initial(length, dx, params, pad, photons)
     # looked up in this module at call time, so a wrapper placed there sees the run
     evolve = evolve_one_photon if photons == 1 else evolve_two_photon
-    return evolve(initial, dx, clear / params.gamma, params,
+    return evolve(initial, dx, t_final, params,
                   record_trace=record_trace, norm_stride=norm_stride)
+
+
+def run_rect_error(length: float, dx: float, params: PhysicalParams, photons: int = 1,
+                   pad: float = 5.0, clear: float = 15.0) -> float:
+    """The relative L2 error against the closed form of the far field of
+    `run_rect` with the same arguments, without holding that field: the
+    run starts from the pulse's rows and folds each row into the error as
+    the atom finishes it."""
+    t_final = _clear_time(clear, dx, params)
+    t0, grid, line, cells = _rect_line(length, dx, params, pad, photons)
+    centers, steps, j_first = _prepare(grid, t0, dx, t_final, params)
+    n = len(centers)
+    extra = n - grid.n
+    t_f = t0 + steps * (dx / params.c)
+    x = (centers + params.c * t_f) - params.c * t_f     # far_field's coordinates
+    if photons == 1:
+        band = line[:cells]
+        sink = _Deviation(lambda i0, i1: rect_one_photon_out(x[i0:i1], length, params))
+    else:
+        band = np.outer(line[:cells], np.pad(line, (extra, 0)))
+        sink = _Deviation(lambda i0, i1: rect_two_photon_out(
+            x[i0:i1, None], x[i0:], length, params))
+    e = np.zeros((n,) * (photons - 1), dtype=complex)[()]
+    _sweep(band, extra, e, n, steps, j_first, dx, params, sink)
+    return _relative(sink.num, sink.den)
 
 
 def relative_l2(values: np.ndarray, reference: np.ndarray) -> float:
@@ -272,10 +448,14 @@ def relative_l2(values: np.ndarray, reference: np.ndarray) -> float:
     return _relative_l2(lambda *_: values, lambda *_: reference, 1)
 
 
+def _relative(num: float, den: float) -> float:
+    return math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num)
+
+
 def _relative_l2(values, reference, n: int) -> float:
     """`relative_l2` of two n x n grids read by `model.deviation`."""
     _, num, den = deviation(values, reference, n)
-    return math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num)
+    return _relative(num, den)
 
 
 def rect_error_one_photon(run: LabRun, length: float,

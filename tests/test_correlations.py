@@ -213,6 +213,24 @@ class TestCornerRead:
         want = g2_slice(scattered.total, anchor, (-10.0, 10.0), 301, length, P)
         assert np.array_equal(got.values, want.values)
 
+    def test_array_anchors_read_only_their_rows(self, scattered):
+        # 121 anchors over 12 units: rows j and j + 1 of each, not the rows
+        # between them, with the corners a point-by-point read gives
+        psi, tau = scattered.total, np.linspace(-6.0, 6.0, 121)
+        x1, x2 = 20.0 + 0.0 * tau, 20.0 + tau
+        pts = psi.grid.points
+        i = np.searchsorted(pts, x1, side="right") - 1
+        j = np.searchsorted(pts, x2, side="right") - 1
+        u = (x1 - pts[i]) / (pts[i + 1] - pts[i])
+        v = (x2 - pts[j]) / (pts[j + 1] - pts[j])
+        a = np.array([psi.rows(jk, jk + 2)[:, [ik, ik + 1]] for ik, jk in zip(i, j)])
+        ref = ((1 - u) * (1 - v) * a[:, 0, 0] + u * (1 - v) * a[:, 0, 1]
+               + (1 - u) * v * a[:, 1, 0] + u * v * a[:, 1, 1])
+        recorder = _RowRecorder(psi)
+        got = _interp2(recorder, x1, x2)
+        assert len(recorder.read) <= 2 * len(set(j))
+        assert np.array_equal(got, ref)
+
 
 class TestCurve:
     def test_symmetric_in_tau_at_plateau_anchor(self, scattered):

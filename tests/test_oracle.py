@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,11 +17,20 @@ from onedatom import (
     evolve_two_photon,
     excitation_trace,
     far_field,
+    model,
     rect_initial,
     rect_two_photon_out,
     run_rect,
+    run_rect_error,
 )
-from onedatom.oracle import rect_error_one_photon, rect_error_two_photon, relative_l2
+from onedatom.model import excitation_probability, lab_norm
+from onedatom.oracle import (
+    DEPOSIT_END_WEIGHT,
+    _prepare,
+    rect_error_one_photon,
+    rect_error_two_photon,
+    relative_l2,
+)
 
 P = PhysicalParams()
 EVOLVE = {1: evolve_one_photon, 2: evolve_two_photon}
@@ -72,6 +82,16 @@ class TestPreconditions:
         # the run would stop before the pulse has crossed the atom
         with pytest.raises(ValueError, match="clear"):
             run_rect(2.0, 0.1, P, photons=photons, clear=clear)
+
+    @pytest.mark.parametrize("run", [run_rect, run_rect_error])
+    @pytest.mark.parametrize("length, dx, pad, clear, name", [
+        (2.0, 0.1, 5.0, -5.0, "clear"), (2.0, 0.0, 5.0, 15.0, "dx"),
+        # cell or step counts that are not finite
+        (2.0, 0.1, 5.0, 1e308, "clear"), (1e308, 0.1, 5.0, 15.0, "pulse length"),
+        (2.0, 0.1, 1e308, 15.0, "pad")])
+    def test_rejects_a_run_it_cannot_grid(self, run, length, dx, pad, clear, name):
+        with pytest.raises(ValueError, match=name):
+            run(length, dx, P, photons=2, pad=pad, clear=clear)
 
     def test_rejects_asymmetric_two_photon(self):
         initial = rect_initial(2.0, 0.1, P, photons=2)
@@ -254,3 +274,92 @@ def test_far_field_coordinates():
     ff = far_field(run.state, P)
     assert np.allclose(ff.grid.points,
                        run.state.grid.points - P.c * run.state.t)
+
+
+def _dense_loop(initial, dx, t_final, norm_stride):
+    """The step loop over the whole dense field, kept as the reference that
+    the loop over held rows must match bit for bit.  Returns the far field,
+    the excited amplitude, the trace and the norms."""
+    field = initial.field
+    centers, steps, j_first = _prepare(initial.grid, initial.t, dx, t_final, P)
+    n, rank = len(centers), field.ndim
+    window = (slice(n - initial.grid.n, None),) * rank
+    phi = np.zeros((n,) * rank, dtype=complex)
+    phi[window] = field
+    e = np.zeros((n,) * (rank - 1), dtype=complex)[()]
+
+    gamma, c = P.gamma, P.c
+    dt = dx / c
+    s_abs = -math.sqrt(2.0 * gamma * c)
+    s_em = math.sqrt(2.0 * gamma / c)
+    gdt = gamma * dt
+    a_coef, b_coef = 1.0 - gdt + 0.5 * gdt * gdt, dt * (1.0 - 0.5 * gdt)
+    w_start, w_end = 1.0 - DEPOSIT_END_WEIGHT, DEPOSIT_END_WEIGHT
+    lines = [np.moveaxis(phi, axis, 0) for axis in range(rank)]
+    excitation = excitation_probability(rank, dx)
+    trace, norm_vals = np.empty(steps), []
+    for m in range(steps):
+        j = j_first - m
+        if 0 <= j < n:
+            forcing = s_abs * phi[j]
+            e_new = a_coef * e + b_coef * forcing
+            deposit = s_em * (w_start * e + w_end * e_new)
+            for line in lines:
+                line[j] += deposit
+        else:
+            e_new = a_coef * e
+        e = e_new
+        trace[m] = excitation(e)
+        if norm_stride and (m % norm_stride == 0 or m == steps - 1):
+            norm_vals.append(lab_norm(phi, e, dx))
+    return phi, e, trace, np.asarray(norm_vals)
+
+
+@settings(max_examples=60, deadline=None)
+@given(photons=st.sampled_from([1, 2]), dx=st.sampled_from([0.04, 0.05, 0.1, 0.25]),
+       cells=st.integers(1, 20), pad_cells=st.integers(1, 20),
+       clear=st.floats(-1.0, 3.0), norm_stride=st.integers(0, 9),
+       block_cells=st.integers(1, 400))
+def test_held_rows_match_the_dense_loop_to_the_bit(photons, dx, cells, pad_cells, clear,
+                                                   norm_stride, block_cells):
+    # any stop time, from before the pulse reaches the atom to after it has
+    # passed, and blocks of finished rows from one cell to several rows
+    length, pad = cells * dx, pad_cells * dx
+    initial = rect_initial(length, dx, P, pad=pad, photons=photons)
+    t_final = initial.t + (clear + 1.0) / 4.0 * (length + pad + 2.0)
+    with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+        run = EVOLVE[photons](initial, dx, t_final, P, record_trace=True,
+                              norm_stride=norm_stride)
+    phi, e, trace, norms = _dense_loop(initial, dx, t_final, norm_stride)
+    assert run.state.field.tobytes() == phi.tobytes()
+    assert np.asarray(run.state.excited).tobytes() == np.asarray(e).tobytes()
+    assert run.trace.values.tobytes() == trace.tobytes()
+    if norm_stride:
+        assert run.norm_values.tobytes() == norms.tobytes()
+
+
+@pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])
+def test_error_run_matches_the_error_of_the_held_field(photons):
+    # one photon: one block of cells, so the same sums to the bit; two: the
+    # upper triangle counted twice, so the same error but for rounding
+    length, dx = 2.0, 0.04
+    rect_error = (rect_error_one_photon, rect_error_two_photon)[photons - 1]
+    held = rect_error(run_rect(length, dx, P, photons=photons), length, P)
+    folded = run_rect_error(length, dx, P, photons=photons)
+    if photons == 1:
+        assert folded == held
+    assert folded == pytest.approx(held, rel=1e-12)
+
+
+def test_error_run_holds_only_the_pulse_rows():
+    # the benchmark's pad and clear at dx/2, with a pulse long enough that
+    # its rows, not the one block of finished rows, set the peak
+    length, dx, pad, clear = 9.0, 0.015, 3.0, 8.0
+    n = round((length + pad + clear) / dx)
+    tracemalloc.start()
+    try:
+        run_rect_error(length, dx, P, photons=2, pad=pad, clear=clear)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * round(length / dx) * n * 16 + 16 * model.BLOCK_CELLS
