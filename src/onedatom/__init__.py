@@ -38,7 +38,6 @@ from .model import (
 from .oracle import (
     evolve_one_photon,
     evolve_two_photon,
-    excitation_trace,
     far_field,
     rect_initial,
     run_rect,
@@ -51,7 +50,6 @@ from .propagate import (
     apply_two_photon,
     apply_two_photon_linear,
     apply_two_photon_nonlinear,
-    default_output_grid,
 )
 
 __all__ = [
@@ -73,7 +71,6 @@ __all__ = [
     "apply_two_photon_linear",
     "apply_two_photon_nonlinear",
     "apply_two_photon",
-    "default_output_grid",
     "ScatteredState",
     "TwoPhotonResult",
     "rect_one_photon_out",
@@ -85,7 +82,6 @@ __all__ = [
     "ProcessAmplitudes",
     "evolve_one_photon",
     "evolve_two_photon",
-    "excitation_trace",
     "rect_initial",
     "far_field",
     "run_rect",

@@ -243,10 +243,6 @@ class PiecewiseConstant:
         b.setflags(write=False)
         v.setflags(write=False)
 
-    @property
-    def support(self) -> tuple[float, float]:
-        return float(self.boundaries[0]), float(self.boundaries[-1])
-
     def sample(self, x) -> np.ndarray:
         """Amplitude at x: right-continuous at cell boundaries, the last
         boundary taking the last cell's value, zero outside the support."""
@@ -293,15 +289,6 @@ class Wavefunction1:
     @classmethod
     def from_pieces(cls, pieces: PiecewiseConstant, grid: Grid1D) -> "Wavefunction1":
         return cls(grid, pieces.sample(grid.points), pieces=pieces)
-
-    @property
-    def support(self) -> tuple[float, float]:
-        if self.pieces is not None:
-            return self.pieces.support
-        nz = np.flatnonzero(np.abs(self.amp) > 0)
-        if len(nz) == 0:
-            return (self.grid.x_min, self.grid.x_min)
-        return (float(self.grid.points[nz[0]]), float(self.grid.points[nz[-1]]))
 
 
 def _unit_rect_value(length: float) -> float:

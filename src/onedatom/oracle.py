@@ -22,16 +22,18 @@ either fills the dense far field (`evolve_one_photon`, `evolve_two_photon`,
 `run_rect`) or folds them into the error against the closed form
 (`run_rect_error`, which holds no field).  Every cell takes the same
 operations on the same values as in a loop over the dense field, so the far
-field is the same to the bit.
+field is the same to the bit.  The error of a held far field is the same
+fold, fed its rows in the blocks and order the loop hands them over, so it
+equals `run_rect_error`'s to the bit: both runs of a convergence ratio are
+summed by one rule.
 
 The API follows the loop: one state type, `model.LabState`, whose photon
 number is its field's rank; `rect_initial`, `run_rect` and `run_rect_error`
 take that number as `photons` (1 or 2), and `far_field` returns a
 `Wavefunction1` or a `Wavefunction2` by rank.  `evolve_one_photon` and
 `evolve_two_photon` are the loop's two entries from a state, each rejecting a
-state of the other rank; only the closed-form errors of a completed run,
-`rect_error_one_photon` and `rect_error_two_photon`, stay apart, one per
-closed form.
+state of the other rank, and `rect_error_one_photon` and
+`rect_error_two_photon` are the error's two from a completed run.
 
 The excitation ODE dE/dt = -gamma E - sqrt(2 gamma c) phi(0-) is integrated
 with an explicit midpoint step (the incoming amplitude is constant along the
@@ -59,7 +61,6 @@ from .model import (
     Wavefunction2,
     block_rows,
     blocks,
-    deviation,
     excitation_probability,
     lab_norm,
     rectangular_pulse,
@@ -68,19 +69,21 @@ from .model import (
 __all__ = [
     "evolve_one_photon",
     "evolve_two_photon",
-    "excitation_trace",
     "ExcitationTrace",
     "LabRun",
     "rect_initial",
     "far_field",
     "run_rect",
     "run_rect_error",
-    "relative_l2",
     "rect_error_one_photon",
     "rect_error_two_photon",
 ]
 
 DEPOSIT_END_WEIGHT = 1.0 / 3.0
+# Largest cell or step count of a run: the loop takes one Python step per
+# cell, over a microsecond even for one photon, and one line of this many
+# cells takes 1.6 GB, so a larger count is rejected before any array is built.
+MAX_COUNT = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -103,14 +106,6 @@ class LabRun:
     norm_values: np.ndarray | None = None
 
 
-def excitation_trace(run: LabRun) -> ExcitationTrace:
-    """Excitation time series of a completed run; raises if the run was made
-    without tracing."""
-    if run.trace is None:
-        raise ValueError("evolution was run without tracing enabled")
-    return run.trace
-
-
 def _cell_grid(centers: np.ndarray) -> Grid1D:
     return Grid1D(float(centers[0]), float(centers[-1]), len(centers), _points=centers)
 
@@ -120,6 +115,8 @@ def _count(span: float, dx: float, what: str) -> int:
     count = span / dx
     if not math.isfinite(count):
         raise ValueError(f"{what} = {span} is not a finite number of cells of dx={dx}")
+    if count > MAX_COUNT:
+        raise ValueError(f"{what} = {span} spans more than {MAX_COUNT} cells of dx={dx}")
     return round(count)
 
 
@@ -233,9 +230,9 @@ class _Field:
 
 
 class _Deviation:
-    """Sink that folds finished rows into the sums of `model.deviation`,
-    sum |a - b|^2 and sum |b|^2, against reference(i0, i1), the closed form
-    (real) on rows i0:i1, from column i0 on for two photons."""
+    """Sink that folds finished rows into sum |a - b|^2 and sum |b|^2 against
+    reference(i0, i1), the closed form (real) on rows i0:i1, from column i0
+    on for two photons."""
 
     def __init__(self, reference):
         self.reference, self.num, self.den = reference, 0.0, 0.0
@@ -255,6 +252,20 @@ class _Deviation:
                 sq[:, k:] *= 2.0
         self.num += float(np.sum(dev))
         self.den += float(np.sum(ref))
+
+    def relative(self) -> float:
+        """||a - b||_2 / ||b||_2, or the numerator alone against a zero b."""
+        num, den = self.num, self.den
+        return math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num)
+
+
+def _rect_deviation(x: np.ndarray, length: float, params: PhysicalParams,
+                    photons: int) -> _Deviation:
+    """`_Deviation` against the rectangle's closed-form output on far-field x."""
+    if photons == 1:
+        return _Deviation(lambda i0, i1: rect_one_photon_out(x[i0:i1], length, params))
+    return _Deviation(lambda i0, i1: rect_two_photon_out(x[i0:i1, None], x[i0:], length,
+                                                          params))
 
 
 def _sweep(band: np.ndarray, lo: int, e, n: int, steps: int, j_first: int, dx: float,
@@ -430,46 +441,33 @@ def run_rect_error(length: float, dx: float, params: PhysicalParams, photons: in
     extra = n - grid.n
     t_f = t0 + steps * (dx / params.c)
     x = (centers + params.c * t_f) - params.c * t_f     # far_field's coordinates
-    if photons == 1:
-        band = line[:cells]
-        sink = _Deviation(lambda i0, i1: rect_one_photon_out(x[i0:i1], length, params))
-    else:
-        band = np.outer(line[:cells], np.pad(line, (extra, 0)))
-        sink = _Deviation(lambda i0, i1: rect_two_photon_out(
-            x[i0:i1, None], x[i0:], length, params))
+    band = line[:cells] if photons == 1 else np.outer(line[:cells], np.pad(line, (extra, 0)))
+    sink = _rect_deviation(x, length, params, photons)
     e = np.zeros((n,) * (photons - 1), dtype=complex)[()]
     _sweep(band, extra, e, n, steps, j_first, dx, params, sink)
-    return _relative(sink.num, sink.den)
+    return sink.relative()
 
 
-def relative_l2(values: np.ndarray, reference: np.ndarray) -> float:
-    """||values - reference||_2 / ||reference||_2 over whole arrays, or the
-    numerator alone if the reference is zero."""
-    return _relative_l2(lambda *_: values, lambda *_: reference, 1)
+def _rect_error(run: LabRun, length: float, params: PhysicalParams, photons: int) -> float:
+    """Relative L2 error of a held far field against the closed form:
+    `run_rect_error`'s fold, fed the rows in the loop's blocks and descending
+    order, so the sums round alike."""
+    field = run.state.field
+    if field.ndim != photons:
+        raise ValueError(f"expected a {photons}-photon run, got {field.ndim} photons")
+    x = far_field(run.state, params).grid.points
+    n = len(x)
+    sink = _rect_deviation(x, length, params, photons)
+    for i0, i1 in reversed(list(blocks(0, n, n ** (photons - 1)))):
+        sink(i0, field[i0:i1])
+    return sink.relative()
 
 
-def _relative(num: float, den: float) -> float:
-    return math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num)
+def rect_error_one_photon(run: LabRun, length: float, params: PhysicalParams) -> float:
+    """Relative L2 error of a one-photon run's far field (`_rect_error`)."""
+    return _rect_error(run, length, params, 1)
 
 
-def _relative_l2(values, reference, n: int) -> float:
-    """`relative_l2` of two n x n grids read by `model.deviation`."""
-    _, num, den = deviation(values, reference, n)
-    return _relative(num, den)
-
-
-def rect_error_one_photon(run: LabRun, length: float,
-                          params: PhysicalParams) -> float:
-    """Relative L2 deviation of the far field from the closed-form output,
-    over the captured window."""
-    ff = far_field(run.state, params)
-    return relative_l2(ff.amp, rect_one_photon_out(ff.grid.points, length, params))
-
-
-def rect_error_two_photon(run: LabRun, length: float,
-                          params: PhysicalParams) -> float:
-    ff = far_field(run.state, params)
-    x = ff.grid.points
-    return _relative_l2(ff.rows,
-                        lambda i0, i1: rect_two_photon_out(x[i0:i1, None], x, length, params),
-                        len(x))
+def rect_error_two_photon(run: LabRun, length: float, params: PhysicalParams) -> float:
+    """Relative L2 error of a two-photon run's far field (`_rect_error`)."""
+    return _rect_error(run, length, params, 2)

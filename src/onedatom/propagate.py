@@ -48,7 +48,6 @@ __all__ = [
     "apply_two_photon_linear",
     "apply_two_photon_nonlinear",
     "apply_two_photon",
-    "default_output_grid",
     "ScatteredState",
     "TwoPhotonResult",
     "ResolutionWarning",
@@ -403,19 +402,3 @@ def apply_two_photon_nonlinear(psi: Wavefunction1 | Wavefunction2, out_grid: Gri
     `apply_two_photon(...).nonlinear`."""
     return apply_two_photon(psi, out_grid, params).nonlinear
 
-
-def default_output_grid(psi: Wavefunction1 | Wavefunction2, params: PhysicalParams,
-                        dx: float | None = None) -> Grid1D:
-    """Output grid covering the input support plus a 10 c/gamma reemission
-    tail; the tail mass beyond it is below e^{-20}."""
-    ell = params.relaxation_length()
-    if dx is None:
-        dx = 0.01 * ell
-    if isinstance(psi, Wavefunction2):
-        lo, hi = breaks = psi.grid.x_min, psi.grid.x_max
-    else:
-        lo, hi = psi.support
-        breaks = psi.pieces.boundaries if psi.pieces is not None else (lo, hi)
-    x_min = lo - 10.0 * ell
-    n = int(round((hi - x_min) / dx)) + 1
-    return Grid1D.with_breakpoints(x_min, hi, n, tuple(float(b) for b in breaks))

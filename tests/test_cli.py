@@ -322,6 +322,9 @@ GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", 
     ["oracle", "--oracle.pad", "1e308"],
     ["oracle", "--oracle.clear", "1e308", "--pulse.length", "1", "--oracle.dx", "0.05",
      "--oracle.pad", "1"],
+    # a finite count too large to run, rejected before any array is built
+    ["oracle", "--oracle.clear", "1e12", "--pulse.length", "1", "--oracle.dx", "0.05",
+     "--oracle.pad", "1"],
     ["simulate", "--pulse.kind", "file", "--pulse.path", "{dir}/unsorted.csv"],
     ["simulate", "--pulse.kind", "file", "--pulse.path", "{dir}/empty.csv"],
     ["compare", "{dir}/unsorted.csv", "{dir}/unsorted.csv"],

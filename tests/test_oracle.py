@@ -15,7 +15,6 @@ from onedatom import (
     Wavefunction2,
     evolve_one_photon,
     evolve_two_photon,
-    excitation_trace,
     far_field,
     model,
     rect_initial,
@@ -26,14 +25,15 @@ from onedatom import (
 from onedatom.model import excitation_probability, lab_norm
 from onedatom.oracle import (
     DEPOSIT_END_WEIGHT,
+    _Deviation,
     _prepare,
     rect_error_one_photon,
     rect_error_two_photon,
-    relative_l2,
 )
 
 P = PhysicalParams()
 EVOLVE = {1: evolve_one_photon, 2: evolve_two_photon}
+RECT_ERROR = {1: rect_error_one_photon, 2: rect_error_two_photon}
 
 
 class TestPreconditions:
@@ -77,6 +77,12 @@ class TestPreconditions:
             EVOLVE[3 - photons](initial, 0.1, 1.0, P)
 
     @pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])
+    def test_each_error_rejects_a_run_of_the_other_rank(self, photons):
+        run = run_rect(2.0, 0.1, P, photons=photons)
+        with pytest.raises(ValueError, match=f"{photons} photons"):
+            RECT_ERROR[3 - photons](run, 2.0, P)
+
+    @pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])
     @pytest.mark.parametrize("clear", [-5.0, -1e-9, math.nan])
     def test_rejects_negative_clear(self, photons, clear):
         # the run would stop before the pulse has crossed the atom
@@ -92,6 +98,22 @@ class TestPreconditions:
     def test_rejects_a_run_it_cannot_grid(self, run, length, dx, pad, clear, name):
         with pytest.raises(ValueError, match=name):
             run(length, dx, P, photons=2, pad=pad, clear=clear)
+
+    @pytest.mark.parametrize("run", [run_rect, run_rect_error])
+    @pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])
+    @pytest.mark.parametrize("length, pad, clear, name", [
+        (1.0, 1.0, 1e12, "clear"), (1e12, 1.0, 15.0, "pulse length"),
+        (1.0, 1e12, 15.0, "pad")])
+    def test_rejects_a_count_too_large_to_run(self, run, photons, length, pad, clear, name):
+        # finite, but ~10^13 cells or steps: named before any array is built
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=name):
+                run(length, 0.05, P, photons=photons, pad=pad, clear=clear)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_rejects_asymmetric_two_photon(self):
         initial = rect_initial(2.0, 0.1, P, photons=2)
@@ -136,7 +158,7 @@ class TestZeroInput:
         run = EVOLVE[photons](zero, dx, t_final, P, record_trace=True)
         assert np.all(run.state.field == 0)
         assert np.all(run.state.excited == 0)
-        assert np.all(excitation_trace(run).values == 0)
+        assert np.all(run.trace.values == 0)
 
     def test_one_photon_stays_zero(self):
         self._stays_zero(1, 0.05, 5.0)
@@ -198,7 +220,7 @@ def test_norm_sampled_every_stride_and_at_the_last_step(photons, dx, stride):
 class TestExcitationTrace:
     def test_saturation_then_decay_at_2_gamma(self):
         run = run_rect(10.0, 0.01, P, record_trace=True)
-        tr = excitation_trace(run)
+        tr = run.trace
         assert np.all(tr.values >= 0) and np.all(tr.values <= 1)
         # rises toward saturation while the pulse drives the atom
         drive = (tr.times > -9.0) & (tr.times < -5.0)
@@ -210,10 +232,8 @@ class TestExcitationTrace:
         slope = np.polyfit(tr.times[sel], np.log(tr.values[sel]), 1)[0]
         assert slope == pytest.approx(-2.0 * P.gamma, rel=0.05)
 
-    def test_trace_disabled_raises(self):
-        run = run_rect(2.0, 0.05, P)
-        with pytest.raises(ValueError):
-            excitation_trace(run)
+    def test_trace_disabled_is_none(self):
+        assert run_rect(2.0, 0.05, P).trace is None
 
 
 class TestTwoPhoton:
@@ -238,15 +258,21 @@ class TestTwoPhoton:
 
     def test_trace_bounded(self):
         run = run_rect(2.0, 0.04, P, photons=2, record_trace=True)
-        tr = excitation_trace(run)
+        tr = run.trace
         assert np.all(tr.values >= 0) and np.all(tr.values <= 1)
 
 
-def test_relative_l2():
+def test_deviation_relative():
     a = np.array([1.0, 2.0, 2.0])
-    assert relative_l2(a, a) == 0.0
-    assert relative_l2(np.zeros(3), a) == 1.0
-    assert relative_l2(a, np.zeros(3)) == 3.0       # absolute against a zero reference
+
+    def fold(values, reference):
+        sink = _Deviation(lambda i0, i1: reference[i0:i1].copy())
+        sink(0, values.astype(complex))
+        return sink.relative()
+
+    assert fold(a, a) == 0.0
+    assert fold(np.zeros(3), a) == 1.0
+    assert fold(a, np.zeros(3)) == 3.0      # the numerator alone against a zero reference
 
 
 def test_two_photon_error_reads_row_blocks():
@@ -339,16 +365,20 @@ def test_held_rows_match_the_dense_loop_to_the_bit(photons, dx, cells, pad_cells
 
 
 @pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])
-def test_error_run_matches_the_error_of_the_held_field(photons):
-    # one photon: one block of cells, so the same sums to the bit; two: the
-    # upper triangle counted twice, so the same error but for rounding
-    length, dx = 2.0, 0.04
-    rect_error = (rect_error_one_photon, rect_error_two_photon)[photons - 1]
-    held = rect_error(run_rect(length, dx, P, photons=photons), length, P)
-    folded = run_rect_error(length, dx, P, photons=photons)
-    if photons == 1:
-        assert folded == held
-    assert folded == pytest.approx(held, rel=1e-12)
+@settings(max_examples=60, deadline=None)
+@given(dx=st.sampled_from([0.04, 0.05, 0.1, 0.25]), cells=st.integers(1, 20),
+       pad_cells=st.integers(1, 20), clear=st.floats(0.0, 3.0),
+       block_cells=st.integers(1, 400))
+def test_error_run_matches_the_error_of_the_held_field(photons, dx, cells, pad_cells, clear,
+                                                       block_cells):
+    # both errors fold the same rows in the same blocks and order: the same
+    # sums, so the same error to the bit
+    length, pad = cells * dx, pad_cells * dx
+    with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+        run = run_rect(length, dx, P, photons=photons, pad=pad, clear=clear)
+        held = RECT_ERROR[photons](run, length, P)
+        folded = run_rect_error(length, dx, P, photons=photons, pad=pad, clear=clear)
+    assert folded == held
 
 
 def test_error_run_holds_only_the_pulse_rows():

@@ -18,7 +18,6 @@ from onedatom import (
     apply_two_photon,
     apply_two_photon_linear,
     apply_two_photon_nonlinear,
-    default_output_grid,
     g2_slice,
     gaussian_pulse,
     max_asymmetry,
@@ -608,11 +607,3 @@ class TestGeneral2DPath:
         bad[3, 3] = math.nan
         with pytest.raises(ValueError, match="finite"):
             apply_two_photon(Wavefunction2(gin, bad), gout, P)
-
-
-def test_default_output_grid(rect):
-    g = default_output_grid(rect, P)
-    assert g.x_min == pytest.approx(-10.0)
-    assert g.x_max == pytest.approx(L)
-    assert g.dx == pytest.approx(0.01, rel=1e-6)
-    assert 0.0 in g.points and L in g.points
