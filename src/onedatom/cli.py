@@ -43,6 +43,7 @@ from .csvio import (
     write_wavefunction2,
 )
 from .model import (
+    MAX_COUNT,
     Grid1D,
     PhysicalParams,
     Wavefunction1,
@@ -191,6 +192,8 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]
     and has the pulse edges as nodes.  A product input is returned as the
     pulse of its photon.  File pulses are renormalized to unit norm on load;
     a two-photon file must be exactly exchange symmetric."""
+    if not 2 <= cfg.grid_n <= MAX_COUNT:
+        raise ConfigError(f"grid.n must be between 2 and {MAX_COUNT}, got {cfg.grid_n}")
     kind = cfg.pulse_kind
     breakpoints = ()
     if kind == "rectangular":
@@ -225,8 +228,6 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]
         support = (psi.grid.x_min, psi.grid.x_max)
     else:
         raise ConfigError(f"unknown pulse.kind {kind!r}")
-    if cfg.grid_n < 2:
-        raise ConfigError("grid.n must be at least 2")
     if cfg.grid_x_min > support[0] or cfg.grid_x_max < support[1]:
         raise ConfigError(
             f"grid [{cfg.grid_x_min}, {cfg.grid_x_max}] does not cover the "
@@ -279,8 +280,8 @@ def cmd_simulate(cfg: RunConfig, meta: dict, linear_only, check):
 def cmd_g2(cfg: RunConfig, meta: dict, linear_only, check):
     if check:
         _rect_length(cfg, "--check for g2")
-    if cfg.tau_n < 2:
-        raise ConfigError("tau.n must be at least 2")
+    if not 2 <= cfg.tau_n <= MAX_COUNT:
+        raise ConfigError(f"tau.n must be between 2 and {MAX_COUNT}, got {cfg.tau_n}")
     if not cfg.tau_min < cfg.tau_max:
         raise ConfigError(f"need tau.min < tau.max, got [{cfg.tau_min}, {cfg.tau_max}]")
     params = _params(cfg)
@@ -359,8 +360,8 @@ def cmd_decompose(cfg: RunConfig, meta: dict, linear_only, check):
     params = _params(cfg)
     length = _rect_length(cfg, "decompose")
     n = cfg.grid_n
-    if n < 2:
-        raise ConfigError("grid.n must be at least 2")
+    if not 2 <= n <= MAX_COUNT:
+        raise ConfigError(f"grid.n must be between 2 and {MAX_COUNT}, got {n}")
     grid = Grid1D(0.0, length, n)
     x = grid.points
 
@@ -466,7 +467,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # a dotted key takes the next token, even -1e-3, which argparse reads as a flag
+    tokens = []
+    for token in sys.argv[1:] if argv is None else argv:
+        if tokens and tokens[-1].startswith("--") and tokens[-1][2:] in KEYS:
+            token = f"{tokens.pop()}={token}"
+        tokens.append(token)
+    args = build_parser().parse_args(tokens)
     try:
         if args.command == "compare":
             cmd_compare(args.file_a, args.file_b, args.tol)

@@ -34,6 +34,9 @@ __all__ = [
 # 16 * BLOCK_CELLS bytes (1 MiB), so at any n the temporaries of a blocked
 # loop stay far below one n x n grid.
 BLOCK_CELLS = 1 << 16
+# Largest cell, step or sample count: one line of this many cells takes 1.6 GB
+# and the oracle over 100 s (a Python step per cell), so more is rejected.
+MAX_COUNT = 10 ** 8
 
 
 def block_rows(width: int) -> int:

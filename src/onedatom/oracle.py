@@ -11,29 +11,28 @@ provides the incoming amplitude at 0- and, after crossing, receives the
 emitted amplitude at 0+ along every axis.  Two photons add one structural
 rule: no amplitude holds two excitations, as a two-level atom cannot.
 
-The loop holds only the rows (lines along the first axis, full width) of the
-pulse that the atom has not yet passed, plus E.  Every other row it has not
-reached holds only +0.0 and stays so, and is rebuilt as zeros when the atom
-reaches it.  Once the atom has passed row j, the cells of row j from column j
-on never change again (both coordinates are passed), and by exchange symmetry
-neither does their mirror column: row j is finished.  The loop hands finished
-rows, in blocks under the cell budget (`model.BLOCK_CELLS`), to a sink, which
-either fills the dense far field (`evolve_one_photon`, `evolve_two_photon`,
-`run_rect`) or folds them into the error against the closed form
-(`run_rect_error`, which holds no field).  Every cell takes the same
-operations on the same values as in a loop over the dense field, so the far
-field is the same to the bit.  The error of a held far field is the same
-fold, fed its rows in the blocks and order the loop hands them over, so it
-equals `run_rect_error`'s to the bit: both runs of a convergence ratio are
-summed by one rule.
+One start serves every run.  It holds only the rows (lines along the first
+axis, full width) of the pulse that the atom has not yet passed, plus E,
+and builds a product state's rows straight from its pulse.  Every other row
+the atom has not reached holds only +0.0 and is rebuilt as zeros when the
+atom reaches it.  Once the atom has passed row j, the cells of row j from
+column j on never change again (both coordinates are passed), and by
+exchange symmetry neither does their mirror column: row j is finished.
+Finished rows go, in blocks under the cell budget (`model.BLOCK_CELLS`), to
+a sink that either fills the dense far field (`evolve_*`, `run_rect`) or
+folds them into the error against the closed form (`run_rect_error`, which
+holds no field).  Every cell takes the same operations on the same values as
+in a loop over the dense field, so the far field is the same to the bit.
+The error of a held far field (`rect_error_*`) is the same fold, fed its
+rows in the blocks and order the loop hands them over: both runs of a
+convergence ratio are summed by one rule, to the bit.
 
 The API follows the loop: one state type, `model.LabState`, whose photon
-number is its field's rank; `rect_initial`, `run_rect` and `run_rect_error`
-take that number as `photons` (1 or 2), and `far_field` returns a
-`Wavefunction1` or a `Wavefunction2` by rank.  `evolve_one_photon` and
-`evolve_two_photon` are the loop's two entries from a state, each rejecting a
-state of the other rank, and `rect_error_one_photon` and
-`rect_error_two_photon` are the error's two from a completed run.
+number is its field's rank.  A one-photon state given to `evolve_two_photon`
+stands for the product of its pulse with itself, as a `Wavefunction1` does
+for `propagate.apply_two_photon`.  `rect_initial` builds a rectangular pulse,
+which `run_rect` and `run_rect_error` run with `photons` (1 or 2) photons,
+and `far_field` returns a `Wavefunction1` or a `Wavefunction2` by rank.
 
 The excitation ODE dE/dt = -gamma E - sqrt(2 gamma c) phi(0-) is integrated
 with an explicit midpoint step (the incoming amplitude is constant along the
@@ -54,6 +53,7 @@ import numpy as np
 
 from .analytic import rect_one_photon_out, rect_two_photon_out
 from .model import (
+    MAX_COUNT,
     Grid1D,
     LabState,
     PhysicalParams,
@@ -80,10 +80,6 @@ __all__ = [
 ]
 
 DEPOSIT_END_WEIGHT = 1.0 / 3.0
-# Largest cell or step count of a run: the loop takes one Python step per
-# cell, over a microsecond even for one photon, and one line of this many
-# cells takes 1.6 GB, so a larger count is rejected before any array is built.
-MAX_COUNT = 10 ** 8
 
 
 @dataclass(frozen=True)
@@ -120,12 +116,12 @@ def _count(span: float, dx: float, what: str) -> int:
     return round(count)
 
 
-def _rect_line(length: float, dx: float, params: PhysicalParams, pad: float,
-               photons: int) -> tuple[float, Grid1D, np.ndarray, int]:
-    """Start time, cell grid, one-photon field and pulse cell count of
-    `rect_initial`."""
-    if photons not in (1, 2):
-        raise ValueError(f"photons must be 1 or 2, got {photons}")
+def rect_initial(length: float, dx: float, params: PhysicalParams,
+                 pad: float = 5.0) -> LabState:
+    """Lab-frame initial state of one photon in a unit rectangular pulse,
+    incoming: its trailing edge sits pad*c/gamma short of the atom, so the
+    moving-frame input occupies [0, length].  `length` and pad*c/gamma must
+    be multiples of dx; `evolve_two_photon` runs it as a product state."""
     _validate_dx(dx)
     pad_len = pad * params.relaxation_length()
     cells = _count(length, dx, "pulse length")
@@ -141,17 +137,7 @@ def _rect_line(length: float, dx: float, params: PhysicalParams, pad: float,
     line = np.zeros(cells + pad_cells, dtype=complex)
     # amplitude tuned for an exactly unit piecewise norm
     line[:cells] = rectangular_pulse(length).pieces.values[0]
-    return t0, _cell_grid(x_centers + params.c * t0), line, cells
-
-
-def rect_initial(length: float, dx: float, params: PhysicalParams,
-                 pad: float = 5.0, photons: int = 1) -> LabState:
-    """Lab-frame initial state of `photons` (1 or 2) photons in one unit
-    rectangular pulse (the product state for two), incoming: its trailing
-    edge sits pad*c/gamma short of the atom, so the moving-frame input
-    occupies [0, length].  `length` and pad*c/gamma must be multiples of dx."""
-    t0, grid, line, _ = _rect_line(length, dx, params, pad, photons)
-    return LabState(t0, grid, line if photons == 1 else np.outer(line, line))
+    return LabState(t0, _cell_grid(x_centers + params.c * t0), line)
 
 
 def _validate_dx(dx: float) -> None:
@@ -268,16 +254,16 @@ def _rect_deviation(x: np.ndarray, length: float, params: PhysicalParams,
                                                           params))
 
 
-def _sweep(band: np.ndarray, lo: int, e, n: int, steps: int, j_first: int, dx: float,
+def _sweep(band: np.ndarray, lo: int, n: int, steps: int, j_first: int, dx: float,
            params: PhysicalParams, sink, record_trace: bool = False, norm_stride: int = 0):
     """The step loop on the held rows lo:lo + len(band) of an n-cell field
-    (rank band.ndim) and its excited amplitude e: read the crossed row j,
-    advance E, deposit along every axis, finish row j.  Every row reaches
-    `sink` once; the norm needs the dense field of a `_Field` sink.
-    Returns the final e, the trace values (or None) and the norms."""
+    (rank band.ndim) and its excited amplitude e, from the ground state:
+    read the crossed row j, advance E, deposit along every axis, finish row
+    j.  Every row reaches `sink` once; the norm needs the dense field of a
+    `_Field` sink.  Returns the final e, the trace values (or None), the norms."""
     rank = band.ndim
     hi = lo + len(band)
-    zero = np.zeros((n,) * (rank - 1), dtype=complex)[()]
+    zero = e = np.zeros((n,) * (rank - 1), dtype=complex)[()]
 
     def line(i):                                # row i, before the atom reaches it
         return band[i - lo] if lo <= i < hi else zero
@@ -334,13 +320,14 @@ def _held_rows(field: np.ndarray) -> tuple[int, int]:
     return (int(rows[0]), int(rows[-1]) + 1) if len(rows) else (0, 0)
 
 
-def _evolve(initial: LabState, photons: int, dx: float, t_final: float,
-            params: PhysicalParams, record_trace: bool, norm_stride: int) -> LabRun:
-    """Run the scheme on a state of `photons` photons, a rank-d field and its
-    rank-(d-1) excited amplitude, holding the rows of its pulse and filling
-    the dense far field."""
-    field, excited, rank = initial.field, initial.excited, initial.field.ndim
-    if rank != photons:
+def _run(initial: LabState, photons: int, dx: float, t_final: float,
+         params: PhysicalParams, sink_for, record_trace: bool = False, norm_stride: int = 0):
+    """Run `photons` photons from `initial`, a state of that rank or a
+    one-photon state standing for its pulse's product with itself, into the
+    sink sink_for(x) returns for far-field points x.  Returns the sink, the
+    final time, lab grid and excited amplitude, the trace and the norms."""
+    field, rank = initial.field, initial.field.ndim
+    if rank > photons:
         raise ValueError(f"expected a {photons}-photon state, got {rank} photons")
     _validate_dx(dx)
     if not np.all(np.isfinite(field)):
@@ -350,37 +337,45 @@ def _evolve(initial: LabState, photons: int, dx: float, t_final: float,
     # one axis suffices: a two-photon field is symmetric
     if np.any(field[initial.grid.points >= 0]):
         raise ValueError("initial field must be supported at r_i < 0")
-    if np.any(np.abs(excited) > 0):
+    if np.any(np.abs(initial.excited) > 0):
         raise ValueError("the atom must start in the ground state")
 
     centers, steps, j_first = _prepare(initial.grid, initial.t, dx, t_final, params)
     n = len(centers)
-    extra = n - initial.grid.n
     lo, hi = _held_rows(field)
-    band = np.zeros((hi - lo,) + (n,) * (rank - 1), dtype=complex)
-    band[(slice(None),) + (slice(extra, None),) * (rank - 1)] = field[lo:hi]
-    e = np.zeros((n,) * (rank - 1), dtype=complex)
-    e[(slice(extra, None),) * (rank - 1)] = excited
-    sink = _Field(n, rank)
-    e, trace, norm_vals = _sweep(band, lo + extra, e[()], n, steps, j_first, dx, params,
-                                 sink, record_trace, norm_stride)
+    band = np.zeros((hi - lo,) + (n,) * (photons - 1), dtype=complex)
+    extra = n - initial.grid.n
+    window = band[(slice(None),) + (slice(extra, None),) * (photons - 1)]
+    if rank == photons:
+        window[...] = field[lo:hi]
+    else:       # the product's rows, built in place: the padding stays +0.0
+        np.multiply(field[lo:hi, None], field, out=window)
     dt = dx / params.c
     t_f = initial.t + steps * dt
-    state = LabState(t_f, _cell_grid(centers + params.c * t_f), sink.field, e)
+    r = centers + params.c * t_f
+    sink = sink_for(r - params.c * t_f)             # far_field's coordinates
+    e, trace, norm_vals = _sweep(band, lo + extra, n, steps, j_first, dx, params, sink,
+                                 record_trace, norm_stride)
     if record_trace:
         trace = ExcitationTrace(initial.t + dt * (1 + np.arange(steps)), trace)
-    return LabRun(state, trace, np.asarray(norm_vals) if norm_stride else None)
+    return sink, t_f, _cell_grid(r), e, trace, np.asarray(norm_vals) if norm_stride else None
+
+
+def _evolve(initial: LabState, photons: int, dx: float, t_final: float,
+            params: PhysicalParams, record_trace: bool, norm_stride: int) -> LabRun:
+    """`_run` filling the dense far field."""
+    sink, t_f, grid, e, *rest = _run(initial, photons, dx, t_final, params,
+                                     lambda x: _Field(len(x), photons), record_trace, norm_stride)
+    return LabRun(LabState(t_f, grid, sink.field, e), *rest)
 
 
 def evolve_one_photon(initial: LabState, dx: float, t_final: float,
                       params: PhysicalParams, record_trace: bool = False,
                       norm_stride: int = 0) -> LabRun:
-    """Integrate the one-photon lab-frame dynamics up to t_final.
-
-    The initial field must be incoming only (zero at r >= 0) with the atom in
-    the ground state; dx must match the initial grid spacing and the atom must
-    sit on a cell boundary.
-    """
+    """Integrate the one-photon lab-frame dynamics up to t_final.  The
+    initial field must be incoming only (zero at r >= 0) with the atom in the
+    ground state; dx must match the initial grid spacing and the atom must sit
+    on a cell boundary."""
     return _evolve(initial, 1, dx, t_final, params, record_trace, norm_stride)
 
 
@@ -389,7 +384,8 @@ def evolve_two_photon(initial: LabState, dx: float, t_final: float,
                       norm_stride: int = 0) -> LabRun:
     """Integrate the two-photon lab-frame dynamics up to t_final: the
     one-photon scheme run along both coordinates, with e(r) as the excited
-    amplitude.  The initial field must also be exchange symmetric."""
+    amplitude.  A two-photon field must also be exchange symmetric; a
+    one-photon state stands for the product of its pulse with itself."""
     return _evolve(initial, 2, dx, t_final, params, record_trace, norm_stride)
 
 
@@ -404,9 +400,11 @@ def far_field(state: LabState, params: PhysicalParams) -> Wavefunction1 | Wavefu
     return (Wavefunction1 if state.field.ndim == 1 else Wavefunction2)(grid, state.field)
 
 
-def _clear_time(clear: float, dx: float, params: PhysicalParams) -> float:
-    """t_final of a rectangular run: its trailing edge has cleared the atom
-    by clear*c/gamma >= 0 (residual excitation ~ e^{-clear})."""
+def _clear_time(photons: int, clear: float, dx: float, params: PhysicalParams) -> float:
+    """t_final of a rectangular run of 1 or 2 `photons`: its trailing edge
+    has cleared the atom by clear*c/gamma >= 0 (residual excitation ~ e^{-clear})."""
+    if photons not in (1, 2):
+        raise ValueError(f"photons must be 1 or 2, got {photons}")
     if not clear >= 0:      # the run would stop before the pulse has crossed the atom
         raise ValueError(f"clear must be non-negative, got {clear}")
     _validate_dx(dx)
@@ -420,8 +418,8 @@ def run_rect(length: float, dx: float, params: PhysicalParams, photons: int = 1,
     """Build and evolve a rectangular-pulse run of `photons` photons until the
     trailing edge has cleared the atom by clear*c/gamma >= 0 (residual
     excitation ~ e^{-clear})."""
-    t_final = _clear_time(clear, dx, params)
-    initial = rect_initial(length, dx, params, pad, photons)
+    t_final = _clear_time(photons, clear, dx, params)
+    initial = rect_initial(length, dx, params, pad)
     # looked up in this module at call time, so a wrapper placed there sees the run
     evolve = evolve_one_photon if photons == 1 else evolve_two_photon
     return evolve(initial, dx, t_final, params,
@@ -431,20 +429,11 @@ def run_rect(length: float, dx: float, params: PhysicalParams, photons: int = 1,
 def run_rect_error(length: float, dx: float, params: PhysicalParams, photons: int = 1,
                    pad: float = 5.0, clear: float = 15.0) -> float:
     """The relative L2 error against the closed form of the far field of
-    `run_rect` with the same arguments, without holding that field: the
-    run starts from the pulse's rows and folds each row into the error as
-    the atom finishes it."""
-    t_final = _clear_time(clear, dx, params)
-    t0, grid, line, cells = _rect_line(length, dx, params, pad, photons)
-    centers, steps, j_first = _prepare(grid, t0, dx, t_final, params)
-    n = len(centers)
-    extra = n - grid.n
-    t_f = t0 + steps * (dx / params.c)
-    x = (centers + params.c * t_f) - params.c * t_f     # far_field's coordinates
-    band = line[:cells] if photons == 1 else np.outer(line[:cells], np.pad(line, (extra, 0)))
-    sink = _rect_deviation(x, length, params, photons)
-    e = np.zeros((n,) * (photons - 1), dtype=complex)[()]
-    _sweep(band, extra, e, n, steps, j_first, dx, params, sink)
+    `run_rect` with the same arguments, without holding that field: each row
+    is folded into the error as the atom finishes it."""
+    t_final = _clear_time(photons, clear, dx, params)
+    sink = _run(rect_initial(length, dx, params, pad), photons, dx, t_final, params,
+                lambda x: _rect_deviation(x, length, params, photons))[0]
     return sink.relative()
 
 

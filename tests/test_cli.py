@@ -298,6 +298,15 @@ def test_dotted_overrides(tmp_path):
     assert float(entries["pulse.length"]) == 4.0
 
 
+@pytest.mark.parametrize("key, value", [("tau.min", "-1e-3"), ("grid.x_min", "-1e1")])
+def test_negative_value_in_scientific_notation(tmp_path, key, value):
+    # argparse alone reads -1e-3 as a flag, not as the value of the flag before it
+    out = tmp_path / "g2"
+    assert main(["g2", "--config", write_config(tmp_path / "run.cfg"), f"--{key}", value,
+                 "--out", str(out)]) == 0
+    assert float(manifest_entries(out / "manifest.txt")[key]) == float(value)
+
+
 GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", "0.5"]
 
 
@@ -334,6 +343,11 @@ GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", 
     ["compare", "{dir}/pulse.csv", "{dir}/pulse.csv", "--tol", "nan"],
     ["compare", "{dir}/pulse.csv", "{dir}/pulse.csv", "--tol", "-1"],
     ["decompose", "--grid.n", "1"],
+    # sizes too large to build, rejected before any array is built
+    ["g2", "--grid.n", "1000000000000"],
+    ["g2", "--tau.n", "1000000000000"],
+    ["simulate", "--grid.n", "1000000000000"],
+    ["decompose", "--grid.n", "1000000000000"],
     ["simulate", "--pulse.kind", "file", "--pulse.path", "{dir}/swapped.csv"],
     ["simulate", "--pulse.kind", "file", "--pulse.path", "{dir}/shifted.csv"],
     ["compare", "{dir}/swapped.csv", "{dir}/swapped.csv"],

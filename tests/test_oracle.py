@@ -36,6 +36,11 @@ EVOLVE = {1: evolve_one_photon, 2: evolve_two_photon}
 RECT_ERROR = {1: rect_error_one_photon, 2: rect_error_two_photon}
 
 
+def _dense(initial):
+    """The two-photon product state of a one-photon state, as a dense field."""
+    return LabState(initial.t, initial.grid, np.outer(initial.field, initial.field))
+
+
 class TestPreconditions:
     def test_rejects_outgoing_support(self):
         g = Grid1D(-0.95, 1.05, 21)
@@ -65,16 +70,15 @@ class TestPreconditions:
         with pytest.raises(ValueError):
             rect_initial(2.0, -0.1, P)
 
+    @pytest.mark.parametrize("run", [run_rect, run_rect_error])
     @pytest.mark.parametrize("photons", [0, 3])
-    def test_rejects_unsupported_photon_number(self, photons):
+    def test_rejects_unsupported_photon_number(self, run, photons):
         with pytest.raises(ValueError, match="photons"):
-            rect_initial(2.0, 0.1, P, photons=photons)
+            run(2.0, 0.1, P, photons=photons)
 
-    @pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])
-    def test_each_evolution_rejects_the_other_rank(self, photons):
-        initial = rect_initial(2.0, 0.1, P, photons=photons)
-        with pytest.raises(ValueError, match=f"{photons} photons"):
-            EVOLVE[3 - photons](initial, 0.1, 1.0, P)
+    def test_one_photon_evolution_rejects_a_two_photon_state(self):
+        with pytest.raises(ValueError, match="2 photons"):
+            evolve_one_photon(_dense(rect_initial(2.0, 0.1, P)), 0.1, 1.0, P)
 
     @pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])
     def test_each_error_rejects_a_run_of_the_other_rank(self, photons):
@@ -116,7 +120,7 @@ class TestPreconditions:
         assert peak < 1 << 20
 
     def test_rejects_asymmetric_two_photon(self):
-        initial = rect_initial(2.0, 0.1, P, photons=2)
+        initial = _dense(rect_initial(2.0, 0.1, P))
         amp = initial.field.copy()
         amp[0, 1] += 1.0
         st = LabState(t=initial.t, grid=initial.grid, field=amp)
@@ -124,7 +128,7 @@ class TestPreconditions:
             evolve_two_photon(st, 0.1, 1.0, P)
 
     def test_rejects_infinite_two_photon_without_a_warning(self):
-        initial = rect_initial(2.0, 0.1, P, photons=2)
+        initial = _dense(rect_initial(2.0, 0.1, P))
         amp = initial.field.copy()
         amp[0, 0] = math.inf
         state = LabState(t=initial.t, grid=initial.grid, field=amp)
@@ -132,7 +136,7 @@ class TestPreconditions:
             evolve_two_photon(state, 0.1, 1.0, P)
 
     def test_memory_layout_is_irrelevant(self):
-        initial = rect_initial(2.0, 0.1, P, photons=2)
+        initial = _dense(rect_initial(2.0, 0.1, P))
         fortran = LabState(t=initial.t, grid=initial.grid,
                            field=np.asfortranarray(initial.field))
         a = evolve_two_photon(fortran, 0.1, 1.0, P)
@@ -153,8 +157,8 @@ class TestPreconditions:
 class TestZeroInput:
     @staticmethod
     def _stays_zero(photons, dx, t_final):
-        base = rect_initial(2.0, dx, P, photons=photons)
-        zero = LabState(t=base.t, grid=base.grid, field=np.zeros_like(base.field))
+        base = rect_initial(2.0, dx, P)
+        zero = LabState(t=base.t, grid=base.grid, field=np.zeros((base.grid.n,) * photons))
         run = EVOLVE[photons](zero, dx, t_final, P, record_trace=True)
         assert np.all(run.state.field == 0)
         assert np.all(run.state.excited == 0)
@@ -203,7 +207,7 @@ def test_causality_upstream_cells_untouched(photons, dx):
 @pytest.mark.parametrize("stride", [1, 7, 10])
 @pytest.mark.parametrize("photons, dx", [(1, 0.05), (2, 0.1)], ids=["one", "two"])
 def test_norm_sampled_every_stride_and_at_the_last_step(photons, dx, stride):
-    start = rect_initial(2.0, dx, P, photons=photons)
+    start = rect_initial(2.0, dx, P)
     evolve = EVOLVE[photons]
     run = evolve(start, dx, 15.0, P, record_trace=True, norm_stride=stride)
     steps = len(run.trace.values)
@@ -351,17 +355,46 @@ def test_held_rows_match_the_dense_loop_to_the_bit(photons, dx, cells, pad_cells
     # any stop time, from before the pulse reaches the atom to after it has
     # passed, and blocks of finished rows from one cell to several rows
     length, pad = cells * dx, pad_cells * dx
-    initial = rect_initial(length, dx, P, pad=pad, photons=photons)
+    initial = rect_initial(length, dx, P, pad=pad)
+    if photons == 2:
+        initial = _dense(initial)
     t_final = initial.t + (clear + 1.0) / 4.0 * (length + pad + 2.0)
     with mock.patch.object(model, "BLOCK_CELLS", block_cells):
         run = EVOLVE[photons](initial, dx, t_final, P, record_trace=True,
                               norm_stride=norm_stride)
     phi, e, trace, norms = _dense_loop(initial, dx, t_final, norm_stride)
-    assert run.state.field.tobytes() == phi.tobytes()
+    _assert_same_bits(run, phi, e, trace, norms if norm_stride else None)
+
+
+def _assert_same_bits(run, field, e, trace, norms):
+    """The run's far field, excited amplitude, trace and norms (None when
+    not sampled) have the bytes of the given ones, signed zeros included."""
+    assert run.state.field.tobytes() == field.tobytes()
     assert np.asarray(run.state.excited).tobytes() == np.asarray(e).tobytes()
     assert run.trace.values.tobytes() == trace.tobytes()
-    if norm_stride:
+    assert (run.norm_values is None) == (norms is None)
+    if norms is not None:
         assert run.norm_values.tobytes() == norms.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(dx=st.sampled_from([0.04, 0.05, 0.1, 0.25]), cells=st.integers(1, 20),
+       pad_cells=st.integers(1, 20), clear=st.floats(-1.0, 3.0),
+       norm_stride=st.integers(0, 9), block_cells=st.integers(1, 400))
+def test_product_run_matches_the_dense_product_to_the_bit(dx, cells, pad_cells, clear,
+                                                          norm_stride, block_cells):
+    # a one-photon state given to evolve_two_photon stands for the product
+    # of its pulse with itself: the same run as from the dense product
+    length, pad = cells * dx, pad_cells * dx
+    initial = rect_initial(length, dx, P, pad=pad)
+    t_final = initial.t + (clear + 1.0) / 4.0 * (length + pad + 2.0)
+    with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+        product = evolve_two_photon(initial, dx, t_final, P, record_trace=True,
+                                    norm_stride=norm_stride)
+        dense = evolve_two_photon(_dense(initial), dx, t_final, P, record_trace=True,
+                                  norm_stride=norm_stride)
+    _assert_same_bits(product, dense.state.field, dense.state.excited, dense.trace.values,
+                      dense.norm_values)
 
 
 @pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])
@@ -393,3 +426,19 @@ def test_error_run_holds_only_the_pulse_rows():
     finally:
         tracemalloc.stop()
     assert peak <= 1.5 * round(length / dx) * n * 16 + 16 * model.BLOCK_CELLS
+
+
+def test_written_run_holds_no_dense_initial():
+    # a short clear, so that the (cells + pad)^2 product state would be
+    # comparable to the far field: the run holds that field, one block of
+    # finished rows and the pulse rows, and starts from the pulse line
+    length, dx, pad, clear = 2.0, 0.02, 3.0, 1.0
+    tracemalloc.start()
+    try:
+        run = run_rect(length, dx, P, photons=2, pad=pad, clear=clear)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    n = run.state.grid.n
+    held = 16 * (n * n + min(n, model.block_rows(n)) * n + round(length / dx) * n)
+    assert peak - held < 0.5 * 16 * round((length + pad) / dx) ** 2
