@@ -32,7 +32,7 @@ from .analytic import (
     rect_process_amplitudes,
     rect_two_photon_out,
 )
-from .correlations import _density_window, find_dip_zeros, g2_slice
+from .correlations import find_dip_zeros, g2_slice
 from .csvio import (
     read_wavefunction1,
     read_wavefunction2,
@@ -54,6 +54,7 @@ from .model import (
     norm1,
     norm2,
     rectangular_pulse,
+    relative_l2,
 )
 from .oracle import (
     far_field,
@@ -295,17 +296,12 @@ def cmd_g2(cfg: RunConfig, meta: dict, linear_only, check):
     result = apply_two_photon(psi_in, grid, params)
     psi = result.linear if linear_only else result.total
 
-    rectangular = cfg.pulse_kind == "rectangular"
     curve = g2_slice(psi, cfg.anchor_x, (cfg.tau_min, cfg.tau_max), cfg.tau_n,
-                     cfg.pulse_length if rectangular else None, params)
+                     cfg.pulse_length if cfg.pulse_kind == "rectangular" else None, params)
     zeros = find_dip_zeros(curve)
     undefined = int(np.count_nonzero(np.isnan(curve.values)))
-    # the rows g2_slice's local density read: those around anchor + c tau
-    # and the anchor itself
-    lo, hi = (0, 0) if rectangular else _density_window(
-        grid.points, np.append(cfg.anchor_x + params.c * curve.tau, cfg.anchor_x))
     entries = {"run.linear_only": linear_only, "run.zero_count": len(zeros),
-               "run.undefined_tau": undefined, "run.density_rows": hi - lo,
+               "run.undefined_tau": undefined, "run.density_rows": curve.density_rows,
                **{f"run.zero_{i}": z for i, z in enumerate(zeros)}}
     failure = None
     if check:
@@ -388,7 +384,7 @@ def cmd_compare(path_a, path_b, tol: float | None) -> None:
     amp_a, amp_b = (psi.amp.reshape(-1, psi.grid.n) for psi in (a, b))
     max_abs, num, den = deviation(lambda i0, i1: amp_a[i0:i1],
                                   lambda i0, i1: amp_b[i0:i1], len(amp_a))
-    rel_l2 = math.sqrt(num) / math.sqrt(den) if den else math.inf
+    rel_l2 = relative_l2(num, den)
     print(f"compare: max-abs {max_abs:.6e}, rel-L2 {rel_l2:.6e}, "
           f"grid deviation {grid_dev:.3e}")
     if tol is not None and not max_abs <= tol:

@@ -7,9 +7,11 @@ points are evaluated by bilinear interpolation (error O(dx^2)).
 A two-photon state is read only through its `grid` and `rows` (row blocks),
 which a `Wavefunction2` and a `propagate.ScatteredState` both offer.  By
 exchange symmetry the line (x + c tau, x) is read as psi(x, x + c tau),
-along the rows at the anchor x: a curve reads two rows for its amplitude,
-plus the rows of its density window when it is normalised by the local
-density, and never needs the dense grid.
+along the rows at the anchor x: a curve reads the two rows around its anchor
+for its amplitude, plus the rows of its density window when it is normalised
+by the local density, and never needs the dense grid.  A zero of a sampled
+curve is a minimum whose parabola through it and its two neighbours dips
+below a millionth of the peak, so it needs no sample that close to zero.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PhysicalParams, Wavefunction2, _row_density, blocks, grid_weights
+from .model import PhysicalParams, Wavefunction2, _row_density, grid_weights
 
 __all__ = [
     "CorrelationCurve",
@@ -35,10 +37,12 @@ ZERO_THRESHOLD = 1e-6
 @dataclass(frozen=True)
 class CorrelationCurve:
     """Sampled correlation curve over delays tau at a fixed detection
-    coordinate."""
+    coordinate, with the number of grid rows its local density read (0 for
+    the long-pulse normalisation)."""
 
     tau: np.ndarray
     values: np.ndarray
+    density_rows: int = 0
 
     def __post_init__(self) -> None:
         t = np.asarray(self.tau, dtype=float)
@@ -49,39 +53,21 @@ class CorrelationCurve:
         object.__setattr__(self, "values", v)
 
 
-def _interp2(psi2: Wavefunction2, x1, x2) -> np.ndarray:
-    """Bilinear interpolation of the two-photon amplitude; points outside the
-    grid are rejected.  The corners at x2's nodes j and j + 1 are entries i
-    and i + 1 of rows j and j + 1, psi(x1, x2) = psi(x2, x1), read in row
-    blocks over each run of consecutive rows needed: two rows for a scalar
-    x2, at most two per distinct j."""
+def _interp2(psi2: Wavefunction2, x1, x2: float) -> np.ndarray:
+    """Bilinear interpolation of the two-photon amplitude at (x1, x2) for a
+    scalar x2; points outside the grid are rejected.  The corners at x2's
+    nodes j and j + 1 are entries i and i + 1 of rows j and j + 1,
+    psi(x1, x2) = psi(x2, x1), read in one call."""
     pts = psi2.grid.points
-    x1, x2 = np.broadcast_arrays(np.asarray(x1, dtype=float), np.asarray(x2, dtype=float))
-    if np.any(x1 < pts[0]) or np.any(x1 > pts[-1]) \
-            or np.any(x2 < pts[0]) or np.any(x2 > pts[-1]):
+    x1, x2 = np.asarray(x1, dtype=float), float(x2)
+    if np.any(x1 < pts[0]) or np.any(x1 > pts[-1]) or not pts[0] <= x2 <= pts[-1]:
         raise ValueError("evaluation point outside the wavefunction grid")
     n = len(pts)
     i = np.clip(np.searchsorted(pts, x1, side="right") - 1, 0, n - 2)
-    j = np.clip(np.searchsorted(pts, x2, side="right") - 1, 0, n - 2)
+    j = min(max(int(np.searchsorted(pts, x2, side="right")) - 1, 0), n - 2)
     u = (x1 - pts[i]) / (pts[i + 1] - pts[i])
     v = (x2 - pts[j]) / (pts[j + 1] - pts[j])
-    # corners (i, j), (i + 1, j), (i, j + 1), (i + 1, j + 1), one per point
-    corners = np.empty((4, j.size), dtype=complex)
-    i, j = i.ravel(), j.ravel()
-    needed = np.zeros(n, dtype=np.int8)
-    needed[j] = needed[j + 1] = 1
-    # the runs of consecutive needed rows, from where the mask rises to where it falls
-    edges = np.flatnonzero(np.diff(needed, prepend=0, append=0))
-    for run0, run1 in zip(edges[::2], edges[1::2]):
-        for r0, r1 in blocks(int(run0), int(run1), n):
-            block = psi2.rows(r0, r1)
-            for d in (0, 1):
-                sel = (j + d >= r0) & (j + d < r1)
-                row, col = j[sel] + (d - r0), i[sel]
-                corners[2 * d, sel] = block[row, col]
-                corners[2 * d + 1, sel] = block[row, col + 1]
-            del block                   # freed before the next block is read
-    a00, a10, a01, a11 = corners.reshape((4,) + u.shape)
+    (a00, a10), (a01, a11) = (row[[i, i + 1]] for row in psi2.rows(j, j + 2))
     return ((1 - u) * (1 - v) * a00 + u * (1 - v) * a10
             + (1 - u) * v * a01 + u * v * a11)
 
@@ -156,18 +142,18 @@ def g2_slice(psi2: Wavefunction2, x_anchor: float, tau_range: tuple[float, float
         raise ValueError("need at least 2 samples")
     tau = np.linspace(tau_range[0], tau_range[1], n_samples)
     vals = normalized_g2(psi2, x_anchor, tau, length, params)
-    return CorrelationCurve(tau=tau, values=np.asarray(vals, dtype=float))
+    lo, hi = (0, 0) if length is not None else _density_window(
+        psi2.grid.points, np.append(x_anchor + params.c * tau, x_anchor))
+    return CorrelationCurve(tau=tau, values=np.asarray(vals, dtype=float),
+                            density_rows=hi - lo)
 
 
 def find_dip_zeros(curve: CorrelationCurve) -> list[float]:
-    """Delays where the curve touches zero: local minima below
-    1e-6 * max(curve), refined by parabolic interpolation.  The peak is taken
-    over the finite values, and a sample that is nan or has a nan neighbour
-    (g2 undefined there) is never a minimum.
-
-    The curve must be sampled finely enough to resolve the sign structure of
-    the underlying amplitude (spacing <= 0.01/gamma for the double-dip
-    feature).
+    """Delays where the curve touches zero: local minima where the parabola
+    through the minimum and its two neighbours dips below 1e-6 * max(curve),
+    placed at that parabola's vertex.  The peak is taken over the finite
+    values, and a sample that is nan or has a nan neighbour (g2 undefined
+    there) is never a minimum.
     """
     v = curve.values
     if len(v) == 0:
@@ -179,16 +165,13 @@ def find_dip_zeros(curve: CorrelationCurve) -> list[float]:
     threshold = ZERO_THRESHOLD * peak
     zeros: list[float] = []
     for i in range(1, len(v) - 1):
-        # every comparison with a nan is False, so a nan sample or neighbour fails
-        if not (v[i] <= v[i - 1] and v[i] <= v[i + 1] and v[i] < threshold):
+        a, b, c = v[i - 1:i + 2]
+        # every comparison with a nan is False, so a nan sample or neighbour
+        # fails; of a plateau of equal minima only its first sample is kept
+        if not (b <= a and b <= c) or b == a:
             continue
-        if v[i] == v[i - 1]:        # plateau of equal minima: keep one edge
-            continue
-        denom = v[i - 1] - 2.0 * v[i] + v[i + 1]
-        if denom > 0:
-            shift = 0.5 * (v[i - 1] - v[i + 1]) / denom
-            h = curve.tau[i + 1] - curve.tau[i]
-            zeros.append(float(curve.tau[i] + shift * h))
-        else:
-            zeros.append(float(curve.tau[i]))
+        denom = a - 2.0 * b + c
+        shift = 0.5 * (a - c) / denom if denom > 0 else 0.0
+        if b - 0.25 * (a - c) * shift < threshold:     # the parabola's lowest value
+            zeros.append(float(curve.tau[i] + shift * (curve.tau[i + 1] - curve.tau[i])))
     return zeros

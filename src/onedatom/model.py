@@ -27,6 +27,7 @@ __all__ = [
     "norm2",
     "max_asymmetry",
     "deviation",
+    "relative_l2",
 ]
 
 # Cells per block wherever a two-photon grid is assembled, mapped, mirrored
@@ -448,6 +449,12 @@ def deviation(values, reference, n: int) -> tuple[float, float, float]:
         den += float(np.sum(np.abs(ref) ** 2))
         del dev, ref                    # freed before the next block is built
     return float(np.max(worst)), num, den
+
+
+def relative_l2(num: float, den: float) -> float:
+    """||a - b||_2 / ||b||_2 from the sums sum |a - b|^2 and sum |b|^2, or
+    the numerator alone against a zero b."""
+    return math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num)
 
 
 def max_asymmetry(psi: Wavefunction2) -> float:

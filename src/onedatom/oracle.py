@@ -64,6 +64,7 @@ from .model import (
     excitation_probability,
     lab_norm,
     rectangular_pulse,
+    relative_l2,
 )
 
 __all__ = [
@@ -238,11 +239,6 @@ class _Deviation:
                 sq[:, k:] *= 2.0
         self.num += float(np.sum(dev))
         self.den += float(np.sum(ref))
-
-    def relative(self) -> float:
-        """||a - b||_2 / ||b||_2, or the numerator alone against a zero b."""
-        num, den = self.num, self.den
-        return math.sqrt(num) / math.sqrt(den) if den > 0 else math.sqrt(num)
 
 
 def _rect_deviation(x: np.ndarray, length: float, params: PhysicalParams,
@@ -434,7 +430,7 @@ def run_rect_error(length: float, dx: float, params: PhysicalParams, photons: in
     t_final = _clear_time(photons, clear, dx, params)
     sink = _run(rect_initial(length, dx, params, pad), photons, dx, t_final, params,
                 lambda x: _rect_deviation(x, length, params, photons))[0]
-    return sink.relative()
+    return relative_l2(sink.num, sink.den)
 
 
 def _rect_error(run: LabRun, length: float, params: PhysicalParams, photons: int) -> float:
@@ -449,7 +445,7 @@ def _rect_error(run: LabRun, length: float, params: PhysicalParams, photons: int
     sink = _rect_deviation(x, length, params, photons)
     for i0, i1 in reversed(list(blocks(0, n, n ** (photons - 1)))):
         sink(i0, field[i0:i1])
-    return sink.relative()
+    return relative_l2(sink.num, sink.den)
 
 
 def rect_error_one_photon(run: LabRun, length: float, params: PhysicalParams) -> float:

@@ -112,6 +112,21 @@ class TestG2:
         curve = read_curve(out / "g2_curve.csv")
         assert len(curve.tau) == 3001
 
+    @pytest.mark.parametrize("flags, zeros", [
+        ([], [-2 * math.log(2.0), 2 * math.log(2.0), 10.0 - math.log(2.0)]),
+        (["--linear-only"], [10.0 - math.log(2.0)])], ids=["total", "linear-only"])
+    def test_default_zeros(self, flags, zeros, tmp_path):
+        # the defaults: L 20 on [-10, 20], anchor 10, 2001 delays in [-10, 10].
+        # Both plateau dips, and the zero of phi_out at x = L - (c/gamma) ln 2
+        # (tau = 10 - ln 2), which the linear part has too: no dip but a true
+        # zero of the amplitude
+        out = tmp_path / "g2"
+        assert main(["g2", "--out", str(out), *flags]) == 0
+        entries = manifest_entries(out / "manifest.txt")
+        assert entries["run.zero_count"] == str(len(zeros))
+        got = [float(entries[f"run.zero_{i}"]) for i in range(len(zeros))]
+        assert got == pytest.approx(zeros, abs=2e-3)
+
     def test_linear_only_has_no_zeros(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **{
             "pulse.length": 20.0, "grid.x_min": -10.0, "grid.x_max": 20.0,
@@ -199,6 +214,16 @@ class TestCompare:
                    "--tol", "1e-12"])
         assert rc == 0
         assert "max-abs 0.0" in capsys.readouterr().out
+
+    def test_zero_reference(self, tmp_path, capsys):
+        # against a zero reference rel-L2 is the norm of the difference, as
+        # for the oracle's errors: 0 for two zero files, not inf
+        g = Grid1D(0.0, 1.0, 11)
+        for name, value in (("z.csv", 0.0), ("h.csv", 0.5)):
+            write_wavefunction1(tmp_path / name, Wavefunction1.sampled(g, np.full(11, value)))
+        for a, rel in (("z.csv", 0.0), ("h.csv", math.sqrt(11 * 0.25))):
+            assert main(["compare", str(tmp_path / a), str(tmp_path / "z.csv")]) == 0
+            assert f"rel-L2 {rel:.6e}," in capsys.readouterr().out
 
     def test_shape_mismatch(self, tmp_path):
         g1 = Grid1D(0.0, 1.0, 11)

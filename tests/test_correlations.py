@@ -60,16 +60,11 @@ class TestSecondOrderCorrelation:
         assert second_order_correlation(psi, 0.5, 0.2, P) == 0.0
 
     def test_detector_exchange_symmetry(self, scattered):
+        # G2(x, tau) = G2(x + c tau, -tau), each side read at its own anchor
         taus = np.linspace(-6, 6, 121)
         a = second_order_correlation(scattered.total, 20.0, taus, P)
-        b = second_order_correlation(scattered.total, 20.0 + P.c * taus, -taus, P)
+        b = [second_order_correlation(scattered.total, 20.0 + P.c * t, -t, P) for t in taus]
         assert np.max(np.abs(a - b)) <= 1e-10
-
-    def test_array_anchor_with_scalar_delay(self, scattered):
-        x = np.array([18.0, 20.0, 22.5])
-        got = second_order_correlation(scattered.total, x, 1.5, P)
-        want = [second_order_correlation(scattered.total, float(a), 1.5, P) for a in x]
-        assert np.array_equal(got, want)
 
     def test_rejects_points_outside_grid(self, scattered):
         with pytest.raises(ValueError):
@@ -172,9 +167,9 @@ class TestCornerRead:
 
     @settings(max_examples=40, deadline=None)
     @given(kind=st.sampled_from(["dense", "chirped"]), n=st.integers(2, 40),
-           block_cells=st.integers(1, 200), scalar=st.booleans(),
+           block_cells=st.integers(1, 200), edge=st.booleans(),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_matches_dense_bilinear(self, kind, n, block_cells, scalar, seed):
+    def test_matches_dense_bilinear(self, kind, n, block_cells, edge, seed):
         rng = np.random.default_rng(seed)
         grid = Grid1D(-4.0, 6.0, n)
         if kind == "dense":
@@ -186,8 +181,8 @@ class TestCornerRead:
             psi = apply_two_photon(f, grid, P).total
         amp, pts = psi.amp, grid.points
         x1 = rng.uniform(pts[0], pts[-1], (3, 7))
-        x2 = rng.uniform(pts[0], pts[-1], () if scalar else (3, 7))
-        x1[0, 0], x2.flat[-1] = pts[-1], pts[0]         # both grid edges
+        x1[0, 0] = pts[-1]                              # the grid edges
+        x2 = pts[0] if edge else rng.uniform(pts[0], pts[-1])
         i = np.clip(np.searchsorted(pts, x1, side="right") - 1, 0, n - 2)
         j = np.clip(np.searchsorted(pts, x2, side="right") - 1, 0, n - 2)
         u = (x1 - pts[i]) / (pts[i + 1] - pts[i])
@@ -206,30 +201,13 @@ class TestCornerRead:
         recorder = _RowRecorder(scattered.total)
         got = g2_slice(recorder, anchor, (-10.0, 10.0), 301, length, P)
         j = int(np.searchsorted(pts, anchor, side="right")) - 1
-        read = {j, j + 1}
+        window = set()
         if length is None:
-            read |= set(range(*_density_window(pts, np.append(anchor + P.c * tau, anchor))))
-        assert recorder.read == read
+            window = set(range(*_density_window(pts, np.append(anchor + P.c * tau, anchor))))
+        assert recorder.read == {j, j + 1} | window
+        assert got.density_rows == len(window)
         want = g2_slice(scattered.total, anchor, (-10.0, 10.0), 301, length, P)
         assert np.array_equal(got.values, want.values)
-
-    def test_array_anchors_read_only_their_rows(self, scattered):
-        # 121 anchors over 12 units: rows j and j + 1 of each, not the rows
-        # between them, with the corners a point-by-point read gives
-        psi, tau = scattered.total, np.linspace(-6.0, 6.0, 121)
-        x1, x2 = 20.0 + 0.0 * tau, 20.0 + tau
-        pts = psi.grid.points
-        i = np.searchsorted(pts, x1, side="right") - 1
-        j = np.searchsorted(pts, x2, side="right") - 1
-        u = (x1 - pts[i]) / (pts[i + 1] - pts[i])
-        v = (x2 - pts[j]) / (pts[j + 1] - pts[j])
-        a = np.array([psi.rows(jk, jk + 2)[:, [ik, ik + 1]] for ik, jk in zip(i, j)])
-        ref = ((1 - u) * (1 - v) * a[:, 0, 0] + u * (1 - v) * a[:, 0, 1]
-               + (1 - u) * v * a[:, 1, 0] + u * v * a[:, 1, 1])
-        recorder = _RowRecorder(psi)
-        got = _interp2(recorder, x1, x2)
-        assert len(recorder.read) <= 2 * len(set(j))
-        assert np.array_equal(got, ref)
 
 
 class TestCurve:
@@ -273,6 +251,23 @@ class TestFindDipZeros:
         assert find_dip_zeros(c) == []
         sel = np.abs(c.tau) <= 4.0
         assert np.min(c.values[sel]) > 0.4
+
+    @pytest.mark.parametrize("n", [512, 1024, 2048])
+    def test_plateau_dips_at_every_sampling(self, n):
+        # the default rectangle: the dips are found wherever the tau samples
+        # land, not only where one falls within 1e-6 of the peak
+        rect = apply_two_photon(rectangular_pulse(20.0),
+                                Grid1D.with_breakpoints(-10.0, 20.0, n, (0.0, 20.0)), P)
+        for count in (500, 1000, 2001, 4001):
+            zeros = find_dip_zeros(g2_slice(rect.total, 10.0, (-10.0, 10.0), count, 20.0, P))
+            for dip in (-TWO_LN2, TWO_LN2):
+                assert min((abs(z - dip) for z in zeros), default=math.inf) <= 2e-3, \
+                    (count, zeros)
+
+    @pytest.mark.parametrize("count", [11, 101, 1001])
+    def test_nonzero_minimum_is_no_zero(self, count):
+        tau = np.linspace(-1.0, 1.0, count)
+        assert find_dip_zeros(CorrelationCurve(tau, (tau - 0.3) ** 2 + 1e-3)) == []
 
     def test_constant_curve(self):
         tau = np.linspace(-1, 1, 201)

@@ -22,7 +22,7 @@ from onedatom import (
     run_rect,
     run_rect_error,
 )
-from onedatom.model import excitation_probability, lab_norm
+from onedatom.model import excitation_probability, lab_norm, relative_l2
 from onedatom.oracle import (
     DEPOSIT_END_WEIGHT,
     _Deviation,
@@ -272,7 +272,7 @@ def test_deviation_relative():
     def fold(values, reference):
         sink = _Deviation(lambda i0, i1: reference[i0:i1].copy())
         sink(0, values.astype(complex))
-        return sink.relative()
+        return relative_l2(sink.num, sink.den)
 
     assert fold(a, a) == 0.0
     assert fold(np.zeros(3), a) == 1.0
