@@ -18,8 +18,6 @@ from .correlations import (
     CorrelationCurve,
     find_dip_zeros,
     g2_slice,
-    normalized_g2,
-    second_order_correlation,
 )
 from .kernels import eval_abs_kernel, eval_nonlin_kernel
 from .model import (
@@ -86,8 +84,6 @@ __all__ = [
     "far_field",
     "run_rect",
     "run_rect_error",
-    "second_order_correlation",
-    "normalized_g2",
     "g2_slice",
     "find_dip_zeros",
     "CorrelationCurve",

@@ -142,9 +142,9 @@ def load_config(path: str | None, overrides: dict[str, str]) -> RunConfig:
     updates: dict[str, object] = {}
     if path:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 lines = fh.readlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         for lineno, line in enumerate(lines, 1):
             s = line.strip()
@@ -204,10 +204,6 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]
     elif kind == "gaussian":
         if cfg.pulse_width <= 0:
             raise ConfigError("pulse.width must be positive")
-        with _invalid_input():
-            grid = Grid1D(cfg.pulse_center - 8.0 * cfg.pulse_width,
-                          cfg.pulse_center + 8.0 * cfg.pulse_width, 2049)
-            psi = gaussian_pulse(cfg.pulse_center, cfg.pulse_width, grid)
         support = (cfg.pulse_center - 5.0 * cfg.pulse_width,
                    cfg.pulse_center + 5.0 * cfg.pulse_width)
     elif kind == "file":
@@ -233,6 +229,15 @@ def _build_input(cfg: RunConfig) -> tuple[Wavefunction1 | Wavefunction2, Grid1D]
         raise ConfigError(
             f"grid [{cfg.grid_x_min}, {cfg.grid_x_max}] does not cover the "
             f"pulse support [{support[0]:.6g}, {support[1]:.6g}]")
+    if kind == "gaussian":
+        # sampled on 2049 nodes over center +- 8 width, which must be distinct
+        x = np.linspace(cfg.pulse_center - 8.0 * cfg.pulse_width,
+                        cfg.pulse_center + 8.0 * cfg.pulse_width, 2049)
+        if not np.all(np.diff(x) > 0):
+            raise ConfigError(f"pulse.width {cfg.pulse_width:g} is too narrow to sample "
+                              f"at pulse.center {cfg.pulse_center:g}")
+        with _invalid_input():
+            psi = gaussian_pulse(cfg.pulse_center, cfg.pulse_width, Grid1D(x[0], x[-1], 2049))
     with _invalid_input():
         grid = Grid1D.with_breakpoints(cfg.grid_x_min, cfg.grid_x_max,
                                        cfg.grid_n, breakpoints)

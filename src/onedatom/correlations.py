@@ -23,13 +23,7 @@ import numpy as np
 
 from .model import PhysicalParams, Wavefunction2, _row_density, grid_weights
 
-__all__ = [
-    "CorrelationCurve",
-    "second_order_correlation",
-    "normalized_g2",
-    "g2_slice",
-    "find_dip_zeros",
-]
+__all__ = ["CorrelationCurve", "g2_slice", "find_dip_zeros"]
 
 ZERO_THRESHOLD = 1e-6
 
@@ -53,15 +47,12 @@ class CorrelationCurve:
         object.__setattr__(self, "values", v)
 
 
-def _interp2(psi2: Wavefunction2, x1, x2: float) -> np.ndarray:
+def _interp2(psi2: Wavefunction2, x1: np.ndarray, x2: float) -> np.ndarray:
     """Bilinear interpolation of the two-photon amplitude at (x1, x2) for a
-    scalar x2; points outside the grid are rejected.  The corners at x2's
+    scalar x2; every point must lie inside the grid.  The corners at x2's
     nodes j and j + 1 are entries i and i + 1 of rows j and j + 1,
     psi(x1, x2) = psi(x2, x1), read in one call."""
     pts = psi2.grid.points
-    x1, x2 = np.asarray(x1, dtype=float), float(x2)
-    if np.any(x1 < pts[0]) or np.any(x1 > pts[-1]) or not pts[0] <= x2 <= pts[-1]:
-        raise ValueError("evaluation point outside the wavefunction grid")
     n = len(pts)
     i = np.clip(np.searchsorted(pts, x1, side="right") - 1, 0, n - 2)
     j = min(max(int(np.searchsorted(pts, x2, side="right")) - 1, 0), n - 2)
@@ -72,80 +63,44 @@ def _interp2(psi2: Wavefunction2, x1, x2: float) -> np.ndarray:
             + (1 - u) * v * a01 + u * v * a11)
 
 
-def second_order_correlation(psi2: Wavefunction2, x: float, tau,
-                             params: PhysicalParams):
-    """Joint detection probability density G2(t, t+tau) = 2 c^2
-    |psi(x + c tau, x)|^2 at detection coordinate x (t = -x/c).  Both photon
-    orderings contribute equally by bosonic symmetry."""
-    tau = np.asarray(tau, dtype=float)
-    amp = _interp2(psi2, x + params.c * tau, x)
-    out = 2.0 * params.c ** 2 * np.abs(amp) ** 2
-    return float(out) if out.ndim == 0 else out
-
-
-def _density_window(pts: np.ndarray, x: np.ndarray) -> tuple[int, int]:
-    """The grid rows lo:hi whose cells bracket every point of x, which must
-    be finite, inside the grid and not empty."""
-    lo = int(np.searchsorted(pts, np.min(x), side="right")) - 1
-    hi = int(np.searchsorted(pts, np.max(x), side="left")) + 1
-    return lo, hi
-
-
-def marginal_density(psi2: Wavefunction2, x, params: PhysicalParams):
-    """Single-photon detection probability density per unit time at
-    coordinate x: 2c * integral |psi(x, y)|^2 dy, read in row blocks, only
-    over the rows whose cells hold x."""
-    x = np.asarray(x, dtype=float)
-    pts = psi2.grid.points
-    if not np.all(np.isfinite(x)):
-        raise ValueError("evaluation point is not finite")
-    if np.any(x < pts[0]) or np.any(x > pts[-1]):
-        raise ValueError("evaluation point outside the wavefunction grid")
-    if x.size == 0:
-        return 2.0 * params.c * x
-    lo, hi = _density_window(pts, x)
-    # np.interp reads only the two nodes around each point, all in lo:hi
-    rho = np.interp(x, pts[lo:hi], _row_density(psi2, grid_weights(psi2.grid), lo, hi))
-    out = 2.0 * params.c * rho
-    return float(out) if out.ndim == 0 else out
-
-
-def normalized_g2(psi2: Wavefunction2, x: float, tau, length: float | None,
-                  params: PhysicalParams):
-    """Normalized second-order correlation.
-
-    With a pulse length L, G2 is divided by the squared long-pulse average
-    density 2c/L, giving (L^2/2)|psi(x+c tau, x)|^2.  With length=None it is
-    divided by the actual single-photon densities at the two detection
-    coordinates (for anchors outside the plateau); g2 is nan where their
-    product is 0, beyond the pulse's reach or where it underflows.
-    """
-    if length is not None and not (length > 0 and math.isfinite(length)):
-        raise ValueError(f"pulse length must be positive, got {length}")
-    g2 = second_order_correlation(psi2, x, tau, params)
-    if length is not None:
-        return g2 / (2.0 * params.c / length) ** 2
-    tau = np.asarray(tau, dtype=float)
-    # one pass over the rows for both coordinates; the anchor's density last
-    rho = marginal_density(psi2, np.append(x + params.c * tau, x), params)
-    density = rho[:-1].reshape(tau.shape) * rho[-1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = np.where(density > 0, g2 / density, np.nan)
-    return float(out) if np.ndim(out) == 0 else out
-
-
 def g2_slice(psi2: Wavefunction2, x_anchor: float, tau_range: tuple[float, float],
              n_samples: int, length: float | None,
              params: PhysicalParams) -> CorrelationCurve:
-    """Uniformly sampled normalized g2 curve at a fixed anchor coordinate."""
+    """Normalized g2 at a fixed anchor coordinate x, sampled uniformly in tau.
+
+    The joint detection density G2(t, t+tau) = 2 c^2 |psi(x + c tau, x)|^2
+    (t = -x/c; both photon orderings contribute equally by bosonic symmetry).
+    With a pulse length L it is divided by the squared long-pulse average
+    density 2c/L, giving (L^2/2)|psi(x+c tau, x)|^2.  With length=None it is
+    divided by the single-photon densities 2c * integral |psi(x', y)|^2 dy
+    at the two detection coordinates, read only over the rows whose cells
+    hold them (for anchors outside the plateau); g2 is nan where their
+    product is 0, beyond the pulse's reach or where it underflows.
+    """
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
+    if length is not None and not (length > 0 and math.isfinite(length)):
+        raise ValueError(f"pulse length must be positive, got {length}")
+    c, pts = params.c, psi2.grid.points
     tau = np.linspace(tau_range[0], tau_range[1], n_samples)
-    vals = normalized_g2(psi2, x_anchor, tau, length, params)
-    lo, hi = (0, 0) if length is not None else _density_window(
-        psi2.grid.points, np.append(x_anchor + params.c * tau, x_anchor))
-    return CorrelationCurve(tau=tau, values=np.asarray(vals, dtype=float),
-                            density_rows=hi - lo)
+    # the partner coordinates, then the anchor last
+    x = np.append(x_anchor + c * tau, x_anchor)
+    x_lo, x_hi = np.min(x), np.max(x)
+    if not pts[0] <= x_lo <= x_hi <= pts[-1]:          # a nan fails every comparison
+        raise ValueError("evaluation point not finite or outside the wavefunction grid")
+    g2 = 2.0 * c ** 2 * np.abs(_interp2(psi2, x[:-1], x_anchor)) ** 2
+    if length is not None:
+        return CorrelationCurve(tau, g2 / (2.0 * c / length) ** 2)
+    # the rows lo:hi whose cells bracket every point; np.interp reads only
+    # the two nodes around each point, all in lo:hi
+    lo = int(np.searchsorted(pts, x_lo, side="right")) - 1
+    hi = int(np.searchsorted(pts, x_hi, side="left")) + 1
+    rho = 2.0 * c * np.interp(x, pts[lo:hi],
+                              _row_density(psi2, grid_weights(psi2.grid), lo, hi))
+    density = rho[:-1] * rho[-1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.where(density > 0, g2 / density, np.nan)
+    return CorrelationCurve(tau, values, density_rows=hi - lo)
 
 
 def find_dip_zeros(curve: CorrelationCurve) -> list[float]:

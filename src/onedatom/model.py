@@ -337,8 +337,12 @@ def gaussian_pulse(center: float, width: float, grid: Grid1D) -> Wavefunction1:
     deviation of |psi|^2."""
     if not (width > 0 and math.isfinite(width)):
         raise ValueError(f"pulse width must be positive, got {width}")
+    try:
+        scale = (2.0 * math.pi * width**2) ** (-0.25)
+    except (OverflowError, ZeroDivisionError):  # width**2 overflows, or underflows to 0
+        raise ValueError(f"pulse width {width} is outside the floating-point range") from None
     x = grid.points
-    amp = (2.0 * math.pi * width**2) ** (-0.25) * np.exp(-((x - center) ** 2) / (4 * width**2))
+    amp = scale * np.exp(-((x - center) ** 2) / (4 * width**2))
     return Wavefunction1.sampled(grid, amp.astype(complex))
 
 

@@ -383,6 +383,16 @@ GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", 
     # an asymmetric two-photon pulse file is rejected, not mirrored
     *([command, "--pulse.kind", "file", "--pulse.path", "{dir}/asymmetric.csv"]
       for command in ("simulate", "g2")),
+    # a config file that is not UTF-8
+    ["g2", "--config", "{dir}/binary.cfg"],
+    # a Gaussian wider than the grid, too narrow for its 2049 sampling nodes
+    # to be distinct, or whose width squared leaves the floating-point range
+    ["g2", "--pulse.kind", "gaussian", "--pulse.center", "3", "--pulse.width", "1e300"],
+    ["g2", "--pulse.kind", "gaussian", "--pulse.center", "3", "--pulse.width", "1e-15"],
+    ["g2", "--pulse.kind", "gaussian", "--pulse.center", "3", "--pulse.width", "1e-300"],
+    ["g2", "--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", "1e-200"],
+    ["g2", "--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", "1e200",
+     "--grid.x_min", "-1e202", "--grid.x_max", "1e202"],
 ], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
 def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
     (tmp_path / "unsorted.csv").write_text("x,re,im\n0,1,0\n0,1,0\n")
@@ -397,10 +407,12 @@ def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
     (tmp_path / "inf1.csv").write_text("x,re,im\n0,1,0\n1,1,-inf\n2,1,0\n")
     (tmp_path / "nan2.csv").write_text(first + "1,0,1,0\n1,1,nan,0\n1,2,1,0\n" + last)
     (tmp_path / "asymmetric.csv").write_text(first + "1,0,1,0\n1,1,1,0\n1,2,2,0\n" + last)
+    (tmp_path / "binary.cfg").write_bytes(b"\xff\n")
     out = tmp_path / "out"
     argv = [arg.format(dir=tmp_path) for arg in argv]
     if argv[0] != "compare":
-        argv += ["--config", write_config(tmp_path / "run.cfg"), "--out", str(out)]
+        # a --config of the case's own comes later, so it wins
+        argv[1:1] = ["--config", write_config(tmp_path / "run.cfg"), "--out", str(out)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert "error:" in err and "Traceback" not in err

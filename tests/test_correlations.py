@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import onedatom
@@ -23,12 +23,10 @@ from onedatom import (
     gaussian_pulse,
     longpulse_g2,
     norm2,
-    normalized_g2,
     rectangular_pulse,
-    second_order_correlation,
 )
 from onedatom import model
-from onedatom.correlations import _density_window, _interp2, marginal_density
+from onedatom.correlations import _interp2
 from onedatom.model import _row_density, grid_weights
 
 P = PhysicalParams()
@@ -50,25 +48,27 @@ def curve(scattered):
 
 class TestSecondOrderCorrelation:
     def test_plateau_coincidence(self, scattered):
-        # amplitude -3/L at tau=0 gives G2 = 2 c^2 (3/L)^2
-        got = second_order_correlation(scattered.total, 20.0, 0.0, P)
-        assert got == pytest.approx(2 * (3 / L) ** 2, rel=1e-5)
+        # amplitude -3/L at tau=0 gives G2 = 2 c^2 (3/L)^2, which the
+        # long-pulse normalisation divides by (2c/L)^2
+        got = g2_slice(scattered.total, 20.0, (0.0, 1.0), 2, L, P).values[0]
+        assert got * (2 * P.c / L) ** 2 == pytest.approx(2 * (3 / L) ** 2, rel=1e-5)
 
     def test_zero_amplitude_gives_zero(self):
         g = Grid1D(0.0, 1.0, 11)
         psi = Wavefunction2(g, np.zeros((11, 11)))
-        assert second_order_correlation(psi, 0.5, 0.2, P) == 0.0
+        assert np.all(g2_slice(psi, 0.5, (0.0, 0.2), 2, 1.0, P).values == 0.0)
 
-    def test_detector_exchange_symmetry(self, scattered):
-        # G2(x, tau) = G2(x + c tau, -tau), each side read at its own anchor
-        taus = np.linspace(-6, 6, 121)
-        a = second_order_correlation(scattered.total, 20.0, taus, P)
-        b = [second_order_correlation(scattered.total, 20.0 + P.c * t, -t, P) for t in taus]
-        assert np.max(np.abs(a - b)) <= 1e-10
+    @pytest.mark.parametrize("anchor, delay", [(20.0, 6.0), (20.013, 5.5), (30.7, -9.2)])
+    def test_detector_exchange_symmetry(self, scattered, anchor, delay):
+        # G2(x, tau) = G2(x + c tau, -tau): the long-pulse curves at the two
+        # anchors x and x + c tau meet in this one pair of samples
+        a = g2_slice(scattered.total, anchor, (-delay, delay), 2, L, P)
+        b = g2_slice(scattered.total, anchor + P.c * delay, (-delay, delay), 2, L, P)
+        assert abs(a.values[1] - b.values[0]) <= 1e-10
 
     def test_rejects_points_outside_grid(self, scattered):
-        with pytest.raises(ValueError):
-            second_order_correlation(scattered.total, 39.0, 5.0, P)
+        with pytest.raises(ValueError, match="outside"):
+            g2_slice(scattered.total, 39.0, (0.0, 5.0), 2, L, P)
 
     def test_nonnegative(self, curve):
         assert np.all(curve.values >= 0)
@@ -76,15 +76,15 @@ class TestSecondOrderCorrelation:
 
 class TestNormalizedG2:
     def test_peak_value(self, scattered):
-        assert normalized_g2(scattered.total, 20.0, 0.0, L, P) == pytest.approx(
-            4.5, abs=1e-3)
+        assert g2_slice(scattered.total, 20.0, (0.0, 1.0), 2, L, P).values[0] == \
+            pytest.approx(4.5, abs=1e-3)
 
     def test_zero_at_two_ln2(self, scattered):
-        assert normalized_g2(scattered.total, 20.0, TWO_LN2, L, P) <= 1e-3
+        assert g2_slice(scattered.total, 20.0, (0.0, TWO_LN2), 2, L, P).values[1] <= 1e-3
 
     def test_shoulder_at_large_delay(self, scattered):
-        assert normalized_g2(scattered.total, 20.0, 10.0, L, P) == pytest.approx(
-            0.5, abs=1e-3)
+        assert g2_slice(scattered.total, 20.0, (0.0, 10.0), 2, L, P).values[1] == \
+            pytest.approx(0.5, abs=1e-3)
 
     def test_agrees_with_longpulse_curve(self, curve):
         sel = np.abs(curve.tau) <= 8.0
@@ -96,24 +96,23 @@ class TestNormalizedG2:
         assert np.mean(curve.values[sel]) == pytest.approx(0.5, abs=1e-2)
 
     def test_local_density_normalization_near_plateau(self, scattered):
-        loc = normalized_g2(scattered.total, 20.0, 0.0, None, P)
+        loc = g2_slice(scattered.total, 20.0, (0.0, 1.0), 2, None, P).values[0]
         assert loc == pytest.approx(4.5, rel=0.05)
 
     def test_rejects_bad_length(self, scattered):
         with pytest.raises(ValueError):
-            normalized_g2(scattered.total, 20.0, 0.0, -1.0, P)
+            g2_slice(scattered.total, 20.0, (0.0, 1.0), 2, -1.0, P)
 
 
 class TestMarginalDensity:
     def test_rejects_non_finite_points(self, scattered):
         for bad in (math.nan, math.inf, -math.inf):
             with pytest.raises(ValueError, match="finite"):
-                marginal_density(scattered.total, [20.0, bad], P)
+                g2_slice(scattered.total, bad, (0.0, 1.0), 2, None, P)
+        with pytest.raises(ValueError, match="finite"):
+            g2_slice(scattered.total, 20.0, (0.0, math.nan), 2, None, P)
         with pytest.raises(ValueError, match="outside"):
-            marginal_density(scattered.total, [20.0, L + 1.0], P)
-
-    def test_no_points_read_no_rows(self, scattered):
-        assert marginal_density(scattered.total, [], P).shape == (0,)
+            g2_slice(scattered.total, 20.0, (0.0, L - 19.0), 2, None, P)
 
     @settings(max_examples=60, deadline=None)
     @given(kind=st.sampled_from(["rectangular", "sampled", "general", "dense"]),
@@ -122,9 +121,10 @@ class TestMarginalDensity:
            seed=st.integers(0, 2 ** 32 - 1))
     def test_window_matches_full_grid(self, kind, n, start, width, nodes,
                                       block_cells, seed):
-        # the rows read for a window of points give the same densities, bit
-        # for bit, as interpolating the density of every row; and neither
-        # they nor norm2 depend on how many cells a block holds
+        # the rows read for the window of a curve's points give the same
+        # curve, bit for bit, as interpolating the density of every row; and
+        # neither it nor norm2 depends on how many cells a block holds.  Of
+        # the anchor and the two ends of its tau line, `nodes` sit on nodes.
         rng = np.random.default_rng(seed)
         grid = Grid1D(-4.0, 6.0, n)
         if kind == "dense":
@@ -139,13 +139,24 @@ class TestMarginalDensity:
         lo = pts[0] + start * (pts[-1] - pts[0])
         hi = lo + width * (pts[-1] - lo)
         inside = pts[(pts >= lo) & (pts <= hi)]
-        x = np.concatenate([rng.uniform(lo, hi, 5),
-                            rng.choice(inside, nodes) if len(inside) else []])
-        full = 2.0 * P.c * np.interp(x, pts, _row_density(psi, grid_weights(grid)))
+        ends = rng.uniform(lo, hi, 3)
+        if len(inside):
+            ends[:nodes] = rng.choice(inside, nodes)
+        anchor = ends[0]
+        tau_range = ((ends[1] - anchor) / P.c, (ends[2] - anchor) / P.c)
+        x = np.append(anchor + P.c * np.linspace(*tau_range, 5), anchor)
+        assume(pts[0] <= np.min(x) and np.max(x) <= pts[-1])   # rounding at a grid end
+        rho = 2.0 * P.c * np.interp(x, pts, _row_density(psi, grid_weights(grid)))
+        density = rho[:-1] * rho[-1]
+        g2 = 2.0 * P.c ** 2 * np.abs(_interp2(psi, x[:-1], anchor)) ** 2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            full = np.where(density > 0, g2 / density, np.nan)
         norm = norm2(psi).hex()
-        assert np.array_equal(marginal_density(psi, x, P), full)
+        curve = g2_slice(psi, anchor, tau_range, 5, None, P)
+        assert np.array_equal(curve.values, full, equal_nan=True)
         with mock.patch.object(model, "BLOCK_CELLS", block_cells):
-            assert np.array_equal(marginal_density(psi, x, P), full)
+            curve = g2_slice(psi, anchor, tau_range, 5, None, P)
+            assert np.array_equal(curve.values, full, equal_nan=True)
             assert norm2(psi).hex() == norm
 
 
@@ -195,15 +206,17 @@ class TestCornerRead:
     @pytest.mark.parametrize("length", [L, None], ids=["length", "local"])
     def test_scalar_anchor_reads_two_rows(self, scattered, length):
         # the amplitude needs rows j and j + 1 around the anchor; the local
-        # density adds only its window of rows
+        # density adds only its window of rows, from the last node at or
+        # below the lowest point to the first at or above the highest
         pts, anchor = scattered.total.grid.points, 20.3
-        tau = np.linspace(-10.0, 10.0, 301)
+        x = np.append(anchor + P.c * np.linspace(-10.0, 10.0, 301), anchor)
         recorder = _RowRecorder(scattered.total)
         got = g2_slice(recorder, anchor, (-10.0, 10.0), 301, length, P)
         j = int(np.searchsorted(pts, anchor, side="right")) - 1
         window = set()
         if length is None:
-            window = set(range(*_density_window(pts, np.append(anchor + P.c * tau, anchor))))
+            window = set(range(np.flatnonzero(pts <= np.min(x))[-1],
+                               np.flatnonzero(pts >= np.max(x))[0] + 1))
         assert recorder.read == {j, j + 1} | window
         assert got.density_rows == len(window)
         want = g2_slice(scattered.total, anchor, (-10.0, 10.0), 301, length, P)
@@ -296,13 +309,13 @@ class TestFindDipZeros:
 _DENSITY_SCRIPT = """
 import sys
 import numpy as np
-from onedatom import Grid1D, PhysicalParams, Wavefunction2, norm2
-from onedatom.correlations import marginal_density
+from onedatom import Grid1D, Wavefunction2, norm2
+from onedatom.model import _row_density, grid_weights
 n = 1500
 rng = np.random.default_rng(5)
 psi = Wavefunction2(Grid1D(0.0, 1.0, n),
                     rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
-rho = marginal_density(psi, psi.grid.points, PhysicalParams())
+rho = _row_density(psi, grid_weights(psi.grid))
 sys.stdout.write(rho.tobytes().hex() + " " + norm2(psi).hex())
 """
 
