@@ -24,7 +24,6 @@ from .model import (
     Grid1D,
     LabState,
     PhysicalParams,
-    PiecewiseConstant,
     Wavefunction1,
     Wavefunction2,
     gaussian_pulse,
@@ -54,7 +53,6 @@ __all__ = [
     "__version__",
     "PhysicalParams",
     "Grid1D",
-    "PiecewiseConstant",
     "Wavefunction1",
     "Wavefunction2",
     "LabState",

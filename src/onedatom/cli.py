@@ -310,7 +310,10 @@ def cmd_g2(cfg: RunConfig, meta: dict, linear_only, check):
                **{f"run.zero_{i}": z for i, z in enumerate(zeros)}}
     failure = None
     if check:
-        ref = longpulse_g2(curve.tau, params)
+        # the linear part's photons are uncorrelated: its curve is the
+        # long-pulse curve's limit at |tau| -> inf, 1/2
+        ref = longpulse_g2(np.full_like(curve.tau, np.inf) if linear_only else curve.tau,
+                           params)
         dev = float(np.max(np.abs(curve.values - ref)))
         entries["check.max_abs_vs_longpulse"] = dev
         if not dev <= cfg.check_g2:

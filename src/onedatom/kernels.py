@@ -38,9 +38,7 @@ def eval_abs_kernel(x, xp, params: PhysicalParams):
     out = np.zeros(np.broadcast(x, xp).shape)
     mask = d >= 0
     out[mask] = -(2.0 * k) * np.exp(-k * d[mask])
-    if out.ndim == 0 or (np.isscalar(x) and np.isscalar(xp)):
-        return float(out) if out.ndim == 0 else out
-    return out
+    return float(out) if out.ndim == 0 else out
 
 
 def eval_nonlin_kernel(x1, x2, x1p, x2p, params: PhysicalParams):

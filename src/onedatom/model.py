@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "PhysicalParams",
     "Grid1D",
-    "PiecewiseConstant",
     "Wavefunction1",
     "Wavefunction2",
     "LabState",
@@ -228,56 +227,13 @@ def grid_weights(grid: Grid1D) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class PiecewiseConstant:
-    """Exact piecewise-constant complex amplitude: len(values) cells bounded
-    by len(values)+1 increasing positions, zero outside."""
-
-    boundaries: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        b = np.asarray(self.boundaries, dtype=float)
-        v = np.asarray(self.values, dtype=complex)
-        if b.ndim != 1 or v.ndim != 1 or len(b) != len(v) + 1:
-            raise ValueError("need len(boundaries) == len(values) + 1")
-        if not np.all(np.diff(b) > 0):
-            raise ValueError("boundaries must be strictly increasing")
-        object.__setattr__(self, "boundaries", b)
-        object.__setattr__(self, "values", v)
-        b.setflags(write=False)
-        v.setflags(write=False)
-
-    def sample(self, x) -> np.ndarray:
-        """Amplitude at x: right-continuous at cell boundaries, the last
-        boundary taking the last cell's value, zero outside the support."""
-        x = np.asarray(x, dtype=float)
-        idx = np.searchsorted(self.boundaries, x, side="right") - 1
-        idx = np.where(x == self.boundaries[-1], len(self.values) - 1, idx)
-        inside = (idx >= 0) & (idx < len(self.values))
-        out = np.zeros(x.shape, dtype=complex)
-        out[inside] = self.values[idx[inside]]
-        return out
-
-    def norm(self) -> float:
-        """Exact squared-amplitude integral, accumulated in extended
-        precision and rounded once."""
-        widths = np.diff(self.boundaries).astype(np.longdouble)
-        re = self.values.real.astype(np.longdouble)
-        im = self.values.imag.astype(np.longdouble)
-        return float(np.sum((re * re + im * im) * widths))
-
-
-@dataclass(frozen=True)
 class Wavefunction1:
-    """One-photon amplitude over a 1D grid (units 1/sqrt(length)).
-
-    `pieces` carries the exact piecewise-constant representation when the
-    wavefunction has one; operations use it for exact integration.
-    """
+    """One-photon amplitude over a 1D grid (units 1/sqrt(length)): its
+    samples at the grid's nodes, which the scattering map reads as their
+    piecewise-linear interpolant, zero outside the grid."""
 
     grid: Grid1D
     amp: np.ndarray
-    pieces: PiecewiseConstant | None = None
 
     def __post_init__(self) -> None:
         a = np.asarray(self.amp, dtype=complex)
@@ -289,10 +245,6 @@ class Wavefunction1:
     @classmethod
     def sampled(cls, grid: Grid1D, amp) -> "Wavefunction1":
         return cls(grid, np.asarray(amp, dtype=complex))
-
-    @classmethod
-    def from_pieces(cls, pieces: PiecewiseConstant, grid: Grid1D) -> "Wavefunction1":
-        return cls(grid, pieces.sample(grid.points), pieces=pieces)
 
 
 def _unit_rect_value(length: float) -> float:
@@ -317,19 +269,18 @@ def _unit_rect_value(length: float) -> float:
     return best
 
 
-def rectangular_pulse(length: float, grid: Grid1D | None = None) -> Wavefunction1:
-    """Unit-norm rectangular pulse on [0, length].
+def rectangular_pulse(length: float) -> Wavefunction1:
+    """Unit-norm rectangular pulse on [0, length]: the two nodes 0 and length
+    with equal amplitudes, whose interpolant is the constant on the pulse.
 
-    The stored amplitude is the representable float nearest 1/sqrt(length)
-    that makes the exact cell-sum norm equal to 1.0.
+    The amplitude is the representable float nearest 1/sqrt(length) whose
+    squared integral over the pulse, formed in extended precision, rounds to
+    1.0.
     """
     if not (length > 0 and math.isfinite(length)):
         raise ValueError(f"pulse length must be positive, got {length}")
     value = _unit_rect_value(length)
-    pieces = PiecewiseConstant(np.array([0.0, length]), np.array([value + 0j]))
-    if grid is None:
-        grid = Grid1D.with_breakpoints(0.0, length, 513, (0.0, length))
-    return Wavefunction1.from_pieces(pieces, grid)
+    return Wavefunction1(Grid1D(0.0, length, 2), [value, value])
 
 
 def gaussian_pulse(center: float, width: float, grid: Grid1D) -> Wavefunction1:
@@ -347,10 +298,8 @@ def gaussian_pulse(center: float, width: float, grid: Grid1D) -> Wavefunction1:
 
 
 def norm1(psi: Wavefunction1) -> float:
-    """Squared-amplitude integral of a one-photon wavefunction: exact cell sum
-    for piecewise-constant data, breakpoint-aware trapezoid otherwise."""
-    if psi.pieces is not None:
-        return psi.pieces.norm()
+    """Squared-amplitude integral of a one-photon wavefunction by the
+    breakpoint-aware trapezoid rule."""
     # numpy's own reduction, not a BLAS dot: the sum does not depend on how
     # many threads BLAS would split a long input between
     sq = np.abs(psi.amp)

@@ -136,8 +136,8 @@ def rect_initial(length: float, dx: float, params: PhysicalParams,
     # right edge of the window at t0
     x_centers = (np.arange(cells + pad_cells) + 0.5) * dx
     line = np.zeros(cells + pad_cells, dtype=complex)
-    # amplitude tuned for an exactly unit piecewise norm
-    line[:cells] = rectangular_pulse(length).pieces.values[0]
+    # amplitude tuned for an exactly unit norm over the pulse
+    line[:cells] = rectangular_pulse(length).amp[0]
     return LabState(t0, _cell_grid(x_centers + params.c * t0), line)
 
 

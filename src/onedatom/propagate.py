@@ -7,11 +7,11 @@ exchange-symmetric two-photon amplitude.
 
 Every input reduces to one form, data linear on cells (edges, left, right),
 and one exact primitive on it, `_tail`: the tail integral of the exponential
-kernel together with the value of the data at each evaluation point.  Exact
-pieces are (boundaries, values, values); samples, of a one-photon pulse or
-along either axis of a general 2D input, are (points, amp[:-1], amp[1:]),
-their piecewise-linear interpolant.  Each cell contributes closed-form
-weights, the phi functions of exponential integrators, so the only error is
+kernel together with the value of the data at each evaluation point.  The
+samples of a one-photon pulse, or along either axis of a general 2D input,
+are (points, amp[:-1], amp[1:]), their piecewise-linear interpolant; a
+rectangle is its two end nodes.  Each cell contributes closed-form weights,
+the phi functions of exponential integrators, so the only error is
 rounding.  The one-photon kernel, the value minus 2 kappa times the tail, is
 applied along each coordinate; its delta part is never discretized.
 
@@ -28,7 +28,6 @@ row blocks, is for tests.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -50,14 +49,9 @@ __all__ = [
     "apply_two_photon",
     "ScatteredState",
     "TwoPhotonResult",
-    "ResolutionWarning",
 ]
 
 SERIES_BELOW = 0.5     # kappa*h below which the cell weights use their series
-
-
-class ResolutionWarning(UserWarning):
-    """Output grid too coarse to resolve the input's cell structure."""
 
 
 # ---------------------------------------------------------------------------
@@ -187,27 +181,9 @@ def _one_photon(value: np.ndarray, tail: np.ndarray, kappa: float) -> np.ndarray
     return value
 
 
-def _cells(psi: Wavefunction1) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """A one-photon input as data linear on cells: its exact pieces, or the
-    piecewise-linear interpolant of its samples."""
-    if psi.pieces is not None:
-        return psi.pieces.boundaries, psi.pieces.values, psi.pieces.values
-    return psi.grid.points, psi.amp[:-1], psi.amp[1:]
-
-
 # ---------------------------------------------------------------------------
 # the axis-0 pass and the one-photon map
 # ---------------------------------------------------------------------------
-
-def _warn_if_coarse(psi: Wavefunction1, out_grid: Grid1D) -> None:
-    if psi.pieces is not None and len(psi.pieces.values) > 1:
-        min_cell = float(np.min(np.diff(psi.pieces.boundaries)))
-        if out_grid.dx > min_cell:
-            warnings.warn(
-                f"output grid spacing {out_grid.dx:.3g} is coarser than the "
-                f"input's smallest cell {min_cell:.3g}",
-                ResolutionWarning, stacklevel=4)
-
 
 def _map_axis0(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
                params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
@@ -221,8 +197,7 @@ def _map_axis0(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
         raise ValueError("input amplitudes must be finite")
     k, xs = params.gamma_over_c, out_grid.points
     if isinstance(psi, Wavefunction1):
-        _warn_if_coarse(psi, out_grid)
-        tail, value = _tail(*_cells(psi), xs, k)
+        tail, value = _tail(psi.grid.points, psi.amp[:-1], psi.amp[1:], xs, k)
         return _one_photon(value, tail, k), tail
     if max_asymmetry(psi) > 0:
         raise ValueError("two-photon input must be exchange symmetric")

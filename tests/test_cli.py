@@ -587,6 +587,9 @@ def _nan_like(*args, **kwargs):
     (["decompose", "--grid.n", "41"], "rect_two_photon_out"),
     (["g2", "--pulse.length", "40", "--grid.x_max", "40", "--anchor.x", "20",
       "--check.g2", "0.1"], "longpulse_g2"),
+    # the linear part alone has the long-pulse limit 1/2, at the default check.g2
+    pytest.param(["g2", "--pulse.length", "40", "--grid.x_max", "40", "--anchor.x", "20",
+                  "--linear-only"], "longpulse_g2", id="g2-linear-only-longpulse_g2"),
     (["oracle", "--pulse.length", "2.0", "--oracle.dx", "0.05", "--oracle.ratio", "false"],
      "rect_error_one_photon"),
 ], ids=lambda v: v[0] if isinstance(v, list) else v)

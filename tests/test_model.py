@@ -11,7 +11,6 @@ from onedatom import (
     Grid1D,
     LabState,
     PhysicalParams,
-    PiecewiseConstant,
     Wavefunction1,
     Wavefunction2,
     gaussian_pulse,
@@ -23,6 +22,7 @@ from onedatom import (
 )
 from onedatom import model
 from onedatom.model import _mirror, grid_weights
+from onedatom.propagate import _tail
 
 P = PhysicalParams()
 
@@ -89,27 +89,28 @@ class TestGrid:
         assert abs(got - exact) <= 1e-12 * scale
 
 
-class TestPiecewiseConstant:
+class TestRectangularPulse:
     def test_sampling_conventions(self):
+        # the rectangle's cell form: its two nodes, one cell of value v
         rect = rectangular_pulse(20.0)
-        v = rect.pieces.values[0]
-        assert rect.pieces.sample(0.0) == v          # right-continuous at the left edge
-        assert rect.pieces.sample(20.0) == v         # last boundary keeps the last cell
-        assert rect.pieces.sample(20.0 + 1e-12) == 0.0
-        assert rect.pieces.sample(-1e-12) == 0.0
-        assert rect.pieces.sample(10.0) == v
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PiecewiseConstant(np.array([0.0, 1.0]), np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            PiecewiseConstant(np.array([1.0, 0.0]), np.array([1.0]))
+        v = rect.amp[0]
+        # right-continuous at the left edge, the last node keeps the last cell
+        evals = np.array([0.0, 20.0, 20.0 + 1e-12, -1e-12, 10.0])
+        _, value = _tail(rect.grid.points, rect.amp[:-1], rect.amp[1:], evals,
+                         P.gamma_over_c)
+        assert np.array_equal(value, [v, v, 0.0, 0.0, v])
 
 
 class TestNorm1:
     def test_rectangle_is_exactly_unit(self):
-        assert norm1(rectangular_pulse(20.0)) == 1.0
-        assert norm1(rectangular_pulse(5.0)) == 1.0
+        # the amplitude's squared integral, formed in extended precision,
+        # rounds to exactly 1; the trapezoid over the two nodes is within 2 ulp
+        for length in (20.0, 5.0):
+            rect = rectangular_pulse(length)
+            v = np.longdouble(rect.amp[0].real)
+            assert rect.amp[0].imag == 0.0
+            assert float(v * v * np.longdouble(length)) == 1.0
+            assert abs(norm1(rect) - 1.0) <= 2 * np.spacing(1.0)
 
     def test_zero(self):
         g = Grid1D(0.0, 1.0, 11)

@@ -11,7 +11,6 @@ from scipy.integrate import quad
 from onedatom import (
     Grid1D,
     PhysicalParams,
-    PiecewiseConstant,
     Wavefunction1,
     Wavefunction2,
     apply_one_photon,
@@ -29,7 +28,6 @@ from onedatom import (
 )
 from onedatom import model
 from onedatom.propagate import (
-    ResolutionWarning,
     ScatteredState,
     _cell_weights,
     _map_axis0,
@@ -68,10 +66,8 @@ class TestOnePhotonExactPath:
         assert at10 == pytest.approx((2 * math.exp(-10) - 1) / math.sqrt(L), rel=1e-13)
         assert out.amp[-1] == pytest.approx(1 / math.sqrt(L), rel=1e-13)
 
-    def test_zero_input(self, out_grid):
-        zero = Wavefunction1.from_pieces(
-            PiecewiseConstant(np.array([0.0, L]), np.array([0j])),
-            Grid1D(0.0, L, 51))
+    def test_zero_input(self, rect, out_grid):
+        zero = Wavefunction1(rect.grid, 0 * rect.amp)
         out = apply_one_photon(zero, out_grid, P)
         assert np.all(out.amp == 0)
 
@@ -82,9 +78,7 @@ class TestOnePhotonExactPath:
 
     def test_linearity(self, rect, out_grid):
         base = apply_one_photon(rect, out_grid, P)
-        scaled_in = Wavefunction1.from_pieces(
-            PiecewiseConstant(rect.pieces.boundaries, 2.5 * rect.pieces.values),
-            rect.grid)
+        scaled_in = Wavefunction1(rect.grid, 2.5 * rect.amp)
         scaled = apply_one_photon(scaled_in, out_grid, P)
         rel = np.max(np.abs(scaled.amp - 2.5 * base.amp)) / np.max(np.abs(base.amp))
         assert rel <= 1e-14
@@ -96,13 +90,19 @@ class TestOnePhotonExactPath:
         with pytest.raises(ValueError):
             apply_one_photon(Wavefunction1.sampled(g, amp), out_grid, P)
 
-    def test_warns_on_coarse_output(self):
-        fine = PiecewiseConstant(np.array([0.0, 0.01, 0.02]),
-                                 np.array([5.0 + 0j, 7.0 + 0j]))
-        psi = Wavefunction1.from_pieces(fine, Grid1D(0.0, 0.02, 21))
-        coarse = Grid1D(-1.0, 1.0, 21)
-        with pytest.warns(ResolutionWarning):
-            apply_one_photon(psi, coarse, P)
+    @settings(max_examples=100, deadline=None)
+    @given(a=st.floats(-10.0, 10.0), length=st.floats(1e-3, 30.0),
+           re=st.floats(-5.0, 5.0), im=st.floats(-5.0, 5.0))
+    def test_two_node_constant_is_a_shifted_rectangle(self, a, length, re, im):
+        # two equal nodes interpolate to the constant on [a, b], so the map
+        # is the unit rectangle's closed form, shifted to a and scaled
+        b = a + length
+        c = complex(re, im)
+        psi = Wavefunction1(Grid1D(a, b, 2), [c, c])
+        grid = Grid1D.with_breakpoints(a - 5.0, b + 2.0, 301, (a, b))
+        out = apply_one_photon(psi, grid, P)
+        ref = c * math.sqrt(b - a) * rect_one_photon_out(grid.points - a, b - a, P)
+        assert np.max(np.abs(out.amp - ref)) <= 1e-10 * abs(c)
 
 
 class TestOnePhotonSampledPath:
@@ -292,10 +292,15 @@ class TestExactTail:
         x = start + np.concatenate([[0.0], np.cumsum(widths)])
         evals = np.concatenate([x, x[0] + np.array(fracs) * (x[-1] - x[0])])
         v = (np.array(re) + 1j * np.array(im))[:len(x)]
-        # exact pieces: the value is the piecewise-constant sample, bit for bit
-        pieces = PiecewiseConstant(x, v[:-1])
-        _, value = _tail(x, pieces.values, pieces.values, evals, 0.9)
-        assert np.array_equal(value, pieces.sample(evals))
+        # equal ends: the value is the cell's constant, bit for bit, taken
+        # from the cell on the right at a node and from the last cell at the
+        # last node
+        const = v[:-1]
+        _, value = _tail(x, const, const, evals, 0.9)
+        k = np.searchsorted(x, evals, side="right") - 1
+        k = np.where(evals == x[-1], len(const) - 1, k)
+        inside = (k >= 0) & (k < len(const))
+        assert np.array_equal(value, np.where(inside, const[np.clip(k, 0, len(const) - 1)], 0.0))
         # samples: their linear interpolant, zero outside the nodes
         _, value = _tail(x, v[:-1], v[1:], evals, 0.9)
         inside = (evals >= x[0]) & (evals <= x[-1])
@@ -386,9 +391,7 @@ class TestTwoPhotonTotal:
         assert abs(norm2(res.total) - 1.0) <= 1e-4
 
     def test_linearity_2d(self, rect, out_grid, scattered):
-        scaled_pieces = PiecewiseConstant(rect.pieces.boundaries,
-                                          (0.5 + 0.25j) * rect.pieces.values)
-        scaled_rect = Wavefunction1.from_pieces(scaled_pieces, rect.grid)
+        scaled_rect = Wavefunction1(rect.grid, (0.5 + 0.25j) * rect.amp)
         res = apply_two_photon(scaled_rect, out_grid, P)
         factor = (0.5 + 0.25j) ** 2
         rel = (np.max(np.abs(res.total.amp - factor * scattered.total.amp))
