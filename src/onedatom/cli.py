@@ -173,6 +173,10 @@ def _rect_length(cfg: RunConfig, what: str) -> float:
         raise ConfigError(f"{what} requires a rectangular pulse")
     if cfg.pulse_length <= 0:
         raise ConfigError("pulse.length must be positive")
+    peak = 8.0 / cfg.pulse_length      # the rectangle's output reaches 8/L in modulus
+    if not math.isfinite(peak * peak):
+        raise ConfigError(f"pulse.length = {cfg.pulse_length}: the output density 64/L^2 "
+                          "is not finite")
     return cfg.pulse_length
 
 
@@ -301,8 +305,9 @@ def cmd_g2(cfg: RunConfig, meta: dict, linear_only, check):
     result = apply_two_photon(psi_in, grid, params)
     psi = result.linear if linear_only else result.total
 
-    curve = g2_slice(psi, cfg.anchor_x, (cfg.tau_min, cfg.tau_max), cfg.tau_n,
-                     cfg.pulse_length if cfg.pulse_kind == "rectangular" else None, params)
+    with _invalid_input():
+        curve = g2_slice(psi, cfg.anchor_x, (cfg.tau_min, cfg.tau_max), cfg.tau_n,
+                         cfg.pulse_length if cfg.pulse_kind == "rectangular" else None, params)
     zeros = find_dip_zeros(curve)
     undefined = int(np.count_nonzero(np.isnan(curve.values)))
     entries = {"run.linear_only": linear_only, "run.zero_count": len(zeros),
@@ -344,7 +349,7 @@ def cmd_oracle(cfg: RunConfig, meta: dict, linear_only, check):
         err_half = None
         if cfg.oracle_ratio:
             err_half = run_rect_error(length, dx / 2, params, **run_args)
-        run = run_rect(length, dx, params, record_trace=True, **run_args)
+        run = run_rect(length, dx, params, **run_args)
         err = rect_error(run, length, params)
     entries = {"run.rel_l2": err, "run.final_norm": run.state.total_norm()}
     detail = f"mode {cfg.oracle_mode}, rel-L2 {err:.3e}"

@@ -17,6 +17,7 @@ below a millionth of the peak, so it needs no sample that close to zero.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +91,10 @@ def g2_slice(psi2: Wavefunction2, x_anchor: float, tau_range: tuple[float, float
         raise ValueError("evaluation point not finite or outside the wavefunction grid")
     g2 = 2.0 * c ** 2 * np.abs(_interp2(psi2, x[:-1], x_anchor)) ** 2
     if length is not None:
-        return CorrelationCurve(tau, g2 / (2.0 * c / length) ** 2)
+        scale = 2.0 * c / length
+        if not scale < math.sqrt(sys.float_info.max):
+            raise ValueError(f"the g2 normaliser (2c/L)^2 is not finite at c={c}, L={length}")
+        return CorrelationCurve(tau, g2 / scale ** 2)
     # the rows lo:hi whose cells bracket every point; np.interp reads only
     # the two nodes around each point, all in lo:hi
     lo = int(np.searchsorted(pts, x_lo, side="right")) - 1

@@ -223,7 +223,7 @@ def read_wavefunction1(path) -> Wavefunction1:
     if len(x) < 2 or not np.all(np.diff(x) > 0):
         raise ValueError(f"{path}: x column must be strictly increasing")
     grid = Grid1D(float(x[0]), float(x[-1]), len(x), _points=x)
-    return Wavefunction1.sampled(grid, _complex(rows[:, 1], rows[:, 2]))
+    return Wavefunction1(grid, _complex(rows[:, 1], rows[:, 2]))
 
 
 def read_wavefunction2(path) -> Wavefunction2:

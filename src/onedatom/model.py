@@ -68,6 +68,12 @@ class PhysicalParams:
             raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
         if not (self.c > 0.0 and math.isfinite(self.c)):
             raise ValueError(f"c must be positive and finite, got {self.c}")
+        # the map's largest coefficients, formed by multiplication as the map
+        # forms them (a float ** raises where * overflows to inf)
+        kappa = self.gamma / self.c
+        if not (math.isfinite(4.0 * kappa * kappa) and math.isfinite(2.0 * self.c * self.c)):
+            raise ValueError(f"4 (gamma/c)^2 and 2 c^2 must be finite, got gamma={self.gamma}, "
+                             f"c={self.c}")
 
     def relaxation_length(self) -> float:
         return self.c / self.gamma
@@ -242,10 +248,6 @@ class Wavefunction1:
         object.__setattr__(self, "amp", a)
         a.setflags(write=False)
 
-    @classmethod
-    def sampled(cls, grid: Grid1D, amp) -> "Wavefunction1":
-        return cls(grid, np.asarray(amp, dtype=complex))
-
 
 def _unit_rect_value(length: float) -> float:
     """Representable amplitude closest to 1/sqrt(length) whose exact squared
@@ -294,7 +296,7 @@ def gaussian_pulse(center: float, width: float, grid: Grid1D) -> Wavefunction1:
         raise ValueError(f"pulse width {width} is outside the floating-point range") from None
     x = grid.points
     amp = scale * np.exp(-((x - center) ** 2) / (4 * width**2))
-    return Wavefunction1.sampled(grid, amp.astype(complex))
+    return Wavefunction1(grid, amp)
 
 
 def norm1(psi: Wavefunction1) -> float:

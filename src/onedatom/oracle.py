@@ -62,7 +62,6 @@ from .model import (
     block_rows,
     blocks,
     excitation_probability,
-    lab_norm,
     rectangular_pulse,
     relative_l2,
 )
@@ -94,13 +93,11 @@ class ExcitationTrace:
 
 @dataclass(frozen=True)
 class LabRun:
-    """A completed lab-frame run: the final state, the excitation trace if
-    recorded, and the total norm after every norm_stride-th step and after
-    the last step if norm_stride > 0."""
+    """A completed lab-frame run: the final state and its excitation trace,
+    one value per step.  Its norm is `state.total_norm()`."""
 
     state: LabState
-    trace: ExcitationTrace | None = None
-    norm_values: np.ndarray | None = None
+    trace: ExcitationTrace
 
 
 def _cell_grid(centers: np.ndarray) -> Grid1D:
@@ -174,26 +171,20 @@ def _prepare(initial_grid: Grid1D, t0: float, dx: float, t_final: float,
 class _Finished:
     """Rows the atom has finished, gathered in the blocks of `model.blocks`
     and handed to sink(i0, rows) as rows i0:i0 + len(rows).  Rows arrive one
-    at a time in descending order."""
+    at a time, descending, down to row 0: a block is complete when its lowest
+    row arrives."""
 
     def __init__(self, sink, n: int, rank: int):
-        self.sink, self.top, self.low = sink, n, n
+        self.sink, self.top = sink, n
         per = min(n, block_rows(n ** (rank - 1)))
         self.rows = np.empty((per,) + (n,) * (rank - 1), dtype=complex)
 
     def add(self, i: int, row) -> None:
         per = len(self.rows)
         self.rows[i % per] = row
-        self.low = i
         if i % per == 0:
-            self.flush()
-
-    def flush(self) -> None:
-        """Hand over the rows gathered so far."""
-        if self.low < self.top:
-            at = self.low % len(self.rows)
-            self.sink(self.low, self.rows[at:at + self.top - self.low])
-            self.top = self.low
+            self.sink(i, self.rows[:self.top - i])
+            self.top = i
 
 
 class _Field:
@@ -251,12 +242,12 @@ def _rect_deviation(x: np.ndarray, length: float, params: PhysicalParams,
 
 
 def _sweep(band: np.ndarray, lo: int, n: int, steps: int, j_first: int, dx: float,
-           params: PhysicalParams, sink, record_trace: bool = False, norm_stride: int = 0):
+           params: PhysicalParams, sink, record_trace: bool):
     """The step loop on the held rows lo:lo + len(band) of an n-cell field
     (rank band.ndim) and its excited amplitude e, from the ground state:
     read the crossed row j, advance E, deposit along every axis, finish row
-    j.  Every row reaches `sink` once; the norm needs the dense field of a
-    `_Field` sink.  Returns the final e, the trace values (or None), the norms."""
+    j.  Every row reaches `sink` once.  Returns the final e and the trace
+    values, one per step if record_trace, else None."""
     rank = band.ndim
     hi = lo + len(band)
     zero = e = np.zeros((n,) * (rank - 1), dtype=complex)[()]
@@ -277,7 +268,6 @@ def _sweep(band: np.ndarray, lo: int, n: int, steps: int, j_first: int, dx: floa
     w_start, w_end = 1.0 - DEPOSIT_END_WEIGHT, DEPOSIT_END_WEIGHT
     excitation = excitation_probability(rank, dx)
     trace = np.empty(steps) if record_trace else None
-    norm_vals = []
     for m in range(steps):
         j = j_first - m
         if 0 <= j < n:
@@ -296,16 +286,9 @@ def _sweep(band: np.ndarray, lo: int, n: int, steps: int, j_first: int, dx: floa
         e = e_new
         if record_trace:
             trace[m] = excitation(e)
-        if norm_stride and (m % norm_stride == 0 or m == steps - 1):
-            # the rows not yet reached, as they stand, complete the dense field
-            finished.flush()
-            for i0, i1 in blocks(lo, min(j, hi), n ** (rank - 1)):
-                sink(i0, band[i0 - lo:i1 - lo])
-            norm_vals.append(lab_norm(sink.field, e, dx))
     for i in range(min(j_first - steps, n - 1), -1, -1):    # rows the atom has not reached
         finished.add(i, line(i))
-    finished.flush()
-    return e, trace, norm_vals
+    return e, trace
 
 
 def _held_rows(field: np.ndarray) -> tuple[int, int]:
@@ -317,11 +300,12 @@ def _held_rows(field: np.ndarray) -> tuple[int, int]:
 
 
 def _run(initial: LabState, photons: int, dx: float, t_final: float,
-         params: PhysicalParams, sink_for, record_trace: bool = False, norm_stride: int = 0):
+         params: PhysicalParams, sink_for, record_trace: bool):
     """Run `photons` photons from `initial`, a state of that rank or a
     one-photon state standing for its pulse's product with itself, into the
     sink sink_for(x) returns for far-field points x.  Returns the sink, the
-    final time, lab grid and excited amplitude, the trace and the norms."""
+    final time, lab grid and excited amplitude, and the `ExcitationTrace` if
+    record_trace, else None."""
     field, rank = initial.field, initial.field.ndim
     if rank > photons:
         raise ValueError(f"expected a {photons}-photon state, got {rank} photons")
@@ -350,39 +334,36 @@ def _run(initial: LabState, photons: int, dx: float, t_final: float,
     t_f = initial.t + steps * dt
     r = centers + params.c * t_f
     sink = sink_for(r - params.c * t_f)             # far_field's coordinates
-    e, trace, norm_vals = _sweep(band, lo + extra, n, steps, j_first, dx, params, sink,
-                                 record_trace, norm_stride)
+    e, trace = _sweep(band, lo + extra, n, steps, j_first, dx, params, sink, record_trace)
     if record_trace:
         trace = ExcitationTrace(initial.t + dt * (1 + np.arange(steps)), trace)
-    return sink, t_f, _cell_grid(r), e, trace, np.asarray(norm_vals) if norm_stride else None
+    return sink, t_f, _cell_grid(r), e, trace
 
 
 def _evolve(initial: LabState, photons: int, dx: float, t_final: float,
-            params: PhysicalParams, record_trace: bool, norm_stride: int) -> LabRun:
-    """`_run` filling the dense far field."""
-    sink, t_f, grid, e, *rest = _run(initial, photons, dx, t_final, params,
-                                     lambda x: _Field(len(x), photons), record_trace, norm_stride)
-    return LabRun(LabState(t_f, grid, sink.field, e), *rest)
+            params: PhysicalParams) -> LabRun:
+    """`_run` filling the dense far field and recording the trace."""
+    sink, t_f, grid, e, trace = _run(initial, photons, dx, t_final, params,
+                                     lambda x: _Field(len(x), photons), True)
+    return LabRun(LabState(t_f, grid, sink.field, e), trace)
 
 
 def evolve_one_photon(initial: LabState, dx: float, t_final: float,
-                      params: PhysicalParams, record_trace: bool = False,
-                      norm_stride: int = 0) -> LabRun:
+                      params: PhysicalParams) -> LabRun:
     """Integrate the one-photon lab-frame dynamics up to t_final.  The
     initial field must be incoming only (zero at r >= 0) with the atom in the
     ground state; dx must match the initial grid spacing and the atom must sit
     on a cell boundary."""
-    return _evolve(initial, 1, dx, t_final, params, record_trace, norm_stride)
+    return _evolve(initial, 1, dx, t_final, params)
 
 
 def evolve_two_photon(initial: LabState, dx: float, t_final: float,
-                      params: PhysicalParams, record_trace: bool = False,
-                      norm_stride: int = 0) -> LabRun:
+                      params: PhysicalParams) -> LabRun:
     """Integrate the two-photon lab-frame dynamics up to t_final: the
     one-photon scheme run along both coordinates, with e(r) as the excited
     amplitude.  A two-photon field must also be exchange symmetric; a
     one-photon state stands for the product of its pulse with itself."""
-    return _evolve(initial, 2, dx, t_final, params, record_trace, norm_stride)
+    return _evolve(initial, 2, dx, t_final, params)
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +390,7 @@ def _clear_time(photons: int, clear: float, dx: float, params: PhysicalParams) -
 
 
 def run_rect(length: float, dx: float, params: PhysicalParams, photons: int = 1,
-             pad: float = 5.0, clear: float = 15.0, record_trace: bool = False,
-             norm_stride: int = 0) -> LabRun:
+             pad: float = 5.0, clear: float = 15.0) -> LabRun:
     """Build and evolve a rectangular-pulse run of `photons` photons until the
     trailing edge has cleared the atom by clear*c/gamma >= 0 (residual
     excitation ~ e^{-clear})."""
@@ -418,8 +398,7 @@ def run_rect(length: float, dx: float, params: PhysicalParams, photons: int = 1,
     initial = rect_initial(length, dx, params, pad)
     # looked up in this module at call time, so a wrapper placed there sees the run
     evolve = evolve_one_photon if photons == 1 else evolve_two_photon
-    return evolve(initial, dx, t_final, params,
-                  record_trace=record_trace, norm_stride=norm_stride)
+    return evolve(initial, dx, t_final, params)
 
 
 def run_rect_error(length: float, dx: float, params: PhysicalParams, photons: int = 1,
@@ -429,7 +408,7 @@ def run_rect_error(length: float, dx: float, params: PhysicalParams, photons: in
     is folded into the error as the atom finishes it."""
     t_final = _clear_time(photons, clear, dx, params)
     sink = _run(rect_initial(length, dx, params, pad), photons, dx, t_final, params,
-                lambda x: _rect_deviation(x, length, params, photons))[0]
+                lambda x: _rect_deviation(x, length, params, photons), False)[0]
     return relative_l2(sink.num, sink.den)
 
 

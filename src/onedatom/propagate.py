@@ -219,7 +219,7 @@ def apply_one_photon(psi: Wavefunction1, out_grid: Grid1D,
     The output is the transmitted amplitude plus the absorption-reemission
     integral, evaluated in closed form per cell.
     """
-    return Wavefunction1.sampled(out_grid, _map_axis0(psi, out_grid, params)[0])
+    return Wavefunction1(out_grid, _map_axis0(psi, out_grid, params)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from onedatom import (
     run_rect,
 )
 from onedatom.oracle import rect_error_one_photon, rect_error_two_photon
+from test_oracle import _rect_drift
 
 P = PhysicalParams()
 TWO_LN2 = 2 * math.log(2.0)
@@ -204,10 +205,7 @@ def test_criterion_7_property_suites(sim20, sim40):
     assert np.max(np.abs(s0 - s_shift) / np.maximum(np.abs(s0), 1e-300)) <= 1e-13
 
     # oracle norm-conservation drift halves with dx
-    drifts = {}
-    for dx in (0.02, 0.01):
-        run = run_rect(2.0, dx, P, norm_stride=5)
-        drifts[dx] = float(np.max(np.abs(run.norm_values - run.norm_values[0])))
+    drifts = {dx: _rect_drift(2.0, dx, 1, 5) for dx in (0.02, 0.01)}
     drift_ratio = drifts[0.02] / drifts[0.01]
     assert 1.7 <= drift_ratio <= 2.3
     report(7, f"symmetry exact on all outputs; causality support bound exact; "

@@ -48,7 +48,7 @@ def test_tracer_sees_every_layer_of_each_command(argv, spans, tmp_path, monkeypa
 
     grid = Grid1D(0.0, 1.0, 11)
     for name in ("a.csv", "b.csv"):
-        write_wavefunction1(name, Wavefunction1.sampled(grid, np.ones(11)))
+        write_wavefunction1(name, Wavefunction1(grid, np.ones(11)))
     if argv[0] != "compare":
         argv = argv + ["--pulse.length", "4", "--grid.x_min", "-4", "--grid.x_max", "4",
                        "--grid.n", "81", "--anchor.x", "2", "--tau.min", "-1",

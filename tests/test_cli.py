@@ -220,7 +220,7 @@ class TestCompare:
         # for the oracle's errors: 0 for two zero files, not inf
         g = Grid1D(0.0, 1.0, 11)
         for name, value in (("z.csv", 0.0), ("h.csv", 0.5)):
-            write_wavefunction1(tmp_path / name, Wavefunction1.sampled(g, np.full(11, value)))
+            write_wavefunction1(tmp_path / name, Wavefunction1(g, np.full(11, value)))
         for a, rel in (("z.csv", 0.0), ("h.csv", math.sqrt(11 * 0.25))):
             assert main(["compare", str(tmp_path / a), str(tmp_path / "z.csv")]) == 0
             assert f"rel-L2 {rel:.6e}," in capsys.readouterr().out
@@ -229,18 +229,18 @@ class TestCompare:
         g1 = Grid1D(0.0, 1.0, 11)
         g2 = Grid1D(0.0, 1.0, 13)
         write_wavefunction1(tmp_path / "a.csv",
-                            Wavefunction1.sampled(g1, np.zeros(11)))
+                            Wavefunction1(g1, np.zeros(11)))
         write_wavefunction1(tmp_path / "b.csv",
-                            Wavefunction1.sampled(g2, np.zeros(13)))
+                            Wavefunction1(g2, np.zeros(13)))
         assert main(["compare", str(tmp_path / "a.csv"),
                      str(tmp_path / "b.csv")]) == 2
 
     def test_tolerance_violation(self, tmp_path):
         g = Grid1D(0.0, 1.0, 11)
         write_wavefunction1(tmp_path / "a.csv",
-                            Wavefunction1.sampled(g, np.zeros(11)))
+                            Wavefunction1(g, np.zeros(11)))
         write_wavefunction1(tmp_path / "b.csv",
-                            Wavefunction1.sampled(g, np.full(11, 0.5)))
+                            Wavefunction1(g, np.full(11, 0.5)))
         assert main(["compare", str(tmp_path / "a.csv"),
                      str(tmp_path / "b.csv"), "--tol", "1e-3"]) == 3
 
@@ -299,7 +299,7 @@ class TestFilePulse:
     def test_file_pulse_renormalized(self, tmp_path, capsys):
         g = Grid1D(0.0, 4.0, 401)
         amp = np.exp(-((g.points - 2.0) ** 2)) * 0.8     # deliberately not unit norm
-        write_wavefunction1(tmp_path / "pulse.csv", Wavefunction1.sampled(g, amp))
+        write_wavefunction1(tmp_path / "pulse.csv", Wavefunction1(g, amp))
         cfg = write_config(tmp_path / "run.cfg", **{
             "pulse.kind": "file", "pulse.path": str(tmp_path / "pulse.csv"),
             "grid.x_min": -6.0, "grid.x_max": 4.0, "grid.n": 201})
@@ -393,6 +393,15 @@ GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", 
     ["g2", "--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", "1e-200"],
     ["g2", "--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", "1e200",
      "--grid.x_min", "-1e202", "--grid.x_max", "1e202"],
+    # gamma, c or a pulse length whose coefficients leave the floating-point
+    # range: 4 (gamma/c)^2, 2 c^2, the density 64/L^2 or g2's normaliser (2c/L)^2
+    ["simulate", "--gamma", "1e300", "--grid.n", "16"],
+    ["simulate", "--c", "1e-160", "--grid.n", "16"],
+    ["g2", "--c", "1e160", "--tau.min", "-1e-170", "--tau.max", "1e-170", "--grid.n", "64"],
+    ["g2", "--pulse.length", "1e-160", "--grid.n", "64"],
+    ["simulate", "--pulse.length", "1e-160", "--grid.n", "64"],
+    ["g2", "--c", "1e150", "--pulse.length", "1e-150", "--tau.min", "-1e-170",
+     "--tau.max", "1e-170", "--grid.n", "64"],
 ], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
 def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
     (tmp_path / "unsorted.csv").write_text("x,re,im\n0,1,0\n0,1,0\n")
@@ -425,7 +434,7 @@ def test_complex_pulse_output_reads_back_as_input(tmp_path):
     g = Grid1D(-2.0, 2.0, 81)
     x = g.points
     amp = np.exp(-x ** 2 + 0.7j * x ** 2)
-    write_wavefunction1(tmp_path / "chirp.csv", Wavefunction1.sampled(g, amp), {})
+    write_wavefunction1(tmp_path / "chirp.csv", Wavefunction1(g, amp), {})
     cfg = write_config(tmp_path / "run.cfg", **{"grid.n": 61, "anchor.x": 0.0})
     pulse = ["--pulse.kind", "file"]
     sim = tmp_path / "sim"
@@ -630,7 +639,7 @@ def test_sampled_g2_does_not_depend_on_blas_threads(tmp_path):
     g = Grid1D(2.0, 8.0, 4001)
     x = g.points
     amp = np.exp(-((x - 5.0) ** 2) / 2.0 + 0.3j * (x - 5.0) ** 2)
-    write_wavefunction1(tmp_path / "pulse.csv", Wavefunction1.sampled(g, amp))
+    write_wavefunction1(tmp_path / "pulse.csv", Wavefunction1(g, amp))
     cfg = write_config(tmp_path / "run.cfg", **{
         "pulse.kind": "file", "pulse.path": str(tmp_path / "pulse.csv"),
         "grid.x_min": -4.0, "grid.x_max": 8.0, "grid.n": 777,
@@ -646,7 +655,7 @@ def test_long_sampled_g2_does_not_depend_on_blas_threads(tmp_path):
     g = Grid1D(2.0, 8.0, 20001)
     x = g.points
     amp = 1.7 * np.exp(-((x - 5.0) ** 2) / 2.0 + 0.3j * (x - 5.0) ** 2)
-    write_wavefunction1(tmp_path / "pulse.csv", Wavefunction1.sampled(g, amp))
+    write_wavefunction1(tmp_path / "pulse.csv", Wavefunction1(g, amp))
     cfg = write_config(tmp_path / "run.cfg", **{
         "pulse.kind": "file", "pulse.path": str(tmp_path / "pulse.csv"),
         "grid.x_min": -4.0, "grid.x_max": 8.0, "grid.n": 513,

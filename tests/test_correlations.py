@@ -188,7 +188,7 @@ class TestCornerRead:
                 grid, rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
         else:
             f = gaussian_pulse(1.0, 0.8, Grid1D(-2.0, 4.0, 31))
-            f = Wavefunction1.sampled(f.grid, f.amp * np.exp(0.5j * f.grid.points ** 2))
+            f = Wavefunction1(f.grid, f.amp * np.exp(0.5j * f.grid.points ** 2))
             psi = apply_two_photon(f, grid, P).total
         amp, pts = psi.amp, grid.points
         x1 = rng.uniform(pts[0], pts[-1], (3, 7))

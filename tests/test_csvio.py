@@ -45,7 +45,7 @@ def test_wavefunction1_round_trip_is_exact(tmp_path):
     rng = np.random.default_rng(5)
     amp = rng.normal(size=77) + 1j * rng.normal(size=77)
     path = tmp_path / "wf1.csv"
-    write_wavefunction1(path, Wavefunction1.sampled(g, amp), {"gamma": 1.0})
+    write_wavefunction1(path, Wavefunction1(g, amp), {"gamma": 1.0})
     back = read_wavefunction1(path)
     # 17 significant digits round-trip doubles exactly
     assert np.array_equal(back.amp, amp)
@@ -243,7 +243,7 @@ def _scattered(kind, n_in, n, seed):
     g_in = Grid1D(0.0, 2.5, n_in)
     if kind == "sampled":
         amp = rng.normal(size=n_in) + 1j * rng.normal(size=n_in)
-        return apply_two_photon(Wavefunction1.sampled(g_in, amp), grid, params)
+        return apply_two_photon(Wavefunction1(g_in, amp), grid, params)
     amp = rng.normal(size=(n_in, n_in)) + 1j * rng.normal(size=(n_in, n_in))
     return apply_two_photon(Wavefunction2.symmetric(g_in, amp + amp.T), grid, params)
 
@@ -379,7 +379,7 @@ def test_table_writers_match_savetxt(tmp_path_factory, data, n, meta):
     pairs = [("curve", "curve_ref"), ("trace", "trace_ref")]
     if n >= 2:
         amp = _complex(cols[1], cols[2])
-        write_wavefunction1(out / "wf1.csv", Wavefunction1.sampled(_grid(cols[0]), amp), meta)
+        write_wavefunction1(out / "wf1.csv", Wavefunction1(_grid(cols[0]), amp), meta)
         _savetxt(out / "wf1_ref.csv", head + "x,re,im\n", cols)
         pairs.append(("wf1", "wf1_ref"))
     for got, ref in pairs:
@@ -397,7 +397,7 @@ def test_finite_values_round_trip_bit_for_bit(tmp_path_factory, data, n):
     grid = _grid(pts)
     write_wavefunction2(out / "wf2.csv", Wavefunction2(grid, amp))
     back2 = read_wavefunction2(out / "wf2.csv")
-    write_wavefunction1(out / "wf1.csv", Wavefunction1.sampled(grid, amp[0]))
+    write_wavefunction1(out / "wf1.csv", Wavefunction1(grid, amp[0]))
     back1 = read_wavefunction1(out / "wf1.csv")
     write_curve(out / "curve.csv", CorrelationCurve(pts, re[0]))
     back_c = read_curve(out / "curve.csv")

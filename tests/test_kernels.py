@@ -95,7 +95,7 @@ def test_kernels_integrate_to_the_map():
     # so does the quadrature.
     g = Grid1D(0.0, 10.0, 401)
     gauss = gaussian_pulse(5.0, 0.5, g)
-    f = Wavefunction1.sampled(g, gauss.amp * np.exp(0.4j * (g.points - 5.0) ** 2))
+    f = Wavefunction1(g, gauss.amp * np.exp(0.4j * (g.points - 5.0) ** 2))
 
     def psi(x):
         return np.interp(x, g.points, f.amp.real, 0.0, 0.0) \

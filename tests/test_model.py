@@ -114,21 +114,21 @@ class TestNorm1:
 
     def test_zero(self):
         g = Grid1D(0.0, 1.0, 11)
-        assert norm1(Wavefunction1.sampled(g, np.zeros(11))) == 0.0
+        assert norm1(Wavefunction1(g, np.zeros(11))) == 0.0
 
     def test_scattered_rectangle_norm_on_deep_grid(self):
         # unitarity of the one-photon map, sampled on [-10 L, L] at dx = 0.01
         L = 20.0
         g = Grid1D.with_breakpoints(-10 * L, L, 22001, (0.0, L))
         assert g.dx == pytest.approx(0.01, rel=1e-12)
-        psi = Wavefunction1.sampled(g, rect_one_photon_out(g.points, L, P).astype(complex))
+        psi = Wavefunction1(g, rect_one_photon_out(g.points, L, P).astype(complex))
         assert abs(norm1(psi) - 1.0) <= 1e-6
 
     def test_phase_invariance(self):
         g = Grid1D(-5.0, 5.0, 301)
         psi = gaussian_pulse(0.0, 1.0, g)
         n0 = norm1(psi)
-        rotated = Wavefunction1.sampled(g, psi.amp * np.exp(0.7j))
+        rotated = Wavefunction1(g, psi.amp * np.exp(0.7j))
         assert abs(norm1(rotated) - n0) <= 1e-15 * n0
 
 
@@ -195,7 +195,7 @@ class TestWavefunction2:
         # outer product is symmetric only once one triangle is mirrored
         g = Grid1D(-2.0, 2.0, 64)
         real = gaussian_pulse(0.0, 0.5, g)
-        chirped = Wavefunction1.sampled(g, real.amp * np.exp(0.7j * g.points ** 2))
+        chirped = Wavefunction1(g, real.amp * np.exp(0.7j * g.points ** 2))
         for f in (real, chirped):
             psi = Wavefunction2.from_product(f)
             assert max_asymmetry(psi) == 0.0

@@ -159,7 +159,7 @@ class TestZeroInput:
     def _stays_zero(photons, dx, t_final):
         base = rect_initial(2.0, dx, P)
         zero = LabState(t=base.t, grid=base.grid, field=np.zeros((base.grid.n,) * photons))
-        run = EVOLVE[photons](zero, dx, t_final, P, record_trace=True)
+        run = EVOLVE[photons](zero, dx, t_final, P)
         assert np.all(run.state.field == 0)
         assert np.all(run.state.excited == 0)
         assert np.all(run.trace.values == 0)
@@ -182,12 +182,9 @@ class TestOnePhotonConvergence:
         assert 1.7 <= err / err_half <= 2.3
 
     def test_norm_drift_bound_and_halving(self):
-        length = 5.0
-        run = run_rect(length, 0.005, P, norm_stride=5)
-        drift = np.max(np.abs(run.norm_values - run.norm_values[0]))
+        drift = _rect_drift(5.0, 0.005, 1, 5)
         assert drift <= 1e-3
-        run_half = run_rect(length, 0.0025, P, norm_stride=10)
-        drift_half = np.max(np.abs(run_half.norm_values - run_half.norm_values[0]))
+        drift_half = _rect_drift(5.0, 0.0025, 1, 10)
         assert 1.7 <= drift / drift_half <= 2.3
 
 
@@ -204,26 +201,9 @@ def test_causality_upstream_cells_untouched(photons, dx):
         assert np.max(np.abs(np.moveaxis(ff.amp, axis, 0)[upstream])) == 0.0
 
 
-@pytest.mark.parametrize("stride", [1, 7, 10])
-@pytest.mark.parametrize("photons, dx", [(1, 0.05), (2, 0.1)], ids=["one", "two"])
-def test_norm_sampled_every_stride_and_at_the_last_step(photons, dx, stride):
-    start = rect_initial(2.0, dx, P)
-    evolve = EVOLVE[photons]
-    run = evolve(start, dx, 15.0, P, record_trace=True, norm_stride=stride)
-    steps = len(run.trace.values)
-    sampled = sorted(set(range(0, steps, stride)) | {steps - 1})
-    assert len(run.norm_values) == len(sampled)
-    # the state's grid spacing is rebuilt from its points, so not to the bit
-    assert run.norm_values[-1] == pytest.approx(run.state.total_norm(), rel=1e-12)
-    # sample k is the norm after step sampled[k], at t0 + (sampled[k] + 1) dt
-    for k in (1, len(sampled) // 2):
-        mid = evolve(start, dx, start.t + (sampled[k] + 1) * dx / P.c, P)
-        assert run.norm_values[k] == pytest.approx(mid.state.total_norm(), rel=1e-12)
-
-
 class TestExcitationTrace:
     def test_saturation_then_decay_at_2_gamma(self):
-        run = run_rect(10.0, 0.01, P, record_trace=True)
+        run = run_rect(10.0, 0.01, P)
         tr = run.trace
         assert np.all(tr.values >= 0) and np.all(tr.values <= 1)
         # rises toward saturation while the pulse drives the atom
@@ -236,8 +216,11 @@ class TestExcitationTrace:
         slope = np.polyfit(tr.times[sel], np.log(tr.values[sel]), 1)[0]
         assert slope == pytest.approx(-2.0 * P.gamma, rel=0.05)
 
-    def test_trace_disabled_is_none(self):
-        assert run_rect(2.0, 0.05, P).trace is None
+    @pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])
+    def test_one_value_per_step(self, photons):
+        # (L + pad + clear) / dx steps, pad and clear in units of c/gamma = 1
+        run = run_rect(2.0, 0.05, P, photons=photons)
+        assert len(run.trace.values) == round((2.0 + 5.0 + 15.0) / 0.05) == 440
 
 
 class TestTwoPhoton:
@@ -256,12 +239,11 @@ class TestTwoPhoton:
     def test_norm_drift_halves(self):
         drifts = {}
         for dx in (0.04, 0.02):
-            run = run_rect(2.0, dx, P, photons=2, norm_stride=10)
-            drifts[dx] = np.max(np.abs(run.norm_values - run.norm_values[0]))
+            drifts[dx] = _rect_drift(2.0, dx, 2, 10)
         assert 1.7 <= drifts[0.04] / drifts[0.02] <= 2.3
 
     def test_trace_bounded(self):
-        run = run_rect(2.0, 0.04, P, photons=2, record_trace=True)
+        run = run_rect(2.0, 0.04, P, photons=2)
         tr = run.trace
         assert np.all(tr.values >= 0) and np.all(tr.values <= 1)
 
@@ -306,10 +288,11 @@ def test_far_field_coordinates():
                        run.state.grid.points - P.c * run.state.t)
 
 
-def _dense_loop(initial, dx, t_final, norm_stride):
+def _dense_loop(initial, dx, t_final, norm_stride=0):
     """The step loop over the whole dense field, kept as the reference that
     the loop over held rows must match bit for bit.  Returns the far field,
-    the excited amplitude, the trace and the norms."""
+    the excited amplitude, the trace and the total norm after every
+    norm_stride-th step and after the last (none if norm_stride is 0)."""
     field = initial.field
     centers, steps, j_first = _prepare(initial.grid, initial.t, dx, t_final, P)
     n, rank = len(centers), field.ndim
@@ -348,10 +331,9 @@ def _dense_loop(initial, dx, t_final, norm_stride):
 @settings(max_examples=60, deadline=None)
 @given(photons=st.sampled_from([1, 2]), dx=st.sampled_from([0.04, 0.05, 0.1, 0.25]),
        cells=st.integers(1, 20), pad_cells=st.integers(1, 20),
-       clear=st.floats(-1.0, 3.0), norm_stride=st.integers(0, 9),
-       block_cells=st.integers(1, 400))
+       clear=st.floats(-1.0, 3.0), block_cells=st.integers(1, 400))
 def test_held_rows_match_the_dense_loop_to_the_bit(photons, dx, cells, pad_cells, clear,
-                                                   norm_stride, block_cells):
+                                                   block_cells):
     # any stop time, from before the pulse reaches the atom to after it has
     # passed, and blocks of finished rows from one cell to several rows
     length, pad = cells * dx, pad_cells * dx
@@ -360,41 +342,47 @@ def test_held_rows_match_the_dense_loop_to_the_bit(photons, dx, cells, pad_cells
         initial = _dense(initial)
     t_final = initial.t + (clear + 1.0) / 4.0 * (length + pad + 2.0)
     with mock.patch.object(model, "BLOCK_CELLS", block_cells):
-        run = EVOLVE[photons](initial, dx, t_final, P, record_trace=True,
-                              norm_stride=norm_stride)
-    phi, e, trace, norms = _dense_loop(initial, dx, t_final, norm_stride)
-    _assert_same_bits(run, phi, e, trace, norms if norm_stride else None)
+        run = EVOLVE[photons](initial, dx, t_final, P)
+    _assert_same_bits(run, *_dense_loop(initial, dx, t_final)[:3])
 
 
-def _assert_same_bits(run, field, e, trace, norms):
-    """The run's far field, excited amplitude, trace and norms (None when
-    not sampled) have the bytes of the given ones, signed zeros included."""
+def _assert_same_bits(run, field, e, trace):
+    """The run's far field, excited amplitude and trace have the bytes of the
+    given ones, signed zeros included."""
     assert run.state.field.tobytes() == field.tobytes()
     assert np.asarray(run.state.excited).tobytes() == np.asarray(e).tobytes()
     assert run.trace.values.tobytes() == trace.tobytes()
-    assert (run.norm_values is None) == (norms is None)
-    if norms is not None:
-        assert run.norm_values.tobytes() == norms.tobytes()
+
+
+def _rect_drift(length, dx, photons, stride):
+    """The norm drift max |norm - norm_0| of `run_rect(length, dx, P,
+    photons=photons)`, sampled every stride-th step and after the last: read
+    from `_dense_loop`, after checking that the run has its bytes."""
+    run = run_rect(length, dx, P, photons=photons)
+    initial = rect_initial(length, dx, P)
+    if photons == 2:
+        initial = _dense(initial)
+    # run_rect's default clear, 15 c/gamma past the atom
+    phi, e, trace, norms = _dense_loop(initial, dx, 15.0 / P.gamma, stride)
+    _assert_same_bits(run, phi, e, trace)
+    return float(np.max(np.abs(norms - norms[0])))
 
 
 @settings(max_examples=60, deadline=None)
 @given(dx=st.sampled_from([0.04, 0.05, 0.1, 0.25]), cells=st.integers(1, 20),
        pad_cells=st.integers(1, 20), clear=st.floats(-1.0, 3.0),
-       norm_stride=st.integers(0, 9), block_cells=st.integers(1, 400))
+       block_cells=st.integers(1, 400))
 def test_product_run_matches_the_dense_product_to_the_bit(dx, cells, pad_cells, clear,
-                                                          norm_stride, block_cells):
+                                                          block_cells):
     # a one-photon state given to evolve_two_photon stands for the product
     # of its pulse with itself: the same run as from the dense product
     length, pad = cells * dx, pad_cells * dx
     initial = rect_initial(length, dx, P, pad=pad)
     t_final = initial.t + (clear + 1.0) / 4.0 * (length + pad + 2.0)
     with mock.patch.object(model, "BLOCK_CELLS", block_cells):
-        product = evolve_two_photon(initial, dx, t_final, P, record_trace=True,
-                                    norm_stride=norm_stride)
-        dense = evolve_two_photon(_dense(initial), dx, t_final, P, record_trace=True,
-                                  norm_stride=norm_stride)
-    _assert_same_bits(product, dense.state.field, dense.state.excited, dense.trace.values,
-                      dense.norm_values)
+        product = evolve_two_photon(initial, dx, t_final, P)
+        dense = evolve_two_photon(_dense(initial), dx, t_final, P)
+    _assert_same_bits(product, dense.state.field, dense.state.excited, dense.trace.values)
 
 
 @pytest.mark.parametrize("photons", [1, 2], ids=["one", "two"])

@@ -88,7 +88,7 @@ class TestOnePhotonExactPath:
         amp = np.zeros(11, dtype=complex)
         amp[3] = math.nan
         with pytest.raises(ValueError):
-            apply_one_photon(Wavefunction1.sampled(g, amp), out_grid, P)
+            apply_one_photon(Wavefunction1(g, amp), out_grid, P)
 
     @settings(max_examples=100, deadline=None)
     @given(a=st.floats(-10.0, 10.0), length=st.floats(1e-3, 30.0),
@@ -186,7 +186,7 @@ class TestExactTail:
         v = rng.normal(size=n) + 1j * rng.normal(size=n)
         params = PhysicalParams(gamma=float(rng.uniform(0.2, 10.0)))
         k = params.gamma_over_c              # k*h reaches about 30
-        psi = Wavefunction1.sampled(Grid1D(0.0, float(x[-1]), n, _points=x), v)
+        psi = Wavefunction1(Grid1D(0.0, float(x[-1]), n, _points=x), v)
         evals = np.unique(np.concatenate([
             x, rng.uniform(-2.0, x[-1] + 1.0, 12), [-2.5, x[-1] + 1.5]]))
         out = apply_one_photon(psi, Grid1D(float(evals[0]), float(evals[-1]),
@@ -430,7 +430,7 @@ class TestScatteredState:
         else:
             f = gaussian_pulse(size / 2, size / 8, Grid1D(0.0, size, 25))
             if kind == "chirped":
-                f = Wavefunction1.sampled(f.grid, f.amp * np.exp(
+                f = Wavefunction1(f.grid, f.amp * np.exp(
                     3j * (f.grid.points / size - 0.5) ** 2))
             psi = Wavefunction2.from_product(f) if kind == "general" else f
         grid = Grid1D.with_breakpoints(x_min, x_min + span, n,
