@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 from .analytic import (
     ProcessAmplitudes,
     longpulse_g2,
-    longpulse_psi_out,
     rect_nonlin_out,
     rect_one_photon_out,
     rect_process_amplitudes,
@@ -73,7 +72,6 @@ __all__ = [
     "rect_nonlin_out",
     "rect_two_photon_out",
     "rect_process_amplitudes",
-    "longpulse_psi_out",
     "longpulse_g2",
     "ProcessAmplitudes",
     "evolve_one_photon",

@@ -19,14 +19,9 @@ __all__ = [
     "rect_nonlin_out",
     "rect_two_photon_out",
     "rect_process_amplitudes",
-    "longpulse_psi_out",
     "longpulse_g2",
     "ProcessAmplitudes",
-    "PLATEAU_MARGIN",
 ]
-
-# plateau condition: 0 < x_i < L - PLATEAU_MARGIN * c/gamma
-PLATEAU_MARGIN = 2.0
 
 
 def _check_length(length: float) -> float:
@@ -116,19 +111,6 @@ def rect_process_amplitudes(x1, x2, length: float, params: PhysicalParams) -> Pr
     if p_ii.ndim == 0:
         return ProcessAmplitudes(float(p_i), float(p_ii), float(p_iii))
     return ProcessAmplitudes(p_i, p_ii, p_iii)
-
-
-def longpulse_psi_out(x1, x2, length: float, params: PhysicalParams):
-    """Long-pulse plateau output (1/L)(1 - 4 e^{-k|x1-x2|}); both coordinates
-    must satisfy the plateau condition 0 < x_i < L - 2 c/gamma."""
-    length = _check_length(length)
-    x1 = np.asarray(x1, dtype=float)
-    x2 = np.asarray(x2, dtype=float)
-    margin = PLATEAU_MARGIN * params.relaxation_length()
-    if np.any((x1 <= 0) | (x2 <= 0) | (x1 >= length - margin) | (x2 >= length - margin)):
-        raise ValueError("plateau condition 0 < x_i < L - 2 c/gamma violated")
-    out = (1.0 - 4.0 * np.exp(-params.gamma_over_c * np.abs(x1 - x2))) / length
-    return float(out) if out.ndim == 0 else out
 
 
 def longpulse_g2(tau, params: PhysicalParams):

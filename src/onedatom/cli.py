@@ -262,11 +262,10 @@ def cmd_simulate(cfg: RunConfig, meta: dict, linear_only, check):
     params = _params(cfg)
     psi_in, grid = _build_input(cfg)
     result = apply_two_photon(psi_in, grid, params)
-    total = result.linear if linear_only else result.total
-    outputs = {"psi_out.csv": total, "psi_lin.csv": result.linear,
+    outputs = {"psi_out.csv": result.total, "psi_lin.csv": result.linear,
                "psi_nonlin.csv": result.nonlinear}
-    entries = {"run.linear_only": linear_only, "run.grid_points": grid.n,
-               "run.norm_out": norm2(total), "run.norm_linear": norm2(result.linear),
+    entries = {"run.grid_points": grid.n,
+               "run.norm_out": norm2(result.total), "run.norm_linear": norm2(result.linear),
                "run.norm_nonlinear": norm2(result.nonlinear)}
     failure = None
     if check:
@@ -409,8 +408,7 @@ def cmd_compare(path_a, path_b, tol: float | None) -> None:
 # writers they return are looked up in this module at call time, where the
 # benchmark's tracer wraps them.
 COMMANDS = {
-    "simulate": (cmd_simulate, "run the scattering map, emit grids",
-                 "disable the nonlinear kernel"),
+    "simulate": (cmd_simulate, "run the scattering map, emit grids", None),
     "g2": (cmd_g2, "compute a normalized g2 curve",
            "correlations of the linear component only"),
     "oracle": (cmd_oracle, "lab-frame integrator cross-check", None),

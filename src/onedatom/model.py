@@ -95,6 +95,8 @@ def _aligned_segments(x_min: float, x_max: float, n: int,
     uniform.
     """
     span = x_max - x_min
+    if not math.isfinite(span):
+        raise ValueError(f"grid span [{x_min:g}, {x_max:g}] overflows")
     anchors = sorted({x_min, x_max, *(b for b in breakpoints if x_min < b < x_max)})
     gaps = [hi - lo for lo, hi in zip(anchors[:-1], anchors[1:])]
     target_cells = max(n - 1, len(gaps))
@@ -135,6 +137,8 @@ class Grid1D:
             raise ValueError("grid bounds must be finite")
         if not self.x_min < self.x_max:
             raise ValueError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
+        if not math.isfinite(self.x_max - self.x_min):
+            raise ValueError(f"grid span [{self.x_min:g}, {self.x_max:g}] overflows")
         if self.n < 2:
             raise ValueError(f"need at least 2 points, got n={self.n}")
         if self._points is None:

@@ -128,19 +128,15 @@ def _node_tails(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
 
 
 def _partial_cell(left: np.ndarray, right: np.ndarray, K: np.ndarray,
-                  look: tuple[np.ndarray, ...],
-                  cols: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                  look: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
     """(K(e), psi(e)) at the points of the lookup `look`: the node tail K read
     at the first node at or right of e, carried back to e, plus the exact
-    integral over the partial cell [e, that node].  Without `cols` every batch
-    column is evaluated at every point, shape (points,) + batch; with `cols`,
-    point m reads batch column cols[m] only, shape of the points."""
+    integral over the partial cell [e, that node], every batch column at
+    every point, shape (points,) + batch."""
     k, nxt, t, decay_e, a_e, b_e, no_cell, outside = look
-    cell, node, bshape = k, nxt, (...,) + (None,) * (left.ndim - 1)
-    if cols is not None:
-        cell, node, bshape = (k, cols), (nxt, cols), (...,)
+    bshape = (...,) + (None,) * (left.ndim - 1)
     # in place, so at most three point x batch arrays are alive at a time
-    at_r, at_e = right[cell], left[cell]
+    at_r, at_e = right[k], left[k]
     step = at_r - at_e
     step *= t[bshape]
     at_e += step                        # left + t (right - left)
@@ -151,28 +147,24 @@ def _partial_cell(left: np.ndarray, right: np.ndarray, K: np.ndarray,
     del at_r
     partial[no_cell] = 0.0
     at_e[outside] = 0.0
-    tail = K[node]
+    tail = K[nxt]
     tail *= decay_e[bshape]
     tail += partial
     return tail, at_e
 
 
 def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
-          evals: np.ndarray, kappa: float, *,
-          diagonal: bool = False) -> tuple[np.ndarray, np.ndarray]:
+          evals: np.ndarray, kappa: float) -> tuple[np.ndarray, np.ndarray]:
     """(K(e), psi(e)), K(e) = integral_e^inf exp(-kappa (u - e)) psi(u) du, for
     psi linear on each cell [edges[k], edges[k+1]] from left[k] to right[k],
     right-continuous inside the closed [edges[0], edges[-1]], zero outside it;
     both exact.  left/right may carry trailing batch axes; the results have
-    shape (len(evals),) + batch.  With diagonal=True, left/right have one batch
-    column per evaluation point and only column m is evaluated at evals[m],
-    which gives the diagonals, bit for bit.  Every exponent is <= 0."""
+    shape (len(evals),) + batch.  Every exponent is <= 0."""
     look = _lookup(edges, evals, kappa)
     # K is read from the lowest node at or right of an evaluation point up
     K = _node_tails(edges, left, right, kappa,
                     int(look[1].min(initial=len(edges) - 1)))
-    return _partial_cell(left, right, K, look,
-                         np.arange(len(evals)) if diagonal else None)
+    return _partial_cell(left, right, K, look)
 
 
 def _one_photon(value: np.ndarray, tail: np.ndarray, kappa: float) -> np.ndarray:
@@ -351,11 +343,13 @@ def apply_two_photon(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
         pts = psi.grid.points
         # the outer tail along axis 1 of the inner one; the physical value
         # needs both tails anchored at the same M, so column i of the inner
-        # tail is taken only at x_i
+        # tail is taken only at x_i: the diagonal of a block's b x b tails,
+        # where b <= n and b <= the cell budget / max(n_in, n), so b^2 cells
+        # fit the budget
         tail_sq = np.empty(n, dtype=complex)
         for c0, c1 in blocks(0, n, max(len(pts), n)):
-            tail_sq[c0:c1] = _tail(pts, tail[:-1, c0:c1], tail[1:, c0:c1],
-                                   xs[c0:c1], k, diagonal=True)[0]
+            tail_sq[c0:c1] = np.diagonal(
+                _tail(pts, tail[:-1, c0:c1], tail[1:, c0:c1], xs[c0:c1], k)[0])
         del tail                        # freed before the linear part's node tails
         linear = ScatteredState(out_grid, _column_rows(pts, mapped, xs, k))
     nonlinear = ScatteredState(out_grid, _pair_rows(

@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 from onedatom import (
     PhysicalParams,
     longpulse_g2,
-    longpulse_psi_out,
     rect_nonlin_out,
     rect_one_photon_out,
     rect_process_amplitudes,
@@ -104,29 +103,16 @@ class TestProcessDecomposition:
 
 
 class TestLongPulse:
-    def test_coincident(self):
-        assert longpulse_psi_out(10.0, 10.0, L, P) == pytest.approx(-3 / L, rel=1e-15)
-
-    def test_zero_crossing_at_two_ln2(self):
-        assert abs(longpulse_psi_out(10.0, 10.0 + TWO_LN2, L, P)) <= 1e-15
-
-    def test_large_separation(self):
-        assert longpulse_psi_out(1.0, 17.0, L, P) == pytest.approx(1 / L, rel=1e-6)
-
-    def test_plateau_assertion(self):
-        with pytest.raises(ValueError):
-            longpulse_psi_out(0.0, 10.0, L, P)
-        with pytest.raises(ValueError):
-            longpulse_psi_out(5.0, L - 1.0, L, P)   # within 2 c/gamma of the end
-
     def test_consistency_with_exact_solution(self):
-        # discarded terms are bounded by 4 e^{-gamma (L - max x_i)/c} / L;
-        # the bound is attained (to rounding) at zero separation
+        # the plateau output (1 - 4 e^{-gamma |x1 - x2|/c}) / L, for
+        # 0 < x_i < L - 2 c/gamma: its discarded terms are bounded by
+        # 4 e^{-gamma (L - max x_i)/c} / L, attained (to rounding) at zero
+        # separation
         big = 40.0
         pts = [(10.0, 10.0), (5.0, 20.0), (13.0, 31.0), (1.0, 37.0)]
         for x1, x2 in pts:
             exact = rect_two_photon_out(x1, x2, big, P)
-            approx = longpulse_psi_out(x1, x2, big, P)
+            approx = (1.0 - 4.0 * math.exp(-abs(x1 - x2))) / big
             bound = 4 * math.exp(-(big - max(x1, x2))) / big
             assert abs(exact - approx) <= bound * (1 + 1e-9) + 1e-18
 

@@ -86,14 +86,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(cfg),
                      "--out", str(tmp_path / "x")]) == 2
 
-    def test_linear_only_flag(self, tmp_path):
+    def test_has_no_linear_only_flag(self, tmp_path):
+        # psi_lin.csv already holds the linear part
         cfg = write_config(tmp_path / "run.cfg")
         out = tmp_path / "lin"
-        assert main(["simulate", "--config", cfg, "--out", str(out),
-                     "--linear-only"]) == 0
-        psi = read_wavefunction2(out / "psi_out.csv")
-        lin = read_wavefunction2(out / "psi_lin.csv")
-        assert np.array_equal(psi.amp, lin.amp)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--config", cfg, "--out", str(out), "--linear-only"])
+        assert exc.value.code == 2
+        assert not out.exists()
 
 
 class TestG2:
@@ -402,6 +402,10 @@ GAUSSIAN = ["--pulse.kind", "gaussian", "--pulse.center", "0", "--pulse.width", 
     ["simulate", "--pulse.length", "1e-160", "--grid.n", "64"],
     ["g2", "--c", "1e150", "--pulse.length", "1e-150", "--tau.min", "-1e-170",
      "--tau.max", "1e-170", "--grid.n", "64"],
+    # a grid whose span x_max - x_min overflows
+    ["g2", "--grid.x_min", "-1e308", "--grid.x_max", "1e308"],
+    ["simulate", "--grid.x_min", "-1e308", "--grid.x_max", "1e308", "--grid.n", "8"],
+    ["g2", "--pulse.kind", "gaussian", "--grid.x_min", "-1e308", "--grid.x_max", "1e308"],
 ], ids=lambda argv: " ".join(argv).replace("{dir}/", ""))
 def test_bad_input_exits_2_before_writing(argv, tmp_path, capsys):
     (tmp_path / "unsorted.csv").write_text("x,re,im\n0,1,0\n0,1,0\n")

@@ -41,6 +41,15 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid1D(math.nan, 1.0, 10)
 
+    @pytest.mark.parametrize("build", [
+        lambda: Grid1D(-1e308, 1e308, 5),
+        lambda: Grid1D.with_breakpoints(-1e308, 1e308, 8, (0.0, 20.0)),
+    ], ids=["plain", "breakpoints"])
+    def test_overflowing_span_is_rejected(self, build):
+        # x_max - x_min is inf: its points would be nan and inf
+        with pytest.raises(ValueError, match="overflows"):
+            build()
+
     def test_breakpoints_are_exact_nodes(self):
         g = Grid1D.with_breakpoints(-10.0, 20.0, 512, (0.0, 20.0))
         pts = g.points

@@ -91,8 +91,10 @@ class TestOnePhotonExactPath:
             apply_one_photon(Wavefunction1(g, amp), out_grid, P)
 
     @settings(max_examples=100, deadline=None)
+    # a subnormal amplitude would make 1e-10 * |c| smaller than any rounding
     @given(a=st.floats(-10.0, 10.0), length=st.floats(1e-3, 30.0),
-           re=st.floats(-5.0, 5.0), im=st.floats(-5.0, 5.0))
+           re=st.floats(-5.0, 5.0, allow_subnormal=False),
+           im=st.floats(-5.0, 5.0, allow_subnormal=False))
     def test_two_node_constant_is_a_shifted_rectangle(self, a, length, re, im):
         # two equal nodes interpolate to the constant on [a, b], so the map
         # is the unit rectangle's closed form, shifted to a and scaled
@@ -126,7 +128,7 @@ class TestOnePhotonSampledPath:
         assert np.max(np.abs(got - want)) <= 1e-7
 
 
-def _tail_reference(edges, left, right, evals, kappa, diagonal=False):
+def _tail_reference(edges, left, right, evals, kappa):
     """`_tail` with one expression per step (several n_out x batch
     temporaries alive at once): the reference its in-place form must match."""
     n_cells = len(edges) - 1
@@ -140,16 +142,12 @@ def _tail_reference(edges, left, right, evals, kappa, diagonal=False):
     nxt = np.minimum(j, n_cells)
     decay_e, a_e, b_e = _cell_weights(np.maximum(edges[nxt] - evals, 0.0), kappa)
     k = np.clip(j - 1, 0, n_cells - 1)
-    cell, node = k, nxt
-    if diagonal:
-        cols = np.arange(len(evals))
-        cell, node, bshape = (k, cols), (nxt, cols), (...,)
     t = (evals - edges[k]) / (edges[k + 1] - edges[k])
-    at_e = left[cell] + t[bshape] * (right[cell] - left[cell])
+    at_e = left[k] + t[bshape] * (right[k] - left[k])
     in_cell = ((j >= 1) & (j <= n_cells))[bshape]
-    partial = np.where(in_cell, a_e[bshape] * at_e + b_e[bshape] * right[cell], 0.0)
+    partial = np.where(in_cell, a_e[bshape] * at_e + b_e[bshape] * right[k], 0.0)
     at_e[(evals < edges[0]) | (evals > edges[-1])] = 0.0
-    return decay_e[bshape] * K[node] + partial, at_e
+    return decay_e[bshape] * K[nxt] + partial, at_e
 
 
 def _map_columns_reference(edges, a, evals, kappa, upper=False):
@@ -217,11 +215,6 @@ class TestExactTail:
         for c in range(3):
             col, _ = _tail(x, v[:-1, c], v[1:, c], evals, 0.7)
             assert np.max(np.abs(batched[:, c] - col)) <= 1e-15
-        # one batch column per evaluation point: exactly the diagonal
-        square = rng.normal(size=(7, 9)) + 1j * rng.normal(size=(7, 9))
-        full, _ = _tail(x, square[:-1], square[1:], evals, 0.7)
-        diagonal, _ = _tail(x, square[:-1], square[1:], evals, 0.7, diagonal=True)
-        assert np.array_equal(diagonal, np.diagonal(full))
 
     @pytest.mark.parametrize("seed", range(4))
     def test_matches_reference_bit_for_bit(self, seed):
@@ -233,12 +226,11 @@ class TestExactTail:
         pieces = rng.normal(size=n - 1)
         batched = rng.normal(size=(n, 5)) + 1j * rng.normal(size=(n, 5))
         square = rng.normal(size=(n, len(evals))) + 1j * rng.normal(size=(n, len(evals)))
-        cases = [(pieces, pieces, {}), (batched[:-1, 0], batched[1:, 0], {}),
-                 (batched[:-1], batched[1:], {}),
-                 (square[:-1], square[1:], {"diagonal": True})]
-        for left, right, kw in cases:
-            got = _tail(x, left, right, evals, kappa, **kw)
-            ref = _tail_reference(x, left, right, evals, kappa, **kw)
+        cases = [(pieces, pieces), (batched[:-1, 0], batched[1:, 0]),
+                 (batched[:-1], batched[1:]), (square[:-1], square[1:])]
+        for left, right in cases:
+            got = _tail(x, left, right, evals, kappa)
+            ref = _tail_reference(x, left, right, evals, kappa)
             for g, r in zip(got, ref):
                 assert g.dtype == r.dtype and np.array_equal(g, r)
 
@@ -446,8 +438,7 @@ class TestScatteredState:
             cols = _map_columns_reference(psi.grid.points, psi.amp, xs, kappa)
             linear = model._mirror(_map_columns_reference(psi.grid.points, cols, xs,
                                                           kappa, upper=True))
-            tail_sq = _tail(psi.grid.points, tail[:-1], tail[1:], xs, kappa,
-                            diagonal=True)[0]
+            tail_sq = np.diagonal(_tail(psi.grid.points, tail[:-1], tail[1:], xs, kappa)[0])
         else:
             linear = Wavefunction2.from_product(apply_one_photon(psi, grid, P)).amp
             tail_sq = tail * tail
