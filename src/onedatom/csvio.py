@@ -220,7 +220,7 @@ def sniff_columns(path) -> int:
 def read_wavefunction1(path) -> Wavefunction1:
     rows = _load_rows(path, "x,re,im")
     x = rows[:, 0].copy()             # a view would keep the whole table alive
-    if len(x) < 2 or not np.all(np.diff(x) > 0):
+    if len(x) < 2 or not np.all(x[1:] > x[:-1]):
         raise ValueError(f"{path}: x column must be strictly increasing")
     grid = Grid1D(float(x[0]), float(x[-1]), len(x), _points=x)
     return Wavefunction1(grid, _complex(rows[:, 1], rows[:, 2]))
@@ -233,7 +233,7 @@ def read_wavefunction2(path) -> Wavefunction2:
     if n * n != total:
         raise ValueError(f"{path}: {total} rows is not a square grid")
     x = rows[:n, 1].copy()            # a view would keep the whole table alive
-    if not np.all(np.diff(x) > 0):
+    if not np.all(x[1:] > x[:-1]):
         raise ValueError(f"{path}: x2 column must be strictly increasing")
     # row-major on one shared axis: block i holds x1 = x[i] against every x2 = x
     tol = 1e-12 * max(1.0, float(np.max(np.abs(x))))

@@ -23,6 +23,9 @@ a sink that either fills the dense far field (`evolve_*`, `run_rect`) or
 folds them into the error against the closed form (`run_rect_error`, which
 holds no field).  Every cell takes the same operations on the same values as
 in a loop over the dense field, so the far field is the same to the bit.
+Neither the held rows nor the far field may exceed `model.MAX_COUNT` cells:
+a run that would is refused before it allocates (at the CLI's default L,
+pad and clear, a two-photon run and its dx/2 run need dx above about 0.0057).
 The error of a held far field (`rect_error_*`) is the same fold, fed its
 rows in the blocks and order the loop hands them over: both runs of a
 convergence ratio are summed by one rule, to the bit.
@@ -114,6 +117,15 @@ def _count(span: float, dx: float, what: str) -> int:
     return round(count)
 
 
+def _zeros(shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A complex array of zeros, refused before it is built if it would
+    hold more than MAX_COUNT cells."""
+    if math.prod(shape) > MAX_COUNT:
+        raise ValueError(f"{what} of {' x '.join(map(str, shape))} cells exceeds "
+                         f"{MAX_COUNT} cells; use a larger dx")
+    return np.zeros(shape, dtype=complex)
+
+
 def rect_initial(length: float, dx: float, params: PhysicalParams,
                  pad: float = 5.0) -> LabState:
     """Lab-frame initial state of one photon in a unit rectangular pulse,
@@ -192,7 +204,7 @@ class _Field:
     and the mirror column."""
 
     def __init__(self, n: int, rank: int):
-        self.field = np.zeros((n,) * rank, dtype=complex)
+        self.field = _zeros((n,) * rank, "the far field")
 
     def __call__(self, i0: int, rows: np.ndarray) -> None:
         i1 = i0 + len(rows)
@@ -322,18 +334,20 @@ def _run(initial: LabState, photons: int, dx: float, t_final: float,
 
     centers, steps, j_first = _prepare(initial.grid, initial.t, dx, t_final, params)
     n = len(centers)
+    dt = dx / params.c
+    t_f = initial.t + steps * dt
+    r = centers + params.c * t_f
+    # far_field's coordinates; the sink comes first, so a far field too large
+    # to hold is refused before the band is built
+    sink = sink_for(r - params.c * t_f)
     lo, hi = _held_rows(field)
-    band = np.zeros((hi - lo,) + (n,) * (photons - 1), dtype=complex)
+    band = _zeros((hi - lo,) + (n,) * (photons - 1), "the held rows")
     extra = n - initial.grid.n
     window = band[(slice(None),) + (slice(extra, None),) * (photons - 1)]
     if rank == photons:
         window[...] = field[lo:hi]
     else:       # the product's rows, built in place: the padding stays +0.0
         np.multiply(field[lo:hi, None], field, out=window)
-    dt = dx / params.c
-    t_f = initial.t + steps * dt
-    r = centers + params.c * t_f
-    sink = sink_for(r - params.c * t_f)             # far_field's coordinates
     e, trace = _sweep(band, lo + extra, n, steps, j_first, dx, params, sink, record_trace)
     if record_trace:
         trace = ExcitationTrace(initial.t + dt * (1 + np.arange(steps)), trace)

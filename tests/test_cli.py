@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import onedatom
-from onedatom import PhysicalParams, Wavefunction2, cli, max_asymmetry, model, \
+from onedatom import PhysicalParams, Wavefunction2, cli, max_asymmetry, model, oracle, \
     rect_two_photon_out
 from onedatom.cli import COMMANDS, load_config, main
 from onedatom.csvio import read_curve, read_wavefunction1, read_wavefunction2, \
@@ -188,12 +188,39 @@ class TestOracle:
         assert (out / "oracle_trace.csv").exists()
         assert (out / "oracle_farfield.csv").exists()
 
-    def test_check_failure_gives_exit_3(self, tmp_path):
+    def test_check_failure_gives_exit_3(self, tmp_path, monkeypatch, capsys):
         cfg = write_config(tmp_path / "run.cfg", **{"pulse.length": 2.0})
+        monkeypatch.setitem(cli.ORACLE_REL_L2, 1, 1e-9)
         rc = main(["oracle", "--config", cfg, "--oracle.dx", "0.02",
-                   "--check.oracle_one", "1e-9",
                    "--out", str(tmp_path / "x"), "--check"])
         assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("tolerance failure: run.rel_l2 = ")
+        assert err.rstrip().endswith("exceeds 1.000e-09")
+
+    @pytest.mark.parametrize("bound,ratio,array,cells", [
+        (100_000, "false", "the far field of 440 x 440", 440 * 440),
+        (50_000, "true", "the held rows of 80 x 880", 80 * 880),
+    ], ids=["far-field", "ratio-run-band"])
+    def test_two_photon_arrays_bounded_by_max_count(self, bound, ratio, array, cells,
+                                                    tmp_path, monkeypatch, capsys):
+        # every count passes, but the far field or the dx/2 run's band of
+        # held rows exceeds the bound: it is refused before it is allocated
+        out = tmp_path / "orc2"
+        argv = ["oracle", "--oracle.mode", "two", "--pulse.length", "2",
+                "--oracle.dx", "0.05", "--oracle.ratio", ratio, "--out", str(out)]
+        monkeypatch.setattr(oracle, "MAX_COUNT", bound)
+        tracemalloc.start()
+        try:
+            assert main(argv) == 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f"error: {array} cells exceeds {bound} cells" in capsys.readouterr().err
+        assert peak < 16 * cells / 2
+        assert not out.exists()
+        monkeypatch.undo()
+        assert main(argv) == 0
 
     def test_two_photon_mode(self, tmp_path):
         cfg = write_config(tmp_path / "run.cfg", **{
@@ -323,6 +350,42 @@ def test_dotted_overrides(tmp_path):
     assert float(entries["pulse.length"]) == 4.0
 
 
+@pytest.mark.parametrize("key", ["check.max_abs", "check.g2", "check.oracle_one",
+                                 "check.oracle_two"])
+def test_removed_check_key_exits_2(key, tmp_path, capsys):
+    # each --check bound is fixed by the method, not a setting
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--check", f"--{key}", "1", "--out", str(out)])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"grid.n = 41\n{key} = 1\n")
+    capsys.readouterr()
+    assert main(["simulate", "--check", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfg}:2: unknown key {key!r}\n"
+    assert not out.exists()
+
+
+def test_config_with_byte_order_mark(tmp_path):
+    cfg = tmp_path / "bom.cfg"
+    cfg.write_text("grid.n = 64\n", encoding="utf-8-sig")
+    out = tmp_path / "g2"
+    assert main(["g2", "--config", str(cfg), "--out", str(out)]) == 0
+    assert manifest_entries(out / "manifest.txt")["grid.n"] == "64"
+
+
+def test_bad_value_names_key_and_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment\ngrid.n = 64 # comment\n")
+    out = tmp_path / "g2"
+    assert main(["g2", "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}:2: bad value for grid.n: '64 # comment'\n")
+    assert main(["g2", "--tau.n", "many", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: bad value for tau.n: 'many'\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value", [("tau.min", "-1e-3"), ("grid.x_min", "-1e1")])
 def test_negative_value_in_scientific_notation(tmp_path, key, value):
     # argparse alone reads -1e-3 as a flag, not as the value of the flag before it
@@ -450,14 +513,17 @@ def test_complex_pulse_output_reads_back_as_input(tmp_path):
                  "--pulse.path", str(sim / "psi_out.csv")]) == 0
 
 
-def test_check_failure_prints_summary(tmp_path, capsys):
+def test_check_failure_prints_summary(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path / "run.cfg")
     out = tmp_path / "sim"
-    assert main(["simulate", "--config", cfg, "--out", str(out), "--check",
-                 "--check.max_abs", "1e-30"]) == 3
-    assert capsys.readouterr().out.startswith(f"simulate: wrote {out}/psi_out.csv")
+    monkeypatch.setattr(cli, "MAX_ABS", 1e-30)
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--check"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out.startswith(f"simulate: wrote {out}/psi_out.csv")
     entries = manifest_entries(out / "manifest.txt")
     assert float(entries["check.max_abs_total"]) > 1e-30
+    assert captured.err == (f"tolerance failure: check.max_abs_total = "
+                            f"{float(entries['check.max_abs_total']):.3e} exceeds 1.000e-30\n")
 
 
 @pytest.mark.parametrize("extra", [[], ["--linear-only"], ["--pulse.kind", "gaussian",
@@ -520,10 +586,11 @@ def test_commands_only_compute(command, overrides, tmp_path, monkeypatch):
         assert name.endswith(".csv") and writer.__module__ == "onedatom.csvio" and args
 
 
-def test_decompose_check_gates_sum_identity(tmp_path):
+def test_decompose_check_gates_sum_identity(tmp_path, monkeypatch):
     # the process amplitudes sum to the closed form only to rounding, so a
     # zero bound fails the check (exit 3); without --check the run passes
-    argv = ["decompose", "--grid.n", "64", "--check.max_abs", "0", "--out", str(tmp_path)]
+    monkeypatch.setattr(cli, "MAX_ABS", 0.0)
+    argv = ["decompose", "--grid.n", "64", "--out", str(tmp_path)]
     assert main(argv) == 0
     assert main([*argv, "--check"]) == 3
     assert float(manifest_entries(tmp_path / "manifest.txt")["run.sum_identity_max_abs"]) > 0
@@ -565,12 +632,13 @@ def test_simulate_check_reads_row_blocks(tmp_path):
     cfg = load_config(write_config(tmp_path / "run.cfg", **{"grid.n": 1024}), {})
     tracemalloc.start()
     try:
-        files, entries, _, failure = COMMANDS["simulate"][0](cfg, {}, False, True)
+        files, entries, _, gates = COMMANDS["simulate"][0](cfg, {}, False, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     n = entries["run.grid_points"]
-    assert failure is None and len(files) == 3
+    assert len(gates) == 3 and all(entries[key] <= bound for key, bound in gates.items())
+    assert len(files) == 3
     assert peak < 0.5 * 16 * n ** 2
 
 
@@ -595,25 +663,29 @@ def _nan_like(*args, **kwargs):
     return np.full(shape, np.nan)
 
 
-@pytest.mark.parametrize("argv,name", [
-    (["simulate", "--grid.n", "41"], "rect_nonlin_out"),
-    (["decompose", "--grid.n", "41"], "rect_two_photon_out"),
+@pytest.mark.parametrize("argv,name,key", [
+    (["simulate", "--grid.n", "41"], "rect_nonlin_out", "check.max_abs_nonlinear"),
+    (["decompose", "--grid.n", "41"], "rect_two_photon_out", "run.sum_identity_max_abs"),
+    # the bilinear read is within the bound on a grid this fine
     (["g2", "--pulse.length", "40", "--grid.x_max", "40", "--anchor.x", "20",
-      "--check.g2", "0.1"], "longpulse_g2"),
-    # the linear part alone has the long-pulse limit 1/2, at the default check.g2
-    pytest.param(["g2", "--pulse.length", "40", "--grid.x_max", "40", "--anchor.x", "20",
-                  "--linear-only"], "longpulse_g2", id="g2-linear-only-longpulse_g2"),
+      "--grid.n", "2048"], "longpulse_g2", "check.max_abs_vs_longpulse"),
+    # the linear part alone has the long-pulse limit 1/2, within the bound
+    (["g2", "--pulse.length", "40", "--grid.x_max", "40", "--anchor.x", "20",
+      "--linear-only"], "longpulse_g2", "check.max_abs_vs_longpulse"),
     (["oracle", "--pulse.length", "2.0", "--oracle.dx", "0.05", "--oracle.ratio", "false"],
-     "rect_error_one_photon"),
-], ids=lambda v: v[0] if isinstance(v, list) else v)
-def test_nan_deviation_fails_check(argv, name, tmp_path, monkeypatch):
-    # every tolerance gate reads "not (dev <= tol)", so a nan deviation fails
+     "rect_error_one_photon", "run.rel_l2"),
+], ids=["simulate-rect_nonlin_out", "decompose-rect_two_photon_out", "g2-longpulse_g2",
+        "g2-linear-only-longpulse_g2", "oracle-rect_error_one_photon"])
+def test_nan_deviation_fails_check(argv, name, key, tmp_path, monkeypatch, capsys):
+    # every tolerance gate reads "not (value <= bound)", so a nan deviation fails
     argv = [*argv, "--config", write_config(tmp_path / "run.cfg"),
             "--out", str(tmp_path / "out"), "--check"]
     assert main(argv) == 0
     monkeypatch.setattr(cli, name, lambda *a, **k: (
         math.nan if name.startswith("rect_error") else _nan_like(*a)))
+    capsys.readouterr()
     assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(f"tolerance failure: {key} = nan exceeds ")
 
 
 def _run_under_blas_threads(argv, tmp_path):

@@ -396,11 +396,30 @@ def test_finite_values_round_trip_bit_for_bit(tmp_path_factory, data, n):
     out = tmp_path_factory.mktemp("round")
     grid = _grid(pts)
     write_wavefunction2(out / "wf2.csv", Wavefunction2(grid, amp))
-    back2 = read_wavefunction2(out / "wf2.csv")
     write_wavefunction1(out / "wf1.csv", Wavefunction1(grid, amp[0]))
-    back1 = read_wavefunction1(out / "wf1.csv")
     write_curve(out / "curve.csv", CorrelationCurve(pts, re[0]))
     back_c = read_curve(out / "curve.csv")
+    assert _bits_equal(back_c.tau, pts) and _bits_equal(back_c.values, re[0])
+    if not math.isfinite(float(pts[-1]) - float(pts[0])):
+        # an axis whose span overflows is no grid: both readers reject it
+        for read, name in ((read_wavefunction2, "wf2"), (read_wavefunction1, "wf1")):
+            with pytest.raises(ValueError, match="overflows"):
+                read(out / f"{name}.csv")
+        return
+    back2 = read_wavefunction2(out / "wf2.csv")
+    back1 = read_wavefunction1(out / "wf1.csv")
     assert _bits_equal(back2.grid.points, pts) and _bits_equal(back2.amp, amp)
     assert _bits_equal(back1.grid.points, pts) and _bits_equal(back1.amp, amp[0])
-    assert _bits_equal(back_c.tau, pts) and _bits_equal(back_c.values, re[0])
+
+
+@pytest.mark.parametrize("read, text", [
+    (read_wavefunction1, "x,re,im\n-1e308,1,0\n1e308,1,0\n"),
+    (read_wavefunction2, "x1,x2,re,im\n-1e308,-1e308,1,0\n-1e308,1e308,1,0\n"
+                         "1e308,-1e308,1,0\n1e308,1e308,1,0\n"),
+], ids=["one", "two"])
+def test_axis_whose_span_overflows_is_rejected(read, text, tmp_path):
+    # the increasing-axis test compares neighbours, so it cannot overflow;
+    # the grid then rejects the span
+    (tmp_path / "wide.csv").write_text(text)
+    with pytest.raises(ValueError, match="overflows"):
+        read(tmp_path / "wide.csv")
