@@ -408,6 +408,19 @@ COMMANDS = {
 }
 
 
+def _peak_rss() -> dict:
+    """{"run.peak_rss_mb": the larger peak RSS, in MB, of this process and of
+    its waited-for children (the grid writer's forks)}, or {} without
+    `resource`; ru_maxrss is in KiB on Linux and in bytes on macOS."""
+    try:
+        import resource
+    except ImportError:
+        return {}
+    peak = max(resource.getrusage(who).ru_maxrss
+               for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return {"run.peak_rss_mb": peak / (2 ** 20 if sys.platform == "darwin" else 2 ** 10)}
+
+
 def _run_command(args: argparse.Namespace) -> None:
     overrides = {key: value for key, value in vars(args).items()
                  if key in KEYS and value is not None}
@@ -428,7 +441,7 @@ def _run_command(args: argparse.Namespace) -> None:
         written.append(name)
     write_seconds = time.perf_counter() - started
 
-    entries = {**config, "run.command": args.command, **entries,
+    entries = {**config, "run.command": args.command, **entries, **_peak_rss(),
                "run.seconds": seconds, "run.write_seconds": write_seconds}
     with open(out_dir / "manifest.txt", "w") as fh:
         fh.write(f"# onedatom {__version__} run manifest\n")

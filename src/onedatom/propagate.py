@@ -16,18 +16,22 @@ rounding.  The one-photon kernel, the value minus 2 kappa times the tail, is
 applied along each coordinate; its delta part is never discretized.
 
 Each input is mapped along axis 0 once (`_map_axis0`), and both parts are
-taken from that pass.  Each part is a `ScatteredState`, its grid and its
-one read, `rows`, which evaluates the part's formula on a row block on
+taken from that pass; a general input is mapped in blocks of output points
+from the top down, with its node tails carried between blocks, so its
+axis-0 tail is never held.  Each part is a `ScatteredState`, its grid and
+its one read, `rows`, which evaluates the part's formula on a row block on
 every call: the product of the one-photon outputs phi_out for a product
-input, a general input's axis-0 map and that map's node tails (O(n_in n)),
-or the n-vector of squared tails that sets the semiseparable nonlinear
-part.  Every part is exchange symmetric to the last bit, so a point off the
-rows is read from the rows by symmetry.  `amp`, a dense grid filled from
-row blocks, is for tests.
+input; a general input's n_in x n axis-0 map and that map's node tails at
+every isqrt(n_in)-th input node, from which a read replays the tails it
+needs to the same bits; or the n-vector of squared tails that sets the
+semiseparable nonlinear part.  Every part is exchange symmetric to the last
+bit, so a point off the rows is read from the rows by symmetry.  `amp`, a
+dense grid filled from row blocks, is for tests.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -100,40 +104,60 @@ def _lookup(edges: np.ndarray, evals: np.ndarray, kappa: float) -> tuple[np.ndar
             (evals < edges[0]) | (evals > edges[-1]))
 
 
-def _node_tails(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
-                kappa: float, lowest: int = 0) -> np.ndarray:
-    """K at the nodes lowest..n_cells (rows below `lowest` stay 0): K[n_cells]
-    = 0 and K[k] = exp(-kappa h_k) K[k+1] + the exact integral over cell k,
-    along axis 0 of left/right, each batch column on its own."""
-    n_cells = len(edges) - 1
-    bshape = (...,) + (None,) * (left.ndim - 1)
-    decay, a, b = _cell_weights(np.diff(edges), kappa)
-    K = np.zeros((n_cells + 1,) + left.shape[1:], dtype=complex)
-    # each step runs in place on row views (one column without a batch), as
-    # column blocks make narrow rows whose steps are mostly calls; the cell
-    # integrals are formed for a block of rows of the cell budget at a time,
-    # with the block's rows of K, not yet stepped, as scratch
-    rows = list(K.reshape(n_cells + 1, -1))
-    dec = decay.tolist()
-    for r0, r1 in reversed(list(blocks(lowest, n_cells, rows[0].size))):
-        src = np.multiply(a[r0:r1][bshape], left[r0:r1],
-                          out=np.empty(K[r0:r1].shape, dtype=complex))
-        src += np.multiply(b[r0:r1][bshape], right[r0:r1], out=K[r0:r1])
-        src = src.reshape(r1 - r0, -1)
-        for k in range(r1 - 1, r0 - 1, -1):
-            np.multiply(rows[k + 1], dec[k], out=rows[k])
-            rows[k] += src[k - r0]
-        del src                         # freed before the next block's is formed
+def _node_tails(cells: tuple[np.ndarray, ...], left: np.ndarray, right: np.ndarray,
+                nodes: np.ndarray, tops: np.ndarray | None = None,
+                carry: np.ndarray | None = None) -> np.ndarray:
+    """K at the ascending `nodes`, shape (len(nodes),) + batch: K[k] =
+    exp(-kappa h_k) K[k+1] + the exact integral over cell k, along axis 0 of
+    left/right, each batch column on its own, with `cells` the
+    `_cell_weights` (decay, a, b) of every cell.  Each node is stepped down
+    from the first of the ascending `tops` at or above it, where K is the
+    matching row of `carry` (by default one top, n_cells, where K = 0); the
+    tops step down together, a cell each per step.  Every step takes the
+    same operations, so K replayed from a stored row has the bits of K
+    stepped down from n_cells."""
+    decay, a, b = cells
+    tops = np.array([len(decay)]) if tops is None else tops
+    used, seg = np.unique(np.searchsorted(tops, nodes), return_inverse=True)
+    tops = tops[used]
+    depth = tops[seg] - nodes
+    batch, bshape = left.shape[1:], (...,) + (None,) * (left.ndim - 1)
+    row = np.zeros((len(used),) + batch, dtype=complex) if carry is None else carry[used]
+    K = np.empty((len(nodes),) + batch, dtype=complex)
+    K[depth == 0] = row[seg[depth == 0]]
+    scratch = np.empty_like(row)
+    # the cell integrals are formed for a block of steps of the cell budget
+    # at a time; step t of a top writes K t nodes below it over its cell
+    # integral (below node 0, cell 0: unread)
+    for t0, t1 in blocks(1, int(depth.max(initial=0)) + 1, 2 * max(row.size, 1)):
+        c = np.maximum(tops - np.arange(t0, t1)[:, None], 0)
+        src = left[c].astype(complex, copy=False)
+        np.multiply(a[c][bshape], src, out=src)
+        at_right = right[c]
+        src += np.multiply(b[c][bshape], at_right, out=at_right)
+        del at_right
+        for i, dec in enumerate(decay[c][bshape]):
+            src[i] += np.multiply(row, dec, out=scratch)
+            row = src[i]
+        kept = (depth >= t0) & (depth < t1)
+        K[kept] = src[depth[kept] - t0, seg[kept]]
+        row = row.copy()                # the block is freed before the next is formed
+        del src
     return K
 
 
-def _partial_cell(left: np.ndarray, right: np.ndarray, K: np.ndarray,
-                  look: tuple[np.ndarray, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """(K(e), psi(e)) at the points of the lookup `look`: the node tail K read
-    at the first node at or right of e, carried back to e, plus the exact
-    integral over the partial cell [e, that node], every batch column at
-    every point, shape (points,) + batch."""
+def _partial_cell(cells: tuple[np.ndarray, ...], left: np.ndarray, right: np.ndarray,
+                  look: tuple[np.ndarray, ...], tops: np.ndarray | None = None,
+                  carry: np.ndarray | None = None) -> tuple[np.ndarray, ...]:
+    """(K(e), psi(e), nodes, K) at the points of the lookup `look`: the node
+    tail K at the first node at or right of e, carried back to e, plus the
+    exact integral over the partial cell [e, that node], every batch column
+    at every point, shape (points,) + batch.  K is held only at the nodes
+    the points read, stepped down from carry = K[top] by `_node_tails`;
+    those nodes and K there are returned as well."""
     k, nxt, t, decay_e, a_e, b_e, no_cell, outside = look
+    nodes, nxt = np.unique(nxt, return_inverse=True)
+    K = _node_tails(cells, left, right, nodes, tops, carry)
     bshape = (...,) + (None,) * (left.ndim - 1)
     # in place, so at most three point x batch arrays are alive at a time
     at_r, at_e = right[k], left[k]
@@ -150,7 +174,7 @@ def _partial_cell(left: np.ndarray, right: np.ndarray, K: np.ndarray,
     tail = K[nxt]
     tail *= decay_e[bshape]
     tail += partial
-    return tail, at_e
+    return tail, at_e, nodes, K
 
 
 def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
@@ -160,11 +184,8 @@ def _tail(edges: np.ndarray, left: np.ndarray, right: np.ndarray,
     right-continuous inside the closed [edges[0], edges[-1]], zero outside it;
     both exact.  left/right may carry trailing batch axes; the results have
     shape (len(evals),) + batch.  Every exponent is <= 0."""
-    look = _lookup(edges, evals, kappa)
-    # K is read from the lowest node at or right of an evaluation point up
-    K = _node_tails(edges, left, right, kappa,
-                    int(look[1].min(initial=len(edges) - 1)))
-    return _partial_cell(left, right, K, look)
+    return _partial_cell(_cell_weights(np.diff(edges), kappa), left, right,
+                         _lookup(edges, evals, kappa))[:2]
 
 
 def _one_photon(value: np.ndarray, tail: np.ndarray, kappa: float) -> np.ndarray:
@@ -179,29 +200,40 @@ def _one_photon(value: np.ndarray, tail: np.ndarray, kappa: float) -> np.ndarray
 
 def _map_axis0(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
                params: PhysicalParams) -> tuple[np.ndarray, np.ndarray]:
-    """(mapped, tail): psi mapped along axis 0 by the one-photon kernel and
-    its tail K, both at the output points and from one `_tail` pass, after
-    the input's checks.  A `Wavefunction1` gives two n-vectors.  A
-    `Wavefunction2` gives two (n_in, n) arrays whose row r is input column r
-    mapped, formed in column blocks of the cell budget; that is exact,
-    because `_tail` maps each column on its own."""
+    """(mapped, tail_sq): psi mapped along axis 0 by the one-photon kernel at
+    the output points, and the n-vector of squared tails that sets the
+    nonlinear part, after the input's checks.  A `Wavefunction1` gives its
+    one-photon output and its tail K squared.  A `Wavefunction2` gives an
+    (n_in, n) array whose row r is input column r mapped, and K's nested
+    tail taken on the diagonal."""
     if not np.all(np.isfinite(psi.amp)):
         raise ValueError("input amplitudes must be finite")
-    k, xs = params.gamma_over_c, out_grid.points
+    k, xs, n = params.gamma_over_c, out_grid.points, out_grid.n
     if isinstance(psi, Wavefunction1):
         tail, value = _tail(psi.grid.points, psi.amp[:-1], psi.amp[1:], xs, k)
-        return _one_photon(value, tail, k), tail
+        return _one_photon(value, tail, k), tail * tail
     if max_asymmetry(psi) > 0:
         raise ValueError("two-photon input must be exchange symmetric")
     pts, a = psi.grid.points, psi.amp
-    mapped = np.empty((a.shape[1], len(xs)), dtype=complex)
-    tail = np.empty_like(mapped)
-    for c0, c1 in blocks(0, a.shape[1], max(len(pts), len(xs))):
-        t, value = _tail(pts, a[:-1, c0:c1], a[1:, c0:c1], xs, k)
-        tail[c0:c1] = t.T
-        mapped[c0:c1] = _one_photon(value, t, k).T
-        del t, value                    # freed before the next block is mapped
-    return mapped, tail
+    look, cells = _lookup(pts, xs, k), _cell_weights(np.diff(pts), k)
+    mapped = np.empty((len(pts), n), dtype=complex)
+    tail_sq = np.empty(n, dtype=complex)
+    top = carry = None
+    # blocks of output points from the top down, every input column at once,
+    # with K carried from one block's lowest node to the next block: no
+    # (n_in, n) tail and no (n_in, n_in) array is held.  The outer tail runs
+    # along axis 1 of the inner one; the physical value needs both tails
+    # anchored at the same M, so column i of the inner tail is taken only at
+    # x_i: the diagonal of a block's b x b tails, where b <= n and b <= the
+    # cell budget / max(n_in, n), so b^2 cells fit the budget
+    for e0, e1 in reversed(list(blocks(0, n, max(len(pts), n)))):
+        tail, value, nodes, K = _partial_cell(cells, a[:-1], a[1:],
+                                              [v[e0:e1] for v in look], top, carry)
+        top, carry = nodes[:1], K[:1].copy()
+        tail_sq[e0:e1] = np.diagonal(_tail(pts, tail.T[:-1], tail.T[1:], xs[e0:e1], k)[0])
+        mapped[:, e0:e1] = _one_photon(value, tail, k).T
+        del tail, value, K              # freed before the next block is mapped
+    return mapped, tail_sq
 
 
 def apply_one_photon(psi: Wavefunction1, out_grid: Grid1D,
@@ -246,31 +278,35 @@ def _column_rows(edges: np.ndarray, columns: np.ndarray, xs: np.ndarray,
     `columns` is the input mapped along axis 0 (n_in x n): its column c is
     the input's first axis mapped to output point c.  The amplitude at the
     pair (c, e) with c <= e is column c mapped along the second axis at
-    output point e, which `_tail`'s partial cell reads from the columns'
-    node tails, plus 0.0, which turns a -0.0 into +0.0; (e, c) reads the
-    same, so the amplitude is exactly symmetric by construction.  The
-    closure holds these O(n_in n) arrays and the `_lookup` of xs among the
-    input's nodes, shared by every read."""
-    n = len(xs)
-    look = _lookup(edges, xs, kappa)
-    node_tails = _node_tails(edges, columns[:-1], columns[1:], kappa, int(look[1].min()))
+    output point e, which `_partial_cell` reads from the columns' node
+    tails, plus 0.0, which turns a -0.0 into +0.0; (e, c) reads the same, so
+    the amplitude is exactly symmetric by construction.  The closure holds
+    the columns, their node tails at every m-th input node, m = isqrt(n_in),
+    so O(n sqrt(n_in)) of them, and the `_lookup` of xs among the input's
+    nodes.  A read replays the node tails it needs from the stored row at or
+    above them, to the same bits."""
+    n, n_cells = len(xs), len(edges) - 1
+    look, cells = _lookup(edges, xs, kappa), _cell_weights(np.diff(edges), kappa)
+    m = math.isqrt(len(edges))
+    # the nodes at or above the lowest one an output point reads
+    stored = np.append(np.arange(-(-int(look[1].min()) // m) * m, n_cells, m), n_cells)
+    saved = _node_tails(cells, columns[:-1], columns[1:], stored)
 
     def mapped(e0: int, e1: int, c0: int, c1: int) -> np.ndarray:
         # columns c0:c1 at the output points e0:e1, shape (e1 - e0, c1 - c0)
-        tail, value = _partial_cell(columns[:-1, c0:c1], columns[1:, c0:c1],
-                                    node_tails[:, c0:c1], tuple(a[e0:e1] for a in look))
+        tail, value = _partial_cell(cells, columns[:-1, c0:c1], columns[1:, c0:c1],
+                                    [a[e0:e1] for a in look], stored, saved[:, c0:c1])[:2]
         return _one_photon(value, tail, kappa)
 
     def rows(i0: int, i1: int) -> np.ndarray:
-        # the pairs left of the diagonal block as mapped columns, the block
-        # mirrored, and those right of it as mapped columns transposed
+        # the pairs up to the diagonal block's end as mapped columns, the
+        # block mirrored, and those right of it as mapped columns transposed
         span = range(n)[i0:i1]
         i0, i1 = span.start, max(span.start, span.stop)
         out = np.empty((i1 - i0, n), dtype=complex)
-        out[:, :i0] = mapped(i0, i1, 0, i0)
-        block = mapped(i0, i1, i0, i1)
-        out[:, i0:i1] = np.where(np.tri(i1 - i0, dtype=bool), block, block.T)
-        del block
+        out[:, :i1] = mapped(i0, i1, 0, i1)
+        block = out[:, i0:i1]
+        block[...] = np.where(np.tri(i1 - i0, dtype=bool), block, block.T)
         out[:, i1:] = mapped(i1, n, i0, i1).T
         out += 0.0
         return out
@@ -325,33 +361,22 @@ def apply_two_photon(psi: Wavefunction1 | Wavefunction2, out_grid: Grid1D,
     psi(x1) psi(x2), or a general exchange-symmetric `Wavefunction2`.  The
     linear (independent-photon) part is the one-photon map applied along
     each axis: read as the product of a product input's one-photon outputs,
-    or from a general input's mapped columns and their node tails.  The
+    or from a general input's mapped columns (n_in x n), whose node tails a
+    read replays from every isqrt(n_in)-th one (`_column_rows`).  The
     nonlinear kernel factorizes once the min-constraint is rewritten as both
     source coordinates above M = max(x1, x2), so its double integral reduces
     to a squared tail integral from M (a product input) or a nested tail
     transform evaluated on the diagonal (a general input); either way the
     correction is read from that n-vector.  `total` reads the sum of both."""
     k, xs, n = params.gamma_over_c, out_grid.points, out_grid.n
-    mapped, tail = _map_axis0(psi, out_grid, params)
+    mapped, tail_sq = _map_axis0(psi, out_grid, params)
     if isinstance(psi, Wavefunction1):
-        tail_sq = tail * tail
         # complex products are not bitwise commutative, so the operands are
         # taken in one order, which makes the part exactly symmetric
         linear = ScatteredState(out_grid, _pair_rows(
             n, lambda i, j: mapped[np.minimum(i, j)] * mapped[np.maximum(i, j)]))
     else:
-        pts = psi.grid.points
-        # the outer tail along axis 1 of the inner one; the physical value
-        # needs both tails anchored at the same M, so column i of the inner
-        # tail is taken only at x_i: the diagonal of a block's b x b tails,
-        # where b <= n and b <= the cell budget / max(n_in, n), so b^2 cells
-        # fit the budget
-        tail_sq = np.empty(n, dtype=complex)
-        for c0, c1 in blocks(0, n, max(len(pts), n)):
-            tail_sq[c0:c1] = np.diagonal(
-                _tail(pts, tail[:-1, c0:c1], tail[1:, c0:c1], xs[c0:c1], k)[0])
-        del tail                        # freed before the linear part's node tails
-        linear = ScatteredState(out_grid, _column_rows(pts, mapped, xs, k))
+        linear = ScatteredState(out_grid, _column_rows(psi.grid.points, mapped, xs, k))
     nonlinear = ScatteredState(out_grid, _pair_rows(
         n, lambda i, j: _nonlinear_at(xs, tail_sq, k, i, j)))
     total = ScatteredState(out_grid,

@@ -596,6 +596,18 @@ def test_decompose_check_gates_sum_identity(tmp_path, monkeypatch):
     assert float(manifest_entries(tmp_path / "manifest.txt")["run.sum_identity_max_abs"]) > 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--grid.n", "41"],
+    ["g2"],
+    ["oracle", "--pulse.length", "2.0", "--oracle.dx", "0.05", "--oracle.ratio", "false"],
+    ["decompose", "--grid.n", "41"],
+], ids=lambda argv: argv[0])
+def test_peak_rss_recorded(argv, tmp_path):
+    # the larger of the run's own peak and its waited-for writers'
+    assert main([*argv, "--out", str(tmp_path)]) == 0
+    assert float(manifest_entries(tmp_path / "manifest.txt")["run.peak_rss_mb"]) > 0.0
+
+
 def test_decompose_builds_grids_as_written(tmp_path, monkeypatch):
     # the writer reads each process grid through its row reader, one block of
     # 16 rows at a time, so no process grid is ever held whole
@@ -762,9 +774,10 @@ def _peak_rss(*args) -> int:
 
 
 def test_general_input_g2_memory_grows_with_n_not_n_squared(tmp_path):
-    # a general 2-D input's g2 holds O(n_in n) arrays, never an n x n grid:
-    # doubling grid.n from 1024 to 2048 would add 16 (2048^2 - 1024^2) bytes,
-    # about 50 MB, for one grid alone
+    # a general 2-D input's g2 holds one n_in x n array, its mapped columns,
+    # and never an n x n grid: doubling grid.n from 1024 to 2048 grows that
+    # array by 16 n_in (2048 - 1024) bytes, about 2 MB, and the peak by less
+    # than half again as much (one grid alone would add about 50 MB)
     g = Grid1D(0.0, 12.0, 129)
     x = g.points
     a = np.exp(-((x[:, None] - 6.0) ** 2 + (x[None, :] - 5.0) ** 2) / 2.0)
@@ -775,7 +788,7 @@ def test_general_input_g2_memory_grows_with_n_not_n_squared(tmp_path):
                          "--tau.min", "-2", "--tau.max", "2", "--tau.n", "1001",
                          "--out", str(tmp_path / f"out-{n}"))
             for n in (1024, 2048)}
-    assert peak[2048] - peak[1024] < 16 * (2048 ** 2 - 1024 ** 2) / 4
+    assert peak[2048] - peak[1024] < 1.5 * 16 * g.n * (2048 - 1024)
 
 
 def test_simulate_memory_does_not_grow_with_its_grids(tmp_path):

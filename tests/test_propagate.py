@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -30,7 +30,6 @@ from onedatom import model
 from onedatom.propagate import (
     ScatteredState,
     _cell_weights,
-    _map_axis0,
     _tail,
 )
 
@@ -162,6 +161,27 @@ def _map_columns_reference(edges, a, evals, kappa, upper=False):
         value -= 2.0 * kappa * tail
         out[c0:c1, e0:] = value.T
     return out
+
+
+def _dense_parts(psi, grid):
+    """{part: dense grid} of the scattered pair, built without `rows`: the
+    product of one-photon outputs, or both axes of a general input mapped
+    column by column and mirrored, and the nonlinear formula on the squared
+    tails T^2, the square of the one-photon tail or the nested tail of a
+    general input taken on the diagonal."""
+    kappa, xs, pts = P.gamma_over_c, grid.points, psi.grid.points
+    tail = _tail(pts, psi.amp[:-1], psi.amp[1:], xs, kappa)[0]
+    if isinstance(psi, Wavefunction2):
+        cols = _map_columns_reference(pts, psi.amp, xs, kappa)
+        linear = model._mirror(_map_columns_reference(pts, cols, xs, kappa, upper=True))
+        tail_sq = np.diagonal(_tail(pts, tail.T[:-1], tail.T[1:], xs, kappa)[0])
+    else:
+        linear = Wavefunction2.from_product(apply_one_photon(psi, grid, P)).amp
+        tail_sq = tail * tail
+    idx = np.arange(grid.n)
+    nonlinear = (-4.0 * kappa * kappa) * np.exp(-kappa * np.abs(xs[:, None] - xs)) \
+        * tail_sq[np.maximum(idx[:, None], idx)]
+    return {"total": linear + nonlinear, "linear": linear, "nonlinear": nonlinear}
 
 
 def _no_dense_read():
@@ -428,24 +448,7 @@ class TestScatteredState:
         grid = Grid1D.with_breakpoints(x_min, x_min + span, n,
                                        [x_min + c * span for c in cuts])
         lazy = apply_two_photon(psi, grid, P)
-        # the dense grids of the product of one-photon outputs, of both axes
-        # mapped column by column and mirrored, and of the nonlinear formula
-        # on the squared tails T^2: the square of the one-photon tail, or the
-        # nested tail of a general input taken on the diagonal
-        kappa, xs = P.gamma_over_c, grid.points
-        tail = _map_axis0(psi, grid, P)[1]
-        if kind == "general":
-            cols = _map_columns_reference(psi.grid.points, psi.amp, xs, kappa)
-            linear = model._mirror(_map_columns_reference(psi.grid.points, cols, xs,
-                                                          kappa, upper=True))
-            tail_sq = np.diagonal(_tail(psi.grid.points, tail[:-1], tail[1:], xs, kappa)[0])
-        else:
-            linear = Wavefunction2.from_product(apply_one_photon(psi, grid, P)).amp
-            tail_sq = tail * tail
-        idx = np.arange(grid.n)
-        nonlinear = (-4.0 * kappa * kappa) * np.exp(-kappa * np.abs(xs[:, None] - xs)) \
-            * tail_sq[np.maximum(idx[:, None], idx)]
-        refs = {"total": linear + nonlinear, "linear": linear, "nonlinear": nonlinear}
+        refs = _dense_parts(psi, grid)
         rng = np.random.default_rng(seed)
         m = grid.n
         i0 = int(rng.integers(0, m))
@@ -493,10 +496,11 @@ class TestGeneral2DPath:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # the part is held by its mapped columns and their node tails, two
-        # n_in x n arrays, with blocks of the cell budget while they are
-        # formed: no n x n grid
-        assert lazy_peak <= 5 * unit
+        # the part is held by its mapped columns, one n_in x n array, and
+        # their node tails at every isqrt(n_in)-th input node, with blocks of
+        # the cell budget while they are formed: no n x n grid
+        assert state <= 1.25 * unit
+        assert lazy_peak <= 2 * unit
         # a dense read fills one n x n grid from row blocks: over what the
         # state holds, it adds that grid and the blocks' temporaries alone
         assert held - state < 16 * n * n + unit
@@ -518,7 +522,7 @@ class TestGeneral2DPath:
         finally:
             tracemalloc.stop()
         # one n x n grid alone would be 16 n^2 = 7.9 of these units
-        assert peak < 5 * 16 * n_in * n
+        assert peak < 3.5 * 16 * n_in * n
 
     def test_nonlinear_peak_memory(self):
         # the symmetry check reads row blocks, so a general input's nonlinear
@@ -555,34 +559,38 @@ class TestGeneral2DPath:
             for part in ("linear", "nonlinear"):
                 assert getattr(got, part).amp.tobytes() == getattr(ref, part).amp.tobytes()
 
-    @settings(max_examples=40, deadline=None)
-    @given(n_in=st.integers(2, 30), n=st.integers(2, 50),
-           block_cells=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
-    def test_column_map_matches_dense_construction(self, n_in, n, block_cells, seed):
-        # the linear part read from its column map equals, bit for bit, the
-        # dense construction: both axes mapped column by column, the second
-        # into the upper triangle only, then mirrored in place
+    @settings(max_examples=60, deadline=None)
+    @given(n_in=st.integers(2, 15), n=st.integers(2, 30), x_lo=st.floats(-3.0, 2.5),
+           span=st.floats(0.2, 6.0), block_cells=st.integers(1, 400),
+           seed=st.integers(0, 2 ** 32 - 1))
+    @example(n_in=3, n=2, x_lo=-1.0, span=5.0, block_cells=1, seed=0)
+    @example(n_in=5, n=23, x_lo=0.4, span=2.0, block_cells=7, seed=1)
+    @example(n_in=12, n=5, x_lo=-2.0, span=6.0, block_cells=40, seed=2)
+    def test_every_part_matches_dense_construction(self, n_in, n, x_lo, span,
+                                                   block_cells, seed):
+        # every part read from its generators equals, bit for bit, its dense
+        # construction: the linear part has both axes mapped column by column,
+        # the second into the upper triangle only, then mirrored in place.  The
+        # columns' node tails are stored every isqrt(n_in) = 1, 2 or 3 nodes;
+        # grids start left of the input's support [0, 3] or inside it and
+        # hold fewer or more points than the input
         rng = np.random.default_rng(seed)
         raw = rng.normal(size=(n_in, n_in)) + 1j * rng.normal(size=(n_in, n_in))
         amp = raw + raw.T
         for values in (amp.real, amp.imag):     # signed zeros, kept symmetric
             signed = rng.random((n_in, n_in)) < 0.2
             values[signed | signed.T] = -0.0
-        x_lo = float(rng.uniform(-3.0, 0.5))
-        gin = Grid1D(0.0, 3.0, n_in)
-        gout = Grid1D(x_lo, float(rng.uniform(2.0, 4.0)), n)
-        psi = Wavefunction2(gin, amp)
-        kappa = P.gamma_over_c
-        bt = _map_columns_reference(gin.points, amp, gout.points, kappa)
-        dense = model._mirror(_map_columns_reference(gin.points, bt, gout.points, kappa,
-                                                     upper=True))
-        i0 = int(rng.integers(0, n))
-        i1 = int(rng.integers(i0, n + 2))
+        gout = Grid1D(x_lo, x_lo + span, n)
+        psi = Wavefunction2(Grid1D(0.0, 3.0, n_in), amp)
+        refs = _dense_parts(psi, gout)
+        i0 = int(rng.integers(0, n + 1))
+        i1 = int(rng.integers(i0, n + 2))       # empty and clipped blocks too
         with mock.patch.object(model, "BLOCK_CELLS", block_cells):
             res = apply_two_photon(psi, gout, P)
-            part = res.linear
-            assert part.rows(i0, i1).tobytes() == dense[i0:i1].tobytes()
-            assert part.amp.tobytes() == dense.tobytes()
+            for name, ref in refs.items():
+                part = getattr(res, name)
+                assert part.rows(i0, i1).tobytes() == ref[i0:i1].tobytes()
+                assert part.amp.tobytes() == ref.tobytes()
             assert max_asymmetry(res.total) == 0.0
 
     def test_memory_layout_is_irrelevant(self):
