@@ -60,8 +60,10 @@ def rect_nonlin_out(x1, x2, length: float, params: PhysicalParams):
     k = params.gamma_over_c
     x1 = np.asarray(x1, dtype=float)
     x2 = np.asarray(x2, dtype=float)
-    m = np.maximum(0.0, np.maximum(x1, x2))
-    val = -(4.0 / length) * np.exp(-k * (m - x1)) * np.exp(-k * (m - x2)) \
+    # past the pulse end (value 0) a coordinate is read as L: no exponent is positive
+    c1, c2 = np.minimum(x1, length), np.minimum(x2, length)
+    m = np.maximum(0.0, np.maximum(c1, c2))
+    val = -(4.0 / length) * np.exp(-k * (m - c1)) * np.exp(-k * (m - c2)) \
         * (1.0 - np.exp(-k * (length - m))) ** 2
     out = np.where((x1 <= length) & (x2 <= length), val, 0.0)
     return float(out) if out.ndim == 0 else out

@@ -17,7 +17,6 @@ below a millionth of the peak, so it needs no sample that close to zero.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,12 +87,15 @@ def g2_slice(psi2: Wavefunction2, x_anchor: float, tau_range: tuple[float, float
     x = np.append(x_anchor + c * tau, x_anchor)
     x_lo, x_hi = np.min(x), np.max(x)
     if not pts[0] <= x_lo <= x_hi <= pts[-1]:          # a nan fails every comparison
-        raise ValueError("evaluation point not finite or outside the wavefunction grid")
+        raise ValueError(
+            f"x + c*tau over tau in [{tau_range[0]}, {tau_range[1]}] at x = {x_anchor} spans "
+            f"[{x_lo:.6g}, {x_hi:.6g}]: not finite or outside the output grid "
+            f"[{pts[0]:.6g}, {pts[-1]:.6g}]")
     g2 = 2.0 * c ** 2 * np.abs(_interp2(psi2, x[:-1], x_anchor)) ** 2
     if length is not None:
         scale = 2.0 * c / length
-        if not scale < math.sqrt(sys.float_info.max):
-            raise ValueError(f"the g2 normaliser (2c/L)^2 is not finite at c={c}, L={length}")
+        if not 0.0 < scale * scale < math.inf:      # neither overflows nor underflows to 0
+            raise ValueError(f"the g2 normaliser (2c/L)^2 is 0 or inf at c={c}, L={length}")
         return CorrelationCurve(tau, g2 / scale ** 2)
     # the rows lo:hi whose cells bracket every point; np.interp reads only
     # the two nodes around each point, all in lo:hi

@@ -203,6 +203,8 @@ _SLOPE_INNER = np.array([0.0, 4.0, -1.0, 0.0])
 def _quadrature_weights(points: np.ndarray, breakpoint_idx: list[int]) -> np.ndarray:
     """Weights w such that sum(w * f) integrates f over the grid, with
     one-sided treatment of the blocks separated by tracked breakpoints."""
+    if not points[-1] - points[0] < math.sqrt(np.finfo(float).max):    # h^2 / 12 below
+        raise ValueError(f"grid [{points[0]:g}, {points[-1]:g}]: its span squared overflows")
     n = len(points)
     w = np.zeros(n)
     edges = [0] + sorted({i for i in breakpoint_idx if 0 < i < n - 1}) + [n - 1]

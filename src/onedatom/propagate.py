@@ -99,7 +99,8 @@ def _lookup(edges: np.ndarray, evals: np.ndarray, kappa: float) -> tuple[np.ndar
     nxt = np.minimum(j, n_cells)
     decay_e, a_e, b_e = _cell_weights(np.maximum(edges[nxt] - evals, 0.0), kappa)
     k = np.clip(j - 1, 0, n_cells - 1)
-    t = (evals - edges[k]) / (edges[k + 1] - edges[k])
+    # clipped for the points outside the data, whose t is masked but must not overflow
+    t = (np.clip(evals, edges[k], edges[k + 1]) - edges[k]) / (edges[k + 1] - edges[k])
     return (k, nxt, t, decay_e, a_e, b_e, (j < 1) | (j > n_cells),
             (evals < edges[0]) | (evals > edges[-1]))
 
@@ -257,8 +258,10 @@ def _nonlinear_at(xs: np.ndarray, tail_sq: np.ndarray, kappa: float,
     # one of M - x_i, M - x_j is 0, whose exponential is exactly 1, and the
     # other is |x_i - x_j|: one exponential per cell gives the same bits, and
     # the same under i <-> j, so the result is exactly symmetric
-    return (-4.0 * kappa * kappa) \
-        * np.exp(-kappa * np.abs(xs[i] - xs[j])) * tail_sq[np.maximum(i, j)]
+    with np.errstate(over="ignore"):    # an exponent that overflows to -inf gives 0
+        decay = np.exp(-kappa * np.abs(xs[i] - xs[j]))
+    decay *= -4.0 * kappa * kappa       # in place, so no second block is alive
+    return decay * tail_sq[np.maximum(i, j)]
 
 
 def _pair_rows(n: int, pair: Callable[[np.ndarray, np.ndarray], np.ndarray]

@@ -17,6 +17,7 @@ from onedatom import (
     evolve_two_photon,
     far_field,
     model,
+    oracle,
     rect_initial,
     rect_two_photon_out,
     run_rect,
@@ -118,6 +119,24 @@ class TestPreconditions:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+    @pytest.mark.parametrize("bound,run,dx,array,cells", [
+        (100_000, run_rect, 0.05, "the far field of 440 x 440", 440 * 440),
+        (50_000, run_rect_error, 0.025, "the held rows of 80 x 880", 80 * 880),
+    ], ids=["far-field", "held-rows"])
+    def test_two_photon_arrays_bounded_by_max_count(self, bound, run, dx, array, cells,
+                                                    monkeypatch):
+        # every count passes, but the far field or the band of held rows
+        # exceeds the bound: it is refused before it is allocated
+        monkeypatch.setattr(oracle, "MAX_COUNT", bound)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{array} cells exceeds {bound} cells"):
+                run(2.0, dx, P, photons=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * cells / 2
 
     def test_rejects_asymmetric_two_photon(self):
         initial = _dense(rect_initial(2.0, 0.1, P))

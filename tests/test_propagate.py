@@ -469,6 +469,40 @@ class TestScatteredState:
             assert np.array_equal(a.values, b.values, equal_nan=True)
 
 
+    @settings(max_examples=60, deadline=None)
+    @given(kind=st.sampled_from(["gaussian", "rectangular", "general"]),
+           n_in=st.integers(3, 60),
+           a=st.lists(st.floats(-4.0, 8.0), min_size=2, max_size=30, unique=True),
+           b=st.lists(st.floats(-4.0, 8.0), min_size=1, max_size=30),
+           block_cells=st.integers(1, 400), seed=st.integers(0, 2 ** 32 - 1))
+    def test_values_do_not_depend_on_the_other_points(self, kind, n_in, a, b, block_cells,
+                                                      seed):
+        # every part at a point depends on that point alone: mapped onto the
+        # points A and onto A and B together, each part agrees on A bit for
+        # bit, whatever the blocks
+        if kind == "rectangular":
+            psi = rectangular_pulse(3.0)
+        elif kind == "gaussian":
+            psi = gaussian_pulse(1.5, 0.5, Grid1D(0.0, 3.0, n_in))
+        else:
+            rng = np.random.default_rng(seed)
+            raw = rng.normal(size=(n_in, n_in)) + 1j * rng.normal(size=(n_in, n_in))
+            psi = Wavefunction2(Grid1D(0.0, 3.0, n_in), raw + raw.T)
+
+        def parts(points):
+            pts = np.unique(points)
+            result = apply_two_photon(psi, Grid1D(pts[0], pts[-1], len(pts), _points=pts), P)
+            return pts, {name: getattr(result, name).amp
+                         for name in ("total", "linear", "nonlinear")}
+
+        with mock.patch.object(model, "BLOCK_CELLS", block_cells):
+            pts_a, on_a = parts(a)
+            pts_ab, on_ab = parts(a + b)
+        i = np.searchsorted(pts_ab, pts_a)
+        for name, amp in on_a.items():
+            assert on_ab[name][np.ix_(i, i)].tobytes() == amp.tobytes()
+
+
 class TestGeneral2DPath:
     def test_matches_factored_path(self):
         gin = Grid1D(0.0, 12.0, 401)
